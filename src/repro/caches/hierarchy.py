@@ -16,13 +16,15 @@ Semantics modelled (all load-bearing for the paper's experiments):
 * demand fetches vs prefetch fetches counted separately per core (§I-B),
 * a per-core stream prefetcher training on L2 misses and filling the L3.
 
-The per-access loop is the hottest code in the library.  Two execution
+The per-access loop is the hottest code in the library.  Three execution
 engines share it:
 
 * the scalar loops below — the caches' int-code protocol (no allocation
   per access), pre-bound locals, inlined set/tag splitting;
 * the vectorized kernels in :mod:`repro.kernels` — numpy batch kernels
-  that are bit-identical to the scalar loops.
+  that are bit-identical to the scalar loops;
+* the C hierarchy walk (:class:`repro.kernels.cext.HierWalk`) — the same
+  scalar loops transcribed to C, run in order over the whole chunk.
 
 :meth:`access_chunk` dispatches per chunk based on ``MachineConfig.kernel``:
 
@@ -33,12 +35,17 @@ engines share it:
     private-level-bypass chunks, the pipelined kernel for full-path chunks
     (prefetcher included; it runs unmodified inside the L3 stage);
 ``auto`` (default)
-    the L3-only kernel for bypass-private chunks big enough to amortize
-    the batch setup (with a scalar bail-out for set-skewed chunks where
-    round decomposition degenerates); for full-path chunks an online cost
-    router: both engines are bit-identical, so the dispatcher measures
-    their per-access wall time and runs whichever is currently cheaper,
-    re-probing the loser periodically to track workload phase changes;
+    every chunk, full-path and bypass alike, runs the C hierarchy walk
+    whenever the C lowering loads and all three levels have vector
+    (``Vec*Cache``) models.  Otherwise — no C compiler, ``REPRO_CEXT=0``,
+    or a level ``make_vec_cache`` leaves scalar (:attr:`kernel_degraded`
+    says which) — the numpy path: the L3-only kernel for bypass-private
+    chunks big enough to amortize the batch setup (with a scalar bail-out
+    for set-skewed chunks where round decomposition degenerates); for
+    full-path chunks an online cost router: both engines are
+    bit-identical, so the dispatcher measures their per-access wall time
+    and runs whichever is currently cheaper, re-probing the loser
+    periodically to track workload phase changes;
 ``batch``
     ``vector`` plus the C lowering of the sequential L3 paths
     (:mod:`repro.kernels.cext`): bypass chunks run the in-order C loop
@@ -112,12 +119,6 @@ def resolve_engine(name: str) -> str:
         )
     return name
 
-#: Shared auto-router cost state, keyed by the sweep's (machine content,
-#: workload) token — see :meth:`CacheHierarchy.adopt_router_state`.  Bounded:
-#: cleared wholesale when it outgrows _ROUTER_CACHE_MAX distinct sweeps.
-_ROUTER_CACHE: dict[str, tuple[list, list]] = {}
-_ROUTER_CACHE_MAX = 64
-
 _kernels_mod = None
 
 
@@ -169,7 +170,7 @@ class CacheHierarchy:
                 for _ in range(n)
             ]
             self.l3 = kern.make_vec_cache(config.l3) or make_cache(config.l3, seed)
-        self.prefetchers: list[StreamPrefetcher | None] = [
+        self._prefetchers: list[StreamPrefetcher | None] = [
             StreamPrefetcher(config.prefetch_trigger, config.prefetch_degree)
             if config.prefetch_enabled
             else None
@@ -207,6 +208,16 @@ class CacheHierarchy:
         #: chunks, "full" = pipelined segments); surfaced as the
         #: ``kernel_bailouts_total`` telemetry counter by the harness
         self.kernel_bailouts = {"l3": 0, "full": 0}
+        #: chunks per (engine, path) — engine ``c``/``vector``/``scalar``,
+        #: path ``full``/``l3only``, one count per chunk (a paired-probe
+        #: chunk, half on each engine, counts as ``vector``; probes are
+        #: counted on their own in :attr:`router_probes`).  Surfaced as
+        #: ``kernel_chunks_total`` by the harness.
+        self.kernel_chunks = {
+            (engine, path): 0
+            for engine in ("c", "vector", "scalar")
+            for path in ("full", "l3only")
+        }
         #: C lowering of the sequential L3 paths (kernel mode ``batch``
         #: only; None when unavailable — pure-Python fallback)
         self._cext = None
@@ -214,26 +225,28 @@ class CacheHierarchy:
             self.l3, self._kern.VecSetAssocCache
         ):
             self._cext = self._kern.cext.stream_for(self.l3)
+        #: the C hierarchy walk running every chunk (kernel mode ``auto``
+        #: only).  Once set, its arrays hold the owner map, the private-fill
+        #: flags and the prefetch tables; the caches' scalar tag lists are
+        #: rebuilt on first scalar use.
+        self._walk = None
+        #: why ``auto`` runs without the walk (None when it has it, or the
+        #: mode is not ``auto``); the harness reports it as a
+        #: ``kernel_degraded`` telemetry event
+        self.kernel_degraded: str | None = None
+        if self._kernel == "auto":
+            self._walk, self.kernel_degraded = self._kern.cext.walk_for(self)
+            if self._walk is not None:
+                self._priv_filled = self._walk.priv_filled
 
-    def adopt_router_state(self, key: str) -> None:
-        """Share the ``auto`` router's engine-cost state under ``key``.
-
-        Every point of a sweep runs the same target workload on the same
-        machine geometry, so the scalar-vs-kernel cost comparison the
-        full-path router makes is common to all points executed by this
-        process.  Adopting a shared state (keyed by the sweep's machine
-        content + target token) lets one paired probe serve the whole
-        sweep instead of re-probing per point.  Purely a speed decision:
-        both engines are bit-identical, so sharing can never change a
-        result.
-        """
-        state = _ROUTER_CACHE.get(key)
-        if state is not None and len(state[0]) == len(self._full_cost):
-            self._full_cost, self._full_tick = state
-            return
-        if len(_ROUTER_CACHE) >= _ROUTER_CACHE_MAX:
-            _ROUTER_CACHE.clear()
-        _ROUTER_CACHE[key] = (self._full_cost, self._full_tick)
+    @property
+    def prefetchers(self) -> list[StreamPrefetcher | None]:
+        """Per-core stream prefetchers (None where prefetching is off)."""
+        if self._walk is not None:
+            for core, pf in enumerate(self._prefetchers):
+                if pf is not None:
+                    self._walk.sync_prefetcher(core, pf)
+        return self._prefetchers
 
     # -- single access (diagnostics / tiny tests) ----------------------------
 
@@ -259,11 +272,14 @@ class CacheHierarchy:
         :class:`CoreMemStats` (L3 counters rescaled under set sampling) and
         folds it into :attr:`totals`.
         """
-        if bypass_private:
+        if not bypass_private and len(lines):
+            self._priv_filled[core] = True
+        if self._walk is not None:
+            stats = self._walk.run(core, lines, writes, bypass_private)
+            self.kernel_chunks["c", "l3only" if bypass_private else "full"] += 1
+        elif bypass_private:
             stats = self._dispatch_l3_only(core, lines, writes)
         else:
-            if len(lines):
-                self._priv_filled[core] = True
             stats = self._dispatch_full(core, lines, writes)
         if self._sample_mask:
             s = self._sample_step
@@ -287,13 +303,16 @@ class CacheHierarchy:
                 if self._cext is not None:
                     # batch mode with the C lowering loaded: the in-order C
                     # loop needs no round decomposition and never bails
+                    self.kernel_chunks["c", "l3only"] += 1
                     return self._kern.run_l3_chunk_cext(
                         self, core, arr, warr, self._cext
                     )
                 stats = self._kern.run_l3_chunk(self, core, arr, warr, force=force)
                 if stats is not None:
+                    self.kernel_chunks["vector", "l3only"] += 1
                     return stats
                 self.kernel_bailouts["l3"] += 1
+        self.kernel_chunks["scalar", "l3only"] += 1
         if isinstance(lines, np.ndarray):
             lines = lines.tolist()
         if isinstance(writes, np.ndarray):
@@ -312,9 +331,11 @@ class CacheHierarchy:
             if mode in ("vector", "batch"):
                 arr = np.asarray(lines, dtype=np.int64)
                 warr = None if writes is None else np.asarray(writes, dtype=bool)
+                self.kernel_chunks["vector", "full"] += 1
                 return self._run_full_segmented(core, arr, warr, True)
             if len(lines) >= AUTO_MIN_CHUNK:
                 return self._route_full_auto(core, lines, writes)
+        self.kernel_chunks["scalar", "full"] += 1
         if isinstance(lines, np.ndarray):
             lines = lines.tolist()
         if isinstance(writes, np.ndarray):
@@ -343,6 +364,7 @@ class CacheHierarchy:
         need = cost[0] is None or cost[1] is None
         if (need or tick % AUTO_PROBE_EVERY == 0) and n >= 2 * AUTO_MIN_CHUNK:
             self.router_probes += 1
+            self.kernel_chunks["vector", "full"] += 1
             arr = np.asarray(lines, dtype=np.int64)
             warr = None if writes is None else np.asarray(writes, dtype=bool)
             mid = n >> 1
@@ -375,7 +397,9 @@ class CacheHierarchy:
         if cost[1] is not None and (cost[0] is None or cost[1] < cost[0]):
             arr = np.asarray(lines, dtype=np.int64)
             warr = None if writes is None else np.asarray(writes, dtype=bool)
+            self.kernel_chunks["vector", "full"] += 1
             return self._run_full_segmented(core, arr, warr, False)
+        self.kernel_chunks["scalar", "full"] += 1
         if isinstance(lines, np.ndarray):
             lines = lines.tolist()
         if isinstance(writes, np.ndarray):
@@ -426,7 +450,7 @@ class CacheHierarchy:
         l1 = self.l1[core]
         l2 = self.l2[core]
         l3 = self.l3
-        pf = self.prefetchers[core]
+        pf = self._prefetchers[core]
 
         l1_code = l1._access_code
         l2_code = l2._access_code
@@ -619,11 +643,25 @@ class CacheHierarchy:
             c.flush()
         self.l3.flush()
         self._owner.clear()
-        self._priv_filled = [False] * len(self.l1)
-        for pf in self.prefetchers:
+        if self._walk is not None:
+            self._walk.reset()
+        else:
+            self._priv_filled = [False] * len(self.l1)
+        for pf in self._prefetchers:
             if pf is not None:
                 pf.reset()
 
     def l3_resident(self, line: int) -> bool:
         """True when ``line`` is currently in the shared L3."""
-        return self.l3.probe(line & self.l3.set_mask, line >> self.l3.tag_shift) >= 0
+        l3 = self.l3
+        s, tag = line & l3.set_mask, line >> l3.tag_shift
+        if self._walk is not None:
+            # the tag mirror is current; the scalar lists may be stale
+            return bool((l3._tags_np[s] == tag).any())
+        return l3.probe(s, tag) >= 0
+
+    def owner_map(self) -> dict[int, int]:
+        """Resident L3 line -> the core that fetched it."""
+        if self._walk is not None:
+            return self._walk.owner_map()
+        return dict(self._owner)

@@ -104,3 +104,19 @@ class StreamPrefetcher:
         """Forget all streams (used across measurement-interval boundaries)."""
         self._by_next.clear()
         self._order.clear()
+
+    def load_table(self, rows: list[list[int]], used: int, head: int) -> None:
+        """Rebuild the streams from the array form the C walk keeps.
+
+        ``rows[s]`` is ``(next_line, count, frontier, live)`` of stream
+        slot ``s``: slots are allocated in order until ``used`` reaches the
+        table size, after which the oldest (``head``) is recycled, so
+        :attr:`_order` is the ring starting at ``head``.  ``live`` marks the
+        streams still reachable in :attr:`_by_next` (a stream displaced by
+        a key collision keeps its FIFO slot but leaves the dict).
+        """
+        streams = [_Stream(nxt, count, frontier) for nxt, count, frontier, _ in rows]
+        self._order = [streams[(head + i) % len(rows)] for i in range(used)]
+        self._by_next = {
+            st.next_line: st for st, row in zip(streams, rows) if row[3]
+        }

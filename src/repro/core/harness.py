@@ -71,6 +71,29 @@ def _setup(
     return machine, target, pirate
 
 
+def export_kernel_telemetry(tel, hierarchy) -> None:
+    """Record which engines ran a hierarchy's chunks.
+
+    ``kernel_chunks_total{engine,path}`` counts chunks per engine (``c``,
+    ``vector``, ``scalar``) and path (``full``, ``l3only``);
+    ``kernel_bailouts_total{stage}`` and ``router_probes_total`` count the
+    numpy path's scalar bail-outs and paired cost probes.  A
+    ``kernel_degraded`` event names why kernel mode ``auto`` ran without
+    the C walk.  The counters are plain ints kept by the hierarchy, so
+    this is the only telemetry cost, paid once per run.
+    """
+    for (engine, path), n in hierarchy.kernel_chunks.items():
+        if n:
+            tel.count("kernel_chunks_total", float(n), engine=engine, path=path)
+    for stage, n in hierarchy.kernel_bailouts.items():
+        if n:
+            tel.count("kernel_bailouts_total", float(n), stage=stage)
+    if hierarchy.router_probes:
+        tel.count("router_probes_total", float(hierarchy.router_probes))
+    if hierarchy.kernel_degraded is not None:
+        tel.event("kernel_degraded", reason=hierarchy.kernel_degraded)
+
+
 def measure_fixed_size(
     target_factory: Callable[[], WorkloadLike] | WorkloadLike,
     stolen_bytes: int,
@@ -86,7 +109,6 @@ def measure_fixed_size(
     quantum: float | None = None,
     fault_plan=None,
     telemetry=None,
-    router_key: str | None = None,
 ) -> FixedSizeResult:
     """Co-run Target and Pirate with a fixed stolen size; measure intervals.
 
@@ -100,11 +122,6 @@ def measure_fixed_size(
     installs a :mod:`repro.faults` plan (or ready controller) on the machine.
     ``telemetry`` records warm-up/settle/interval spans and interval-validity
     metrics; it observes only — no measured value depends on it.
-
-    ``router_key`` (see :func:`repro.core.parallel.sweep_router_key`) lets
-    consecutive points of one sweep share the auto router's learned
-    scalar-vs-kernel cost table instead of each re-probing from cold.
-    Strategy only — results are bit-identical with or without it.
     """
     config = config or nehalem_config()
     tel = ensure_telemetry(telemetry)
@@ -113,8 +130,6 @@ def measure_fixed_size(
     machine, target, pirate = _setup(
         target_factory, config, num_pirate_threads, seed, quantum
     )
-    if router_key is not None:
-        machine.hierarchy.adopt_router_state(router_key)
     if fault_plan is not None:
         controller = as_controller(fault_plan)
         controller.telemetry = tel
@@ -173,9 +188,8 @@ def measure_fixed_size(
                 wall_cycles=machine.frontier - t0,
             )
         )
-    for stage, n in machine.hierarchy.kernel_bailouts.items():
-        if n:
-            tel.count("kernel_bailouts_total", float(n), stage=stage)
+    if tel.enabled:
+        export_kernel_telemetry(tel, machine.hierarchy)
     return FixedSizeResult(
         target_cache_bytes=config.l3.size - stolen_bytes,
         stolen_bytes=stolen_bytes,

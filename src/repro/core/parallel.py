@@ -209,37 +209,8 @@ def sweep_points(spec: SweepSpec, sizes_mb: Sequence[float]) -> list[SweepPoint]
 # -- the per-point task (module-level: must pickle by reference) -------------------
 
 
-def sweep_router_key(spec: SweepSpec) -> str | None:
-    """Identity under which a sweep's points share auto-router state.
-
-    Every point of one sweep drives the same target against the same
-    machine geometry, so the paired-probe cost verdicts the auto router
-    learns on one point transfer to the rest: points carrying the same key
-    adopt a shared cost table via
-    :meth:`~repro.caches.hierarchy.CacheHierarchy.adopt_router_state`
-    instead of re-probing from scratch.  Keyed by measurement *content*
-    (machine token + workload token) — never by spec identity — so two
-    sweeps over the same workload also share.  ``None`` (no sharing) when
-    the target cannot be described by content.
-    """
-    token_fn = getattr(spec.target, "token", None)
-    if token_fn is None:
-        return None
-    token = {
-        "machine": machine_content_token(spec.config),
-        "workload": token_fn(),
-        "num_pirate_threads": spec.num_pirate_threads,
-    }
-    return hashlib.sha256(_canonical_json(token).encode()).hexdigest()
-
-
 def measure_sweep_point(spec: SweepSpec, point: SweepPoint) -> PointResult:
     """Measure one point.  Pure: no shared state, no global RNG.
-
-    The one process-local thing points *do* share is the auto router's
-    learned cost table (see :func:`sweep_router_key`) — execution strategy
-    only, never measurement content, so results stay bit-identical whether
-    the table is warm or cold.
 
     When ``spec.telemetry`` is set, the point collects its own
     :class:`~repro.observability.Telemetry` — created *here*, not passed in,
@@ -284,7 +255,6 @@ def measure_sweep_point(spec: SweepSpec, point: SweepPoint) -> PointResult:
                 quantum=spec.quantum,
                 fault_plan=spec.fault_plan,
                 telemetry=tel,
-                router_key=sweep_router_key(spec),
             )
         sp.add_cycles(result.wall_cycles)
     return PointResult(
@@ -721,14 +691,6 @@ def run_sweep(
             _check_picklable(spec)
             if chunksize is not None:
                 chunk = chunksize
-            elif spec.config.kernel == "batch":
-                # Batched sweeps share process-local state across points:
-                # the compiled C stream (one build) and the auto router's
-                # adopted cost table (one probe).  Points that share a
-                # target token therefore collapse into a single pool job
-                # so that sharing actually happens, instead of every
-                # worker paying the warm-up again.
-                chunk = len(pending)
             else:
                 chunk = default_chunksize(len(pending), workers)
             chunks = [pending[i : i + chunk] for i in range(0, len(pending), chunk)]

@@ -27,10 +27,12 @@ Two further layers batch across *configurations* and lower to C:
 * :mod:`repro.kernels.batchkernel` — the size-stacked L3 bank: every
   pirate size of a sweep simulated in one pass over the shared stream,
   with the round decomposition computed once for the whole batch,
-* :mod:`repro.kernels.cext` — an opt-in C lowering of the scalar in-order
-  L3 loop (compiled with the system compiler at first use, pure-Python
-  fallback otherwise), used by the bank and by kernel mode ``batch`` for
-  the sequential paths the vector kernels bail out of.
+* :mod:`repro.kernels.cext` — C lowerings compiled with the system
+  compiler at first use (pure-Python fallback otherwise): the in-order L3
+  loop, used by the bank and by kernel mode ``batch`` for the sequential
+  paths the vector kernels bail out of, and the in-order walk of the
+  whole hierarchy (:class:`~repro.kernels.cext.HierWalk`) that kernel
+  mode ``auto`` runs every chunk through.
 
 Selection is per chunk via the dispatcher in
 :class:`repro.caches.hierarchy.CacheHierarchy` and is controlled by

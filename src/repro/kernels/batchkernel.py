@@ -59,7 +59,7 @@ from ..errors import ConfigError, SimulationError
 from ..units import is_pow2
 from . import cext
 from .l3kernel import ChunkRounds, run_l3_chunk
-from .veccache import VecLRUCache, make_vec_cache
+from .veccache import make_vec_cache, stack_vec_caches
 
 LOWERINGS = ("auto", "c", "python")
 
@@ -133,35 +133,13 @@ class BatchedL3Bank:
                 )
             caches.append(cache)
         self.caches = caches
-        sets = base.num_sets
-        max_ways = max(cfg.ways for cfg in configs)
         # -- size-stacked SoA storage: re-point each cache at its slice ------
-        self._tags_stack = np.full((n, sets, max_ways), -1, dtype=np.int64)
-        self._dirty_stack = np.zeros((n, sets), dtype=np.int64)
-        self._nvalid_stack = np.zeros((n, sets), dtype=np.int64)
-        self._meta_stack = None
-        meta2d = isinstance(caches[0], VecLRUCache)
-        if meta2d:
-            self._meta_stack = np.zeros((n, sets, max_ways), dtype=np.int64)
-        else:
-            self._meta_stack = np.zeros((n, sets), dtype=np.int64)
-        for c, cache in enumerate(caches):
-            w = cache.ways
-            self._tags_stack[c, :, :w] = cache._tags_np
-            cache._tags_np = self._tags_stack[c, :, :w]
-            self._dirty_stack[c] = cache._dirty
-            cache._dirty = self._dirty_stack[c]
-            self._nvalid_stack[c] = cache._nvalid
-            cache._nvalid = self._nvalid_stack[c]
-            if meta2d:
-                self._meta_stack[c, :, :w] = cache._rank
-                cache._rank = self._meta_stack[c, :, :w]
-            elif hasattr(cache, "_acc"):
-                self._meta_stack[c] = cache._acc
-                cache._acc = self._meta_stack[c]
-            else:
-                self._meta_stack[c] = cache._tree
-                cache._tree = self._meta_stack[c]
+        (
+            self._tags_stack,
+            self._dirty_stack,
+            self._nvalid_stack,
+            self._meta_stack,
+        ) = stack_vec_caches(caches)
         self._slices = [_BankSlice(cache) for cache in caches]
         self._sample_step = sample_sets
         self._sample_mask = sample_sets - 1

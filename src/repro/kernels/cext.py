@@ -1,30 +1,33 @@
-"""Opt-in C lowering of the scalar in-order L3 loop (kernel mode ``batch``).
+"""C lowerings of the in-order cache loops (the L3 stream and the hierarchy walk).
 
-The vectorized kernels in this package amortize interpreter overhead with
-numpy batches, but two hot paths still execute one Python bytecode sequence
-per access: the pipelined full-path kernel's stage 3 (inherently
-sequential — see :mod:`repro.kernels.pipekernel`) and the scalar fallback
-for set-skewed bypass chunks.  Both are exactly the same tiny state
-machine — probe a set's ways, bump counters, pick a victim, touch the
-replacement metadata — which a C loop runs in a few nanoseconds per access
-instead of ~1µs.
+The interpreter loops in :mod:`repro.caches` execute one Python bytecode
+sequence per access: probe a set's ways, bump counters, pick a victim,
+touch the replacement metadata.  The same small state machines run in a
+few nanoseconds per access in C.  One embedded C source holds two entry
+points:
 
-:func:`load` compiles the embedded C source with the system C compiler at
-first use (cached by content hash under ``_cext_build/`` next to this
-file, or ``REPRO_CEXT_DIR``) and binds it with :mod:`ctypes`; no
-third-party dependency and nothing at install time.  When no compiler is
-available — or ``REPRO_CEXT=0`` — every caller falls back to the existing
-pure-Python/numpy paths, so the lowering is a strict speed overlay: it
-operates in place on the ``Vec*Cache`` SoA arrays with **bit-identical**
-semantics (the equivalence suite in ``tests/test_batchkernel.py`` pins
-C == vector == scalar).
+* ``l3_stream`` — the in-order L3 loop, wrapped by :class:`L3Stream`, used
+  by the batched bank and kernel mode ``batch`` (the pipelined kernel's
+  sequential L3 stage, bypass chunks).  It can record fill/eviction events
+  so the caller can replay owner bookkeeping and inclusive
+  back-invalidations in original order, and stop after the first eviction
+  (the pipelined kernel's rollback protocol needs every back-invalidation
+  verdict *before* simulating past it).
+* ``hier_walk`` — one core's chunk through L1, L2 and the shared L3 in
+  order, prefetcher, inclusive back-invalidation and set sampling
+  included, wrapped by :class:`HierWalk`.  Kernel mode ``auto`` runs every
+  chunk through it (:func:`walk_for`).
 
-:class:`L3Stream` wraps one cache: :meth:`L3Stream.run` plays a line
-stream through it, optionally recording fill/eviction events so the caller
-can replay owner bookkeeping and inclusive back-invalidations in original
-order, and optionally stopping after the first eviction (the pipelined
-kernel's rollback protocol needs every back-invalidation verdict *before*
-simulating past it).
+:func:`load` compiles the source with the system C compiler at first use
+(cached by content hash under ``_cext_build/`` next to this file, or
+``REPRO_CEXT_DIR``) and binds it with :mod:`ctypes`; no third-party
+dependency and nothing at install time.  When no compiler is available —
+or ``REPRO_CEXT=0`` — every caller falls back to the pure-Python/numpy
+paths and :func:`unavailable_reason` says why, so the lowering is a strict
+speed overlay: it operates in place on the ``Vec*Cache`` SoA arrays with
+**bit-identical** semantics (``tests/test_batchkernel.py`` pins the L3
+stream, ``tests/test_hierwalk.py`` the walk, both against the scalar
+interpreter).
 """
 
 from __future__ import annotations
@@ -39,7 +42,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .veccache import VecLRUCache, VecNRUCache, VecPLRUCache
+from ..caches.base import CoreMemStats
+from ..errors import SimulationError
+from .veccache import VecLRUCache, VecNRUCache, VecPLRUCache, stack_vec_caches
 
 _POLICY_LRU = 0
 _POLICY_NRU = 1
@@ -168,10 +173,375 @@ int64_t l3_stream(
     out_counts[1] = ne;
     return i;
 }
+
+/* ---- hier_walk: one core's chunk through the whole hierarchy, in order ----
+ *
+ * A transcription of CacheHierarchy._access_chunk_full / _l3_only and the
+ * SetAssocCache code protocol they call.  Every level is an array of
+ * per-core caches stacked on one base pointer (core c's arrays start c
+ * caches in); the shared L3 is a stack of one. */
+
+#define HIT 0
+#define MISS_FREE 1
+#define MISS_CLEAN 2
+#define MISS_DIRTY 3
+
+/* per-cache counter slots: the SetAssocCache counters, then the victim_tag
+ * side channel (flag + tag of the most recent eviction) */
+enum { C_ACC, C_HIT, C_MISS, C_EVICT, C_WB, C_FILL, C_INVAL, C_VSET, C_VTAG,
+       NCNT };
+
+typedef struct {
+    int64_t ways, set_mask, tag_shift, policy, levels, full_mask, sets;
+    int64_t *tags, *dirty, *nvalid, *meta, *clock, *cnt;
+    const int64_t *plru_touch, *plru_victim;
+} Level;
+
+typedef struct {
+    Level l1, l2, l3;
+    int64_t ncores, private_data, smask;
+    int8_t *owner;          /* per L3 slot (set * ways + way); -1 = none */
+    uint8_t *priv_filled;   /* per core */
+    int64_t pf_on, pf_trigger, pf_degree, pf_size;
+    int64_t *pf_tab;        /* per core, per stream: next, count, frontier, live */
+    int64_t *pf_meta;       /* per core: used, head, issued, started */
+    int64_t *out;           /* chunk stats, see OUT_* */
+} Walk;
+
+enum { OUT_L1H, OUT_L2H, OUT_L3H, OUT_L3M, OUT_FETCH, OUT_PF, OUT_WB, NOUT };
+
+/* one core's cache of a level */
+typedef struct {
+    int64_t ways, set_mask, tag_shift, policy, levels, full_mask, mrow;
+    int64_t *tags, *dirty, *nvalid, *meta, *clock, *cnt;
+    const int64_t *pt, *pv;
+} Cache;
+
+static void bind(Cache *c, const Level *L, int64_t core)
+{
+    c->ways = L->ways;
+    c->set_mask = L->set_mask;
+    c->tag_shift = L->tag_shift;
+    c->policy = L->policy;
+    c->levels = L->levels;
+    c->full_mask = L->full_mask;
+    c->mrow = L->policy == POLICY_LRU ? L->ways : 1;
+    c->tags = L->tags + core * L->sets * L->ways;
+    c->dirty = L->dirty + core * L->sets;
+    c->nvalid = L->nvalid + core * L->sets;
+    c->meta = L->meta + core * L->sets * c->mrow;
+    c->clock = L->clock + core;
+    c->cnt = L->cnt + core * NCNT;
+    c->pt = L->plru_touch;
+    c->pv = L->plru_victim;
+}
+
+static inline int64_t find_way(const Cache *c, int64_t set, int64_t tag)
+{
+    const int64_t *row = c->tags + set * c->ways;
+    for (int64_t j = 0; j < c->ways; j++)
+        if (row[j] == tag) return j;
+    return -1;
+}
+
+static inline void touch(Cache *c, int64_t set, int64_t w)
+{
+    int64_t *m = c->meta + set * c->mrow;
+    if (c->policy == POLICY_LRU) {
+        m[w] = (*c->clock)++;
+    } else if (c->policy == POLICY_NRU) {
+        int64_t bits = m[0] | ((int64_t)1 << w);
+        if (bits == c->full_mask) bits = (int64_t)1 << w;
+        m[0] = bits;
+    } else {
+        m[0] = c->pt[(m[0] << c->levels) | w];
+    }
+}
+
+static inline int64_t victim(const Cache *c, int64_t set)
+{
+    const int64_t *m = c->meta + set * c->mrow;
+    if (c->policy == POLICY_LRU) {
+        int64_t best = m[0], w = 0;
+        for (int64_t j = 1; j < c->ways; j++)
+            if (m[j] < best) { best = m[j]; w = j; }
+        return w;
+    }
+    if (c->policy == POLICY_NRU)
+        return __builtin_ctzll((unsigned long long)(~m[0] & c->full_mask));
+    return c->pv[m[0]];
+}
+
+/* SetAssocCache._fill_slow; *way gets the filled way, *vtag the victim */
+static int fill_slow(Cache *c, int64_t set, int64_t tag, int is_write,
+                     int64_t *way, int64_t *vtag)
+{
+    int64_t *row = c->tags + set * c->ways;
+    int code = MISS_FREE;
+    int64_t w;
+    if (c->nvalid[set] < c->ways) {
+        for (w = 0; row[w] != -1; w++) {}
+        c->nvalid[set]++;
+    } else {
+        w = victim(c, set);
+        *vtag = row[w];
+        c->cnt[C_VSET] = 1;
+        c->cnt[C_VTAG] = row[w];
+        c->cnt[C_EVICT]++;
+        if ((c->dirty[set] >> w) & 1) { c->cnt[C_WB]++; code = MISS_DIRTY; }
+        else code = MISS_CLEAN;
+    }
+    row[w] = tag;
+    if (is_write) c->dirty[set] |= (int64_t)1 << w;
+    else c->dirty[set] &= ~((int64_t)1 << w);
+    c->cnt[C_FILL]++;
+    touch(c, set, w);
+    *way = w;
+    return code;
+}
+
+/* SetAssocCache._access_code */
+static inline int access_code(Cache *c, int64_t set, int64_t tag, int is_write,
+                              int64_t *way, int64_t *vtag)
+{
+    c->cnt[C_ACC]++;
+    int64_t w = find_way(c, set, tag);
+    if (w >= 0) {
+        c->cnt[C_HIT]++;
+        if (is_write) c->dirty[set] |= (int64_t)1 << w;
+        touch(c, set, w);
+        *way = w;
+        return HIT;
+    }
+    c->cnt[C_MISS]++;
+    return fill_slow(c, set, tag, is_write, way, vtag);
+}
+
+/* SetAssocCache._fill_code */
+static int fill_code(Cache *c, int64_t set, int64_t tag, int is_write,
+                     int64_t *way, int64_t *vtag)
+{
+    int64_t w = find_way(c, set, tag);
+    if (w >= 0) {
+        if (is_write) c->dirty[set] |= (int64_t)1 << w;
+        touch(c, set, w);
+        *way = w;
+        return HIT;
+    }
+    return fill_slow(c, set, tag, is_write, way, vtag);
+}
+
+/* VecSetAssocCache.invalidate: 0 absent, 1 dropped clean, 2 dropped dirty */
+static int invalidate(Cache *c, int64_t line)
+{
+    int64_t set = line & c->set_mask;
+    int64_t w = find_way(c, set, line >> c->tag_shift);
+    if (w < 0) return 0;
+    int64_t bit = (int64_t)1 << w;
+    int d = (c->dirty[set] & bit) != 0;
+    c->tags[set * c->ways + w] = -1;
+    c->dirty[set] &= ~bit;
+    c->nvalid[set]--;
+    if (c->policy == POLICY_NRU) c->meta[set] &= ~bit;
+    c->cnt[C_INVAL]++;
+    return d ? 2 : 1;
+}
+
+/* CacheHierarchy._back_invalidate: DRAM write-back lines (0 or 1) */
+static int64_t back_invalidate(const Walk *W, int64_t line, int dirty,
+                               int64_t owner)
+{
+    Cache c;
+    if (W->private_data && owner >= 0) {
+        if (!W->priv_filled[owner]) return dirty;
+        bind(&c, &W->l1, owner);
+        if (invalidate(&c, line) == 2) dirty = 1;
+        bind(&c, &W->l2, owner);
+        if (invalidate(&c, line) == 2) dirty = 1;
+        return dirty;
+    }
+    for (int64_t k = 0; k < W->ncores; k++) {
+        if (!W->priv_filled[k]) continue;
+        bind(&c, &W->l1, k);
+        if (invalidate(&c, line) == 2) dirty = 1;
+    }
+    for (int64_t k = 0; k < W->ncores; k++) {
+        if (!W->priv_filled[k]) continue;
+        bind(&c, &W->l2, k);
+        if (invalidate(&c, line) == 2) dirty = 1;
+    }
+    return dirty;
+}
+
+/* CacheHierarchy._writeback_to_l3 */
+static int64_t writeback_to_l3(const Walk *W, Cache *l3, int64_t line)
+{
+    if (W->smask && (line & W->smask)) return 0;
+    int64_t set = line & l3->set_mask;
+    int64_t w = find_way(l3, set, line >> l3->tag_shift);
+    if (w < 0) return 1;
+    l3->dirty[set] |= (int64_t)1 << w;
+    return 0;
+}
+
+/* an L3 fill by `core` that returned `code` into `way`: record the slot's
+ * new owner and back-invalidate the victim (read its owner first: victim
+ * and new line share the slot) */
+static int64_t l3_filled(const Walk *W, Cache *l3, int64_t core, int64_t set,
+                         int64_t way, int code, int64_t vtag)
+{
+    int8_t *slot = W->owner + set * l3->ways + way;
+    int64_t prev = *slot;
+    *slot = (int8_t)core;
+    if (code < MISS_CLEAN) return 0;
+    return back_invalidate(W, (vtag << l3->tag_shift) | set,
+                           code == MISS_DIRTY, prev);
+}
+
+/* StreamPrefetcher stream table, one row per stream: the dict keyed by
+ * next_line becomes a `live` flag (keys of live rows are unique), the FIFO
+ * list a ring (`used` rows allocated, `head` = oldest once full) */
+enum { PF_NEXT, PF_COUNT, PF_FRONTIER, PF_LIVE, PF_ROW };
+enum { PF_USED, PF_HEAD, PF_ISSUED, PF_STARTED };
+
+/* _by_next[key] = row s (displacing any other live row under key) */
+static void pf_insert(int64_t *tab, int64_t size, int64_t s, int64_t key)
+{
+    for (int64_t j = 0; j < size; j++) {
+        int64_t *r = tab + j * PF_ROW;
+        if (r[PF_LIVE] && r[PF_NEXT] == key) r[PF_LIVE] = 0;
+    }
+    tab[s * PF_ROW + PF_NEXT] = key;
+    tab[s * PF_ROW + PF_LIVE] = 1;
+}
+
+/* StreamPrefetcher.observe: returns the prefetch count, first line in *lo */
+static int64_t pf_observe(const Walk *W, int64_t core, int64_t line, int64_t *lo)
+{
+    int64_t size = W->pf_size;
+    int64_t *tab = W->pf_tab + core * size * PF_ROW;
+    int64_t *meta = W->pf_meta + core * 4;
+    int64_t *st = 0;
+    for (int64_t j = 0; j < size; j++) {
+        int64_t *r = tab + j * PF_ROW;
+        if (r[PF_LIVE] && r[PF_NEXT] == line) { st = r; break; }
+    }
+    if (!st) {
+        /* _allocate: a fresh row until the table is full, then recycle
+         * the oldest in place */
+        int64_t s;
+        if (meta[PF_USED] >= size) {
+            s = meta[PF_HEAD];
+            meta[PF_HEAD] = (s + 1) % size;
+        } else {
+            s = meta[PF_USED]++;
+        }
+        tab[s * PF_ROW + PF_LIVE] = 0;
+        tab[s * PF_ROW + PF_COUNT] = 1;
+        tab[s * PF_ROW + PF_FRONTIER] = line;
+        pf_insert(tab, size, s, line + 1);
+        meta[PF_STARTED]++;
+        return 0;
+    }
+    st[PF_LIVE] = 0;
+    st[PF_COUNT]++;
+    pf_insert(tab, size, (st - tab) / PF_ROW, line + 1);
+    if (st[PF_COUNT] < W->pf_trigger) return 0;
+    int64_t target = line + W->pf_degree;
+    if (st[PF_FRONTIER] < line) st[PF_FRONTIER] = line;
+    if (target <= st[PF_FRONTIER]) return 0;
+    *lo = st[PF_FRONTIER] + 1;
+    int64_t n = target - st[PF_FRONTIER];
+    st[PF_FRONTIER] = target;
+    meta[PF_ISSUED] += n;
+    return n;
+}
+
+void hier_walk(const Walk *W, int64_t core, const int64_t *lines,
+               const uint8_t *writes, int64_t n, int64_t bypass_private)
+{
+    Cache l1, l2, l3;
+    bind(&l3, &W->l3, 0);
+    int64_t smask = W->smask;
+    int64_t l1h = 0, l2h = 0, l3h = 0, l3m = 0, fetch = 0, pff = 0, wb = 0;
+    int64_t way, vtag = 0;
+    int code;
+    if (bypass_private) {
+        /* _access_chunk_l3_only */
+        for (int64_t i = 0; i < n; i++) {
+            int64_t line = lines[i];
+            if (smask && (line & smask)) continue;
+            int64_t s3 = line & l3.set_mask;
+            code = access_code(&l3, s3, line >> l3.tag_shift,
+                               writes ? writes[i] : 0, &way, &vtag);
+            if (code == HIT) { l3h++; continue; }
+            l3m++;
+            wb += l3_filled(W, &l3, core, s3, way, code, vtag);
+        }
+        fetch = l3m;
+    } else {
+        bind(&l1, &W->l1, core);
+        bind(&l2, &W->l2, core);
+        for (int64_t i = 0; i < n; i++) {
+            int64_t line = lines[i];
+            int64_t s1 = line & l1.set_mask;
+            code = access_code(&l1, s1, line >> l1.tag_shift,
+                               writes ? writes[i] : 0, &way, &vtag);
+            if (code == HIT) { l1h++; continue; }
+            if (code == MISS_DIRTY) {
+                /* _install_dirty_l2 */
+                int64_t v = (vtag << l1.tag_shift) | s1;
+                int64_t sv = v & l2.set_mask;
+                if (fill_code(&l2, sv, v >> l2.tag_shift, 1, &way, &vtag)
+                        == MISS_DIRTY)
+                    wb += writeback_to_l3(W, &l3, (vtag << l2.tag_shift) | sv);
+            }
+            int64_t s2 = line & l2.set_mask;
+            code = access_code(&l2, s2, line >> l2.tag_shift, 0, &way, &vtag);
+            if (code == HIT) { l2h++; continue; }
+            if (code == MISS_DIRTY)
+                wb += writeback_to_l3(W, &l3, (vtag << l2.tag_shift) | s2);
+            if (!(smask && (line & smask))) {
+                int64_t s3 = line & l3.set_mask;
+                code = access_code(&l3, s3, line >> l3.tag_shift, 0, &way, &vtag);
+                if (code == HIT) {
+                    l3h++;
+                } else {
+                    l3m++;
+                    fetch++;
+                    wb += l3_filled(W, &l3, core, s3, way, code, vtag);
+                }
+            }
+            if (W->pf_on) {
+                int64_t lo = 0;
+                int64_t np = pf_observe(W, core, line, &lo);
+                for (int64_t p = lo; p < lo + np; p++) {
+                    if (smask && (p & smask)) continue;
+                    int64_t ps = p & l3.set_mask;
+                    int64_t pt = p >> l3.tag_shift;
+                    if (find_way(&l3, ps, pt) >= 0) continue;
+                    code = fill_slow(&l3, ps, pt, 0, &way, &vtag);
+                    fetch++;
+                    pff++;
+                    wb += l3_filled(W, &l3, core, ps, way, code, vtag);
+                }
+            }
+        }
+    }
+    int64_t *o = W->out;
+    o[OUT_L1H] = l1h;
+    o[OUT_L2H] = l2h;
+    o[OUT_L3H] = l3h;
+    o[OUT_L3M] = l3m;
+    o[OUT_FETCH] = fetch;
+    o[OUT_PF] = pff;
+    o[OUT_WB] = wb;
+}
 """
 
-_fn = None
+_lib = None
 _tried = False
+_reason: str | None = None
 
 
 def _build_dir() -> Path:
@@ -187,53 +557,94 @@ def _build_dir() -> Path:
         return Path(tempfile.gettempdir()) / f"repro-cext-{uid}"
 
 
-def load():
-    """Compile (once, content-hashed) and bind ``l3_stream``; None if unavailable.
+def _compile() -> ctypes.CDLL:
+    """Build (or reuse) the content-hashed shared object and open it.
 
-    Unavailable means: ``REPRO_CEXT`` is ``0``/``off``/``false``, no C
-    compiler on PATH, or the compile/load failed.  The result (including
-    failure) is cached for the process, so callers may probe freely.
+    Every file is written under a per-process temporary name and then
+    ``os.replace``-d into place, so concurrent builders (pool workers
+    starting together) never read each other's half-written files.
     """
-    global _fn, _tried
-    if _tried:
-        return _fn
-    _tried = True
-    if os.environ.get("REPRO_CEXT", "1").lower() in ("0", "off", "false", "no"):
-        return None
     cc = shutil.which(os.environ.get("CC") or "cc") or shutil.which("gcc")
     if cc is None:
-        return None
+        raise RuntimeError("no C compiler on PATH")
     digest = hashlib.sha256(_SOURCE.encode()).hexdigest()[:16]
-    try:
-        bdir = _build_dir()
-        bdir.mkdir(parents=True, exist_ok=True)
-        so = bdir / f"l3stream-{digest}.so"
-        if not so.exists():
-            csrc = bdir / f"l3stream-{digest}.c"
+    bdir = _build_dir()
+    bdir.mkdir(parents=True, exist_ok=True)
+    so = bdir / f"cext-{digest}.so"
+    if not so.exists():
+        pid = os.getpid()
+        csrc = bdir / f".cext-{digest}.{pid}.c"
+        tmp = bdir / f".cext-{digest}.{pid}.so"
+        try:
             csrc.write_text(_SOURCE)
-            tmp = bdir / f".l3stream-{digest}.{os.getpid()}.so"
             subprocess.run(
                 [cc, "-O2", "-fPIC", "-shared", "-o", str(tmp), str(csrc)],
                 check=True,
                 capture_output=True,
                 timeout=120,
             )
-            os.replace(tmp, so)  # atomic: concurrent builders race benignly
-        lib = ctypes.CDLL(str(so))
-        fn = lib.l3_stream
-        fn.restype = ctypes.c_longlong
-        fn.argtypes = [ctypes.c_longlong] * 8 + [ctypes.c_void_p] * 10 + [
-            ctypes.c_longlong
-        ] * 3 + [ctypes.c_void_p] * 9
-    except Exception:
+            os.replace(tmp, so)
+            os.replace(csrc, bdir / f"cext-{digest}.c")  # kept for inspection
+        except subprocess.CalledProcessError as exc:
+            err = exc.stderr.decode(errors="replace").strip().splitlines()
+            raise RuntimeError(
+                f"C compile failed: {err[-1] if err else exc}"
+            ) from None
+        finally:
+            csrc.unlink(missing_ok=True)
+            tmp.unlink(missing_ok=True)
+    lib = ctypes.CDLL(str(so))
+    fn = lib.l3_stream
+    fn.restype = ctypes.c_longlong
+    fn.argtypes = [ctypes.c_longlong] * 8 + [ctypes.c_void_p] * 10 + [
+        ctypes.c_longlong
+    ] * 3 + [ctypes.c_void_p] * 9
+    walk = lib.hier_walk
+    walk.restype = None
+    walk.argtypes = [
+        ctypes.c_void_p,  # Walk *
+        ctypes.c_longlong,  # core
+        ctypes.c_void_p,  # lines
+        ctypes.c_void_p,  # writes (NULL = all reads)
+        ctypes.c_longlong,  # n
+        ctypes.c_longlong,  # bypass_private
+    ]
+    return lib
+
+
+def load():
+    """Compile (once, content-hashed) and open the C lowering; None if unavailable.
+
+    Unavailable means: ``REPRO_CEXT`` is ``0``/``off``/``false``, no C
+    compiler on PATH, or the compile/load failed; :func:`unavailable_reason`
+    says which.  The result (including failure) is cached for the process,
+    so callers may probe freely.
+    """
+    global _lib, _tried, _reason
+    if _tried:
+        return _lib
+    _tried = True
+    if os.environ.get("REPRO_CEXT", "1").lower() in ("0", "off", "false", "no"):
+        _reason = "disabled by REPRO_CEXT=0"
         return None
-    _fn = fn
-    return _fn
+    # any build/load failure means "use Python": no compiler, a failed or
+    # timed-out compile, an unwritable build dir, an unloadable object
+    try:
+        _lib = _compile()
+    except (OSError, RuntimeError, subprocess.SubprocessError, AttributeError) as exc:
+        _reason = str(exc) or type(exc).__name__
+    return _lib
 
 
 def available() -> bool:
     """True when the C lowering can be used in this process."""
     return load() is not None
+
+
+def unavailable_reason() -> str | None:
+    """Why :func:`load` returned None (None when the lowering loaded)."""
+    load()
+    return _reason
 
 
 class StreamResult:
@@ -418,12 +829,261 @@ class L3Stream:
 
 def stream_for(cache) -> L3Stream | None:
     """An :class:`L3Stream` bound to ``cache``, or None when unavailable."""
-    fn = load()
-    if fn is None:
+    lib = load()
+    if lib is None:
         return None
     if not isinstance(cache, (VecLRUCache, VecNRUCache, VecPLRUCache)):
         return None
     try:
-        return L3Stream(fn, cache)
+        return L3Stream(lib.l3_stream, cache)
     except ValueError:
         return None
+
+
+class _Level(ctypes.Structure):
+    """C ``Level``: one cache level, stacked over cores."""
+
+    _fields_ = [
+        (name, ctypes.c_int64)
+        for name in (
+            "ways", "set_mask", "tag_shift", "policy", "levels", "full_mask", "sets"
+        )
+    ] + [
+        (name, ctypes.c_void_p)
+        for name in (
+            "tags", "dirty", "nvalid", "meta", "clock", "cnt",
+            "plru_touch", "plru_victim",
+        )
+    ]
+
+
+class _Walk(ctypes.Structure):
+    """C ``Walk``: the whole hierarchy's state, by pointer."""
+
+    _fields_ = [
+        ("l1", _Level),
+        ("l2", _Level),
+        ("l3", _Level),
+        ("ncores", ctypes.c_int64),
+        ("private_data", ctypes.c_int64),
+        ("smask", ctypes.c_int64),
+        ("owner", ctypes.c_void_p),
+        ("priv_filled", ctypes.c_void_p),
+        ("pf_on", ctypes.c_int64),
+        ("pf_trigger", ctypes.c_int64),
+        ("pf_degree", ctypes.c_int64),
+        ("pf_size", ctypes.c_int64),
+        ("pf_tab", ctypes.c_void_p),
+        ("pf_meta", ctypes.c_void_p),
+        ("out", ctypes.c_void_p),
+    ]
+
+
+#: per-cache counter slots written by the walk (C ``NCNT``)
+_NCNT = 9
+#: per-core stream-table scalars: used, head, issued, started
+_PF_META = 4
+#: owner bytes are int8; -1 marks "no owner"
+_MAX_WALK_CORES = 127
+#: dirty masks are int64 bitmasks
+_MAX_WALK_WAYS = 63
+
+
+def _level_policy(cache) -> tuple[int, int, int, np.ndarray | None, np.ndarray | None]:
+    if isinstance(cache, VecLRUCache):
+        return _POLICY_LRU, 0, 0, None, None
+    if isinstance(cache, VecNRUCache):
+        return _POLICY_NRU, 0, cache._full_mask, None, None
+    return _POLICY_PLRU, cache._levels, 0, cache._touch_np, cache._victim_np
+
+
+class HierWalk:
+    """ctypes binding of ``hier_walk`` for one :class:`CacheHierarchy`.
+
+    Construction moves every level onto stacked storage
+    (:func:`~repro.kernels.veccache.stack_vec_caches`) and allocates the
+    state the Python engines keep in dicts and lists:
+
+    * ``owner`` — one byte per L3 slot (``set * ways + way``), the core
+      that filled the line there, -1 for none.  Equivalent to the
+      hierarchy's ``_owner`` dict because an owner entry lives exactly as
+      long as its line is resident,
+    * ``priv_filled`` — the per-core "has filled its private caches" flag,
+    * ``pf_tab``/``pf_meta`` — each core's stream-prefetcher table as rows
+      of (next line, count, frontier, live) plus (used, head, issued,
+      started); see :meth:`repro.caches.prefetch.StreamPrefetcher.load_table`.
+
+    From then on these arrays are authoritative.  :meth:`run` plays one
+    chunk and applies the per-cache counter deltas, ``victim_tag`` and LRU
+    clocks to the cache objects; caches whose lines moved get their scalar
+    tag lists marked stale (rebuilt on first scalar use).
+    """
+
+    def __init__(self, fn, hier):
+        self._fn = fn
+        n = hier.config.num_cores
+        self.caches = [*hier.l1, *hier.l2, hier.l3]
+        self._cnt = np.zeros((2 * n + 1, _NCNT), dtype=np.int64)
+        self._clock = np.zeros(2 * n + 1, dtype=np.int64)
+        l3 = hier.l3
+        self.owner = np.full(l3.num_sets * l3.ways, -1, dtype=np.int8)
+        self.priv_filled = np.zeros(n, dtype=np.uint8)
+        pf = hier._prefetchers[0]
+        size = pf.table_size if pf is not None else 1
+        self.pf_tab = np.zeros((n, size, 4), dtype=np.int64)
+        self.pf_meta = np.zeros((n, _PF_META), dtype=np.int64)
+        self._out = np.zeros(7, dtype=np.int64)
+        w = _Walk()
+        self._keep = []
+        for field, caches, row in (
+            ("l1", hier.l1, 0), ("l2", hier.l2, n), ("l3", [l3], 2 * n)
+        ):
+            setattr(w, field, self._level(caches, row))
+        w.ncores = n
+        w.private_data = 1 if hier.config.private_data else 0
+        w.smask = hier.config.sample_sets - 1
+        w.owner = self.owner.ctypes.data
+        w.priv_filled = self.priv_filled.ctypes.data
+        w.pf_on = 1 if pf is not None else 0
+        w.pf_trigger = pf.trigger if pf is not None else 1
+        w.pf_degree = pf.degree if pf is not None else 1
+        w.pf_size = size
+        w.pf_tab = self.pf_tab.ctypes.data
+        w.pf_meta = self.pf_meta.ctypes.data
+        w.out = self._out.ctypes.data
+        self._walk = w
+        self._ref = ctypes.byref(w)
+        #: per core, per path: (counter row, cache) of the caches the walk
+        #: accesses (the rest only see back-invalidations)
+        self._lru_rows = [
+            [
+                (row, c)
+                for row, c in ((k, hier.l1[k]), (n + k, hier.l2[k]), (2 * n, l3))
+                if isinstance(c, VecLRUCache)
+            ]
+            for k in range(n)
+        ]
+        self._lru_l3 = [(2 * n, l3)] if isinstance(l3, VecLRUCache) else []
+
+    def _level(self, caches, row: int) -> _Level:
+        arrays = stack_vec_caches(caches)
+        self._keep.append(arrays)
+        tags, dirty, nvalid, meta = arrays
+        c = caches[0]
+        policy, levels, full_mask, touch, vict = _level_policy(c)
+        self._keep.append((touch, vict))
+        lv = _Level()
+        lv.ways = c.ways
+        lv.set_mask = c.set_mask
+        lv.tag_shift = c.tag_shift
+        lv.policy = policy
+        lv.levels = levels
+        lv.full_mask = full_mask
+        lv.sets = c.num_sets
+        lv.tags = tags.ctypes.data
+        lv.dirty = dirty.ctypes.data
+        lv.nvalid = nvalid.ctypes.data
+        lv.meta = meta.ctypes.data
+        lv.clock = self._clock.ctypes.data + 8 * row
+        lv.cnt = self._cnt.ctypes.data + 8 * _NCNT * row
+        lv.plru_touch = _ptr(touch)
+        lv.plru_victim = _ptr(vict)
+        return lv
+
+    def run(self, core: int, lines, writes, bypass_private: bool) -> CoreMemStats:
+        """Play one chunk for ``core``; returns its (unscaled) stats."""
+        lines = np.ascontiguousarray(lines, dtype=np.int64)
+        w8 = (
+            None
+            if writes is None
+            else np.ascontiguousarray(writes, dtype=bool).view(np.uint8)
+        )
+        # C reads writes[i] for every line, and -1 marks an empty way
+        if w8 is not None and len(w8) != len(lines):
+            raise SimulationError(
+                f"{len(lines)} lines but {len(w8)} write flags in one chunk"
+            )
+        if len(lines) and lines.min() < 0:
+            raise SimulationError("line addresses must be non-negative")
+        lru = self._lru_l3 if bypass_private else self._lru_rows[core]
+        clock = self._clock
+        for row, c in lru:
+            clock[row] = c._clock
+        self._cnt.fill(0)
+        self._fn(
+            self._ref,
+            core,
+            lines.ctypes.data,
+            _ptr(w8),
+            len(lines),
+            1 if bypass_private else 0,
+        )
+        for row, c in lru:
+            c._clock = int(clock[row])
+        for c, (acc, hit, miss, evict, wb, fill, inval, vset, vtag) in zip(
+            self.caches, self._cnt.tolist()
+        ):
+            if acc or fill or inval or vset:
+                c.acc_count += acc
+                c.hit_count += hit
+                c.miss_count += miss
+                c.evict_count += evict
+                c.wb_count += wb
+                c.fill_count += fill
+                c.inval_count += inval
+                if vset:
+                    c.victim_tag = vtag
+                if fill or inval:
+                    c.mark_tag_lists_stale()
+        l1h, l2h, l3h, l3m, fetch, pff, wb_lines = self._out.tolist()
+        return CoreMemStats(
+            mem_accesses=len(lines),
+            l1_hits=l1h,
+            l2_hits=l2h,
+            l3_hits=l3h,
+            l3_misses=l3m,
+            l3_fetches=fetch,
+            prefetch_fills=pff,
+            dram_writeback_lines=wb_lines,
+        )
+
+    def reset(self) -> None:
+        """Forget owners, private-fill flags and prefetch streams (flush)."""
+        self.owner.fill(-1)
+        self.priv_filled.fill(0)
+        self.pf_tab.fill(0)
+        self.pf_meta[:, :2] = 0  # issued/started are lifetime counters
+
+    def owner_map(self) -> dict[int, int]:
+        """Resident L3 line -> owning core (the Python engines' ``_owner``)."""
+        l3 = self.caches[-1]
+        tags = l3._tags_np.reshape(-1)
+        slots = np.flatnonzero((self.owner >= 0) & (tags >= 0))
+        lines = (tags[slots] << l3.tag_shift) | (slots // l3.ways)
+        return dict(zip(lines.tolist(), self.owner[slots].tolist()))
+
+    def sync_prefetcher(self, core: int, pf) -> None:
+        """Load ``core``'s stream table into the Python prefetcher ``pf``."""
+        used, head, issued, started = self.pf_meta[core].tolist()
+        pf.load_table(self.pf_tab[core].tolist(), used, head)
+        pf.issued = issued
+        pf.streams_started = started
+
+
+def walk_for(hier) -> tuple[HierWalk | None, str | None]:
+    """The C hierarchy walk for ``hier``, or ``(None, reason)`` if it cannot run."""
+    lib = load()
+    if lib is None:
+        return None, f"no C lowering: {unavailable_reason()}"
+    for name, cache in (("l1", hier.l1[0]), ("l2", hier.l2[0]), ("l3", hier.l3)):
+        if not isinstance(cache, (VecLRUCache, VecNRUCache, VecPLRUCache)):
+            cfg = cache.config
+            return None, (
+                f"{name} left scalar by make_vec_cache "
+                f"({cfg.policy}, {cfg.ways} ways)"
+            )
+        if cache.ways > _MAX_WALK_WAYS:
+            return None, f"{name} has {cache.ways} ways (walk limit {_MAX_WALK_WAYS})"
+    if hier.config.num_cores > _MAX_WALK_CORES:
+        return None, f"{hier.config.num_cores} cores (walk limit {_MAX_WALK_CORES})"
+    return HierWalk(lib.hier_walk, hier), None

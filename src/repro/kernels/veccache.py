@@ -112,8 +112,7 @@ class VecSetAssocCache(SetAssocCache):
         return True, was_dirty
 
     def flush(self) -> None:
-        for s in range(self.num_sets):
-            self._tags[s] = [None] * self.ways
+        self._tags = [[None] * self.ways for _ in range(self.num_sets)]
         self._dirty.fill(0)
         self._nvalid.fill(0)
         self._tags_np.fill(-1)
@@ -176,9 +175,7 @@ class VecSetAssocCache(SetAssocCache):
             extra,
         ) = self._snap_state
         self._set_extra_state(extra)
-        tag_lists = self._tags
-        for s, row in enumerate(self._tags_np.tolist()):
-            tag_lists[s] = [t if t >= 0 else None for t in row]
+        self.resync_tag_lists()
 
     def resync_tag_lists(self) -> None:
         """Rebuild the scalar per-set tag lists from the numpy mirror.
@@ -186,11 +183,25 @@ class VecSetAssocCache(SetAssocCache):
         The C lowering (:mod:`repro.kernels.cext`) mutates only the mirror;
         callers that afterwards need the scalar ``in``/``index`` scans (or
         diagnostics like :meth:`VecLRUCache.recency_order`) either replay
-        the recorded fill events or pay this O(sets·ways) rebuild.
+        the recorded fill events, pay this O(sets·ways) rebuild, or
+        :meth:`mark_tag_lists_stale` to defer it to the first scalar use.
         """
-        tag_lists = self._tags
-        for s, row in enumerate(self._tags_np.tolist()):
-            tag_lists[s] = [t if t >= 0 else None for t in row]
+        self._tags = [
+            [t if t >= 0 else None for t in row] for row in self._tags_np.tolist()
+        ]
+
+    def mark_tag_lists_stale(self) -> None:
+        """Defer :meth:`resync_tag_lists` to the next read of the tag lists.
+
+        The hierarchy walk (:class:`repro.kernels.cext.HierWalk`) calls this
+        after a chunk that filled or invalidated lines of this cache.  The
+        flag is the tag-list slot itself: it holds a :class:`_StaleTagLists`
+        marker until some scalar method (``probe``, ``invalidate``,
+        ``recency_order``, the code protocol, ...) indexes it, which
+        rebuilds the lists once.  No method pays a per-call check.
+        """
+        if type(self._tags) is not _StaleTagLists:
+            self._tags = _StaleTagLists(self)
 
     # -- batch protocol (one access per *distinct* set) ----------------------
     #
@@ -298,10 +309,14 @@ class VecLRUCache(VecSetAssocCache):
     def _init_meta(self) -> None:
         # distinct initial stamps keep argmin deterministic before the set
         # fills; they sit below every real stamp and never pick a victim
-        # (eviction requires a full set, where every way has been touched)
-        self._rank = np.tile(
-            np.arange(self.ways, dtype=np.int64), (self.num_sets, 1)
-        )
+        # (eviction requires a full set, where every way has been touched).
+        # Reset in place on flush: the array may be a view into stacked
+        # storage that C code holds a pointer to.
+        stamps = np.arange(self.ways, dtype=np.int64)
+        if hasattr(self, "_rank"):
+            self._rank[...] = stamps
+        else:
+            self._rank = np.tile(stamps, (self.num_sets, 1))
         self._clock = self.ways
 
     def _touch(self, set_idx: int, way: int) -> None:
@@ -370,7 +385,10 @@ class VecNRUCache(VecSetAssocCache):
         self._init_meta()
 
     def _init_meta(self) -> None:
-        self._acc = np.zeros(self.num_sets, dtype=np.int64)
+        if hasattr(self, "_acc"):
+            self._acc.fill(0)  # in place, see VecLRUCache._init_meta
+        else:
+            self._acc = np.zeros(self.num_sets, dtype=np.int64)
 
     def _touch(self, set_idx: int, way: int) -> None:
         # int() first: the remaining ops then run on Python ints, not np.int64
@@ -444,7 +462,10 @@ class VecPLRUCache(VecSetAssocCache):
         self._init_meta()
 
     def _init_meta(self) -> None:
-        self._tree = np.zeros(self.num_sets, dtype=np.int64)
+        if hasattr(self, "_tree"):
+            self._tree.fill(0)  # in place, see VecLRUCache._init_meta
+        else:
+            self._tree = np.zeros(self.num_sets, dtype=np.int64)
 
     def _touch(self, set_idx: int, way: int) -> None:
         # Python-list table lookup: cheaper than fancy-indexing the numpy
@@ -494,6 +515,76 @@ class VecPLRUCache(VecSetAssocCache):
 
     def _meta_arrays(self) -> tuple[np.ndarray, ...]:
         return (self._tree,)
+
+
+class _StaleTagLists:
+    """Stand-in for a cache's scalar tag lists while they lag the mirror.
+
+    Any index, assignment or iteration rebuilds the real lists from the
+    numpy tag mirror (see :meth:`VecSetAssocCache.mark_tag_lists_stale`)
+    and forwards to them.
+    """
+
+    __slots__ = ("_cache",)
+
+    def __init__(self, cache: VecSetAssocCache):
+        self._cache = cache
+
+    def _lists(self) -> list:
+        cache = self._cache
+        if cache._tags is self:
+            cache.resync_tag_lists()
+        return cache._tags
+
+    def __getitem__(self, i):
+        return self._lists()[i]
+
+    def __setitem__(self, i, value) -> None:
+        self._lists()[i] = value
+
+    def __iter__(self):
+        return iter(self._lists())
+
+    def __len__(self) -> int:
+        return len(self._lists())
+
+
+def stack_vec_caches(caches: list[VecSetAssocCache]) -> tuple[np.ndarray, ...]:
+    """Move same-policy, same-set-count caches onto stacked storage.
+
+    Allocates ``tags``/LRU stamps as ``[n, sets, max_ways]`` and dirty
+    masks, valid counts and NRU/PLRU metadata as ``[n, sets]``, copies each
+    cache's state into its slice and re-points the cache at it
+    (``stack[c, :, :ways_c]``), so the scalar and vector methods keep
+    working while C code walks every cache from one base pointer.  Returns
+    ``(tags, dirty, nvalid, meta)``.
+    """
+    n = len(caches)
+    sets = caches[0].num_sets
+    max_ways = max(c.ways for c in caches)
+    tags = np.full((n, sets, max_ways), -1, dtype=np.int64)
+    dirty = np.zeros((n, sets), dtype=np.int64)
+    nvalid = np.zeros((n, sets), dtype=np.int64)
+    lru = isinstance(caches[0], VecLRUCache)
+    meta = np.zeros((n, sets, max_ways) if lru else (n, sets), dtype=np.int64)
+    for c, cache in enumerate(caches):
+        w = cache.ways
+        tags[c, :, :w] = cache._tags_np
+        cache._tags_np = tags[c, :, :w]
+        dirty[c] = cache._dirty
+        cache._dirty = dirty[c]
+        nvalid[c] = cache._nvalid
+        cache._nvalid = nvalid[c]
+        if lru:
+            meta[c, :, :w] = cache._rank
+            cache._rank = meta[c, :, :w]
+        elif isinstance(cache, VecNRUCache):
+            meta[c] = cache._acc
+            cache._acc = meta[c]
+        else:
+            meta[c] = cache._tree
+            cache._tree = meta[c]
+    return tags, dirty, nvalid, meta
 
 
 def make_vec_cache(config: CacheConfig) -> VecSetAssocCache | None:

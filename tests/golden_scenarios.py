@@ -14,6 +14,7 @@ from repro.core import measure_curve_fixed
 from repro.experiments import fig4_micro
 from repro.experiments.scale import Scale
 from repro.observability import Telemetry
+from repro.observability.metrics import base_name, metric_key
 from repro.validation import ValidationTier, grade_surrogate, validate_suite
 from repro.workloads import TargetSpec
 
@@ -71,7 +72,33 @@ def fig4_telemetry_scenario() -> dict:
     """
     tel = Telemetry()
     fig4_micro.run(GOLDEN_SCALE, seed=3, workers=0, working_set_mb=1.0, telemetry=tel)
-    return tel.summary(deterministic=True)
+    return _engine_neutral(tel.summary(deterministic=True))
+
+
+#: telemetry that depends on which engine ran (kernel mode, C compiler,
+#: REPRO_CEXT), not on the measurement: the golden must hold under every one
+_ENGINE_COUNTERS = ("kernel_bailouts_total", "router_probes_total")
+_ENGINE_EVENTS = ("kernel_degraded",)
+
+
+def _engine_neutral(summary: dict) -> dict:
+    """Fold the engine label out of ``kernel_chunks_total`` (chunks per path
+    are deterministic, their split over engines is not) and drop the
+    engine-dependent counters and events."""
+    meas = summary["measurement"]
+    counters: dict[str, float] = {}
+    for key, value in meas["counters"].items():
+        name = base_name(key)
+        if name in _ENGINE_COUNTERS:
+            continue
+        if name == "kernel_chunks_total":
+            path = key[key.index("path=") + 5 : -1]
+            key = metric_key(name, {"path": path})
+        counters[key] = counters.get(key, 0.0) + value
+    meas["counters"] = counters
+    for name in _ENGINE_EVENTS:
+        meas["events"].pop(name, None)
+    return summary
 
 
 #: shrunken validation tier for the conformance golden: two sizes, tiny trace

@@ -7,7 +7,7 @@ machines bit-for-bit) and the lowering axis (the C loop from
 :mod:`repro.kernels.cext` must match the pure-Python kernels bit-for-bit).
 Also under test: kernel mode ``batch`` end-to-end through the hierarchy,
 cache-key neutrality (batch forks no sha256 keys), the width-aware
-round-count bail-out, and auto-router state sharing across sweep points.
+round-count bail-out, and the ordinary pool chunking of batch sweeps.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.caches.hierarchy import _ROUTER_CACHE, CacheHierarchy
+from repro.caches.hierarchy import CacheHierarchy
 from repro.config import CacheConfig, machine_content_token, tiny_config
 from repro.errors import ConfigError, SimulationError
 from repro.kernels import BatchedL3Bank, cext
@@ -55,7 +55,7 @@ def assert_hierarchies_equal(tag: str, ha: CacheHierarchy, hb: CacheHierarchy):
         for i, (a, b) in enumerate(zip(getattr(ha, level), getattr(hb, level))):
             assert cache_state(a) == cache_state(b), f"{tag}: {level}[{i}] differs"
     assert cache_state(ha.l3) == cache_state(hb.l3), f"{tag}: l3 differs"
-    assert ha._owner == hb._owner, f"{tag}: owner maps differ"
+    assert ha.owner_map() == hb.owner_map(), f"{tag}: owner maps differ"
     for i, (a, b) in enumerate(zip(ha.totals, hb.totals)):
         assert vars(a) == vars(b), f"{tag}: totals[{i}] differ"
 
@@ -116,7 +116,7 @@ def drive_and_compare(bank, refs, streams, tag):
         if bank.lowering == "python":
             # the C lowering skips the owner map: with no private caches it
             # has no observable effect (writebacks depend only on L3 dirt)
-            assert bank._slices[c]._owner == h._owner, f"{tag} cfg {c}: owner map"
+            assert bank._slices[c]._owner == h.owner_map(), f"{tag} cfg {c}: owner map"
         assert vars(bank.totals[c]) == vars(h.totals[0]), f"{tag} cfg {c}: totals"
 
 
@@ -357,44 +357,68 @@ def test_harness_emits_bailout_telemetry():
     assert "kernel_bailouts_total" not in names
 
 
-# -- auto-router state sharing ------------------------------------------------
-
-
-def test_adopt_router_state_shares_cost_tables():
-    _ROUTER_CACHE.clear()
-    h1 = CacheHierarchy(tiny_config(kernel="auto"))
-    h2 = CacheHierarchy(tiny_config(kernel="auto"))
-    h1.adopt_router_state("deadbeef")
-    h2.adopt_router_state("deadbeef")
-    assert h2._full_cost is h1._full_cost
-    h3 = CacheHierarchy(tiny_config(kernel="auto"))
-    h3.adopt_router_state("cafe")
-    assert h3._full_cost is not h1._full_cost
-    # mismatched core count must not adopt a foreign-shaped table
-    h4 = CacheHierarchy(tiny_config(kernel="auto", num_cores=3))
-    h4.adopt_router_state("deadbeef")
-    assert h4._full_cost is not h1._full_cost
-    _ROUTER_CACHE.clear()
-
-
-def test_router_key_is_content_derived():
-    from repro.core.parallel import SweepSpec, sweep_router_key
+def _measure_tiny(kernel: str, tel) -> None:
+    from repro.core.harness import measure_fixed_size
     from repro.workloads.target import TargetSpec
 
-    def spec(kernel="auto", ws=0.004):
-        return SweepSpec(
-            target=TargetSpec("micro.random", working_set_mb=ws),
-            benchmark="random",
-            config=tiny_config(kernel=kernel),
-        )
-
-    assert sweep_router_key(spec()) == sweep_router_key(spec(kernel="batch"))
-    assert sweep_router_key(spec()) != sweep_router_key(spec(ws=0.008))
-    closure = replace(spec(), target=lambda: None)
-    assert sweep_router_key(closure) is None
+    measure_fixed_size(
+        TargetSpec("micro.random", working_set_mb=0.004),
+        1 * KB,
+        config=tiny_config(kernel=kernel),
+        interval_instructions=500.0,
+        n_intervals=1,
+        telemetry=tel,
+    )
 
 
-def test_batch_sweep_collapses_to_one_chunk():
+@pytest.mark.parametrize("kernel", ["auto", "scalar"])
+def test_harness_exports_engine_chunk_counts(kernel):
+    from repro.observability import Telemetry
+
+    tel = Telemetry()
+    _measure_tiny(kernel, tel)
+    counters = tel.metrics.to_dict()["counters"]
+    chunks = {k: v for k, v in counters.items() if k.startswith("kernel_chunks_total")}
+    if kernel == "scalar":
+        allowed = {"scalar"}
+    else:  # the C walk, or the numpy path's mix without a compiler
+        allowed = {"c"} if _HAS_CEXT else {"vector", "scalar"}
+    engines = {k[k.index("engine=") + 7 : k.index(",")] for k in chunks}
+    assert chunks and engines <= allowed, chunks
+    events = [r for r in tel.fragment().records if r.get("name") == "kernel_degraded"]
+    assert len(events) == (kernel == "auto" and not _HAS_CEXT)
+
+
+def test_harness_reports_degraded_auto(monkeypatch):
+    from repro.observability import Telemetry
+
+    monkeypatch.setattr(cext, "_tried", True)
+    monkeypatch.setattr(cext, "_lib", None)
+    monkeypatch.setattr(cext, "_reason", "no C compiler on PATH")
+    tel = Telemetry()
+    _measure_tiny("auto", tel)
+    events = [r for r in tel.fragment().records if r.get("name") == "kernel_degraded"]
+    assert len(events) == 1
+    assert events[0]["attrs"]["reason"] == "no C lowering: no C compiler on PATH"
+    counters = tel.metrics.to_dict()["counters"]
+    assert not any("engine=c" in k for k in counters)
+
+
+def test_null_telemetry_skips_kernel_export(monkeypatch):
+    from repro.core import harness
+    from repro.observability import NULL_TELEMETRY
+
+    def boom(*_args):
+        raise AssertionError("exported under NULL_TELEMETRY")
+
+    monkeypatch.setattr(harness, "export_kernel_telemetry", boom)
+    _measure_tiny("auto", NULL_TELEMETRY)
+
+
+# -- sweep execution -------------------------------------------------------------
+
+
+def test_batch_sweep_spreads_over_workers():
     from repro.core.parallel import SweepSpec, run_sweep
     from repro.workloads.target import TargetSpec
 
@@ -406,5 +430,6 @@ def test_batch_sweep_collapses_to_one_chunk():
         n_intervals=1,
         seed=1,
     )
+    # batch sweeps get the ordinary chunking: no single-job collapse
     _, stats = run_sweep(spec, [0.002, 0.004, 0.006], workers=2)
-    assert stats.chunks == 1
+    assert stats.chunks > 1

@@ -1,0 +1,225 @@
+"""Differential tests: the C hierarchy walk against the scalar interpreter.
+
+Kernel mode ``auto`` runs every chunk through
+:class:`repro.kernels.cext.HierWalk` when the C lowering loads.  The
+contract is bit-identity with ``kernel="scalar"``: per-chunk stats, the
+final tags, dirty bits and replacement metadata of every cache, the
+per-cache counters and ``victim_tag``, the L3 owner map, the prefetch
+stream tables and ``l3_resident`` answers.  Hypothesis draws the machine
+(per-level geometry and policy, 1-3 cores, ``private_data``, prefetching,
+set sampling) and the chunk stream (full and bypass chunks, random and
+sequential lines, random writes, lengths on both sides of 64, a
+``flush()`` part-way); two whole fixed-size measurements close the loop.
+
+Skipped where the C lowering is unavailable (no compiler, ``REPRO_CEXT=0``).
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.caches.hierarchy import CacheHierarchy
+from repro.config import CacheConfig, MachineConfig, nehalem_config, tiny_config
+from repro.core.harness import measure_fixed_size
+from repro.errors import SimulationError
+from repro.kernels import cext
+from repro.units import KB, MB
+from repro.workloads import TargetSpec
+
+pytestmark = pytest.mark.skipif(
+    not cext.available(), reason="no C lowering (no compiler, or REPRO_CEXT=0)"
+)
+
+LINE = 64
+
+
+@st.composite
+def level(draw, name: str, set_choices: tuple[int, ...], wide_nru: bool = False):
+    policy = draw(st.sampled_from(("lru", "nru", "plru")))
+    if policy == "lru":
+        ways = draw(st.integers(1, 6))
+    elif policy == "nru":
+        ways = draw(st.sampled_from((2, 52) if wide_nru else (2, 3, 4)))
+    else:
+        ways = draw(st.sampled_from((1, 2, 4, 8)))
+    sets = draw(st.sampled_from(set_choices))
+    return CacheConfig(name, sets * ways * LINE, ways, policy=policy)
+
+
+@st.composite
+def machines(draw) -> MachineConfig:
+    l3 = replace(
+        draw(level("L3", (8, 16, 32), wide_nru=True)), inclusive=True, shared=True
+    )
+    return MachineConfig(
+        num_cores=draw(st.integers(1, 3)),
+        l1=draw(level("L1", (1, 2, 4))),
+        l2=draw(level("L2", (2, 4, 8))),
+        l3=l3,
+        prefetch_enabled=draw(st.booleans()),
+        private_data=draw(st.booleans()),
+        sample_sets=draw(st.sampled_from((1, 2, 8))),
+        kernel="scalar",
+    )
+
+
+def chunk_stream(cfg: MachineConfig, seed: int, n_chunks: int, span: int):
+    """Random full/bypass chunks over ``span`` lines."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n_chunks):
+        core = int(rng.integers(0, cfg.num_cores))
+        n = int(rng.choice((1, 7, 40, 63, 64, 65, 200)))
+        if rng.random() < 0.5:
+            lines = int(rng.integers(0, span)) + np.arange(n, dtype=np.int64)
+        else:
+            lines = rng.integers(0, span, n).astype(np.int64)
+        writes = None if rng.random() < 0.3 else rng.random(n) < 0.4
+        yield core, lines, writes, bool(rng.random() < 0.35)
+
+
+def cache_state(c) -> dict:
+    """Observable state of one cache, comparable across scalar/vector models."""
+    state = {
+        "tags": [list(t) for t in c._tags],
+        "dirty": [int(d) for d in c._dirty],
+        "nvalid": [int(v) for v in c._nvalid],
+        "victim": None if c.victim_tag is None else int(c.victim_tag),
+        "counters": c.stats,
+    }
+    if c.config.policy == "lru":
+        state["meta"] = [c.recency_order(s) for s in range(c.num_sets)]
+    elif c.config.policy == "nru":
+        state["meta"] = [c.accessed_bits(s) for s in range(c.num_sets)]
+    else:
+        state["meta"] = [int(t) for t in c._tree]
+    return state
+
+
+def stream_table(pf) -> tuple[list, dict]:
+    """A prefetcher's streams in FIFO order, and its key -> FIFO index map."""
+    order = [(st.next_line, st.count, st.frontier) for st in pf._order]
+    index = {id(st): i for i, st in enumerate(pf._order)}
+    return order, {key: index[id(st)] for key, st in pf._by_next.items()}
+
+
+def assert_same_state(walk: CacheHierarchy, ref: CacheHierarchy) -> None:
+    for name in ("l1", "l2"):
+        for core, (a, b) in enumerate(zip(getattr(walk, name), getattr(ref, name))):
+            assert cache_state(a) == cache_state(b), f"{name}[{core}] differs"
+    assert cache_state(walk.l3) == cache_state(ref.l3), "l3 differs"
+    assert walk.owner_map() == ref.owner_map(), "owner maps differ"
+    for a, b in zip(walk.prefetchers, ref.prefetchers):
+        if b is not None:
+            assert stream_table(a) == stream_table(b), "prefetch tables differ"
+            assert (a.issued, a.streams_started) == (b.issued, b.streams_started)
+    for a, b in zip(walk.totals, ref.totals):
+        assert vars(a) == vars(b), "totals differ"
+
+
+@settings(max_examples=80)
+@given(
+    cfg=machines(),
+    seed=st.integers(0, 2**31 - 1),
+    n_chunks=st.integers(1, 24),
+    flush_at=st.one_of(st.none(), st.integers(0, 23)),
+    footprint=st.sampled_from((0.5, 3.0)),
+)
+def test_walk_matches_scalar(cfg, seed, n_chunks, flush_at, footprint):
+    walk = CacheHierarchy(replace(cfg, kernel="auto"))
+    ref = CacheHierarchy(cfg)
+    assert walk._walk is not None, walk.kernel_degraded
+    # a footprint below the L3 makes cores share lines, which (with
+    # private_data on) strands private copies the owner-only
+    # back-invalidation misses: their write-backs then find no L3 line
+    span = max(1, int(footprint * cfg.l3.num_lines))
+    for i, (core, lines, writes, bypass) in enumerate(
+        chunk_stream(cfg, seed, n_chunks, span)
+    ):
+        if i == flush_at:
+            walk.flush()
+            ref.flush()
+        got = walk.access_chunk(
+            core, lines, None if writes is None else writes.copy(), bypass
+        )
+        want = ref.access_chunk(
+            core, lines.tolist(), None if writes is None else writes.tolist(), bypass
+        )
+        assert vars(got) == vars(want), f"chunk {i} stats differ"
+    probes = np.random.default_rng(seed).integers(0, span, 64)
+    for line in probes.tolist():
+        assert walk.l3_resident(line) == ref.l3_resident(line)
+    assert_same_state(walk, ref)
+    assert walk.kernel_chunks["c", "full"] + walk.kernel_chunks["c", "l3only"] == (
+        n_chunks
+    )
+
+
+def test_python_readers_see_walk_state():
+    """probe/invalidate after a walk chunk act on the walk's state."""
+    cfg = replace(nehalem_config(num_cores=2), kernel="scalar")
+    walk = CacheHierarchy(replace(cfg, kernel="auto"))
+    ref = CacheHierarchy(cfg)
+    lines = np.arange(5000, dtype=np.int64) * 3
+    for h in (walk, ref):
+        h.access_chunk(0, lines, None)
+    for h in (walk, ref):
+        s, t = h.l2[0].split(int(lines[-1]))
+        assert h.l2[0].probe(s, t) >= 0
+        assert h.l2[0].invalidate(s, t) == (True, False)
+    for h in (walk, ref):
+        h.access_chunk(1, lines[::-1].copy(), None, bypass_private=True)
+    assert_same_state(walk, ref)
+
+
+def test_walk_rejects_malformed_chunks():
+    """C reads one write flag per line and uses -1 as the empty-way tag."""
+    h = CacheHierarchy(tiny_config(kernel="auto"))
+    with pytest.raises(SimulationError, match="write flags"):
+        h.access_chunk(0, np.arange(5, dtype=np.int64), np.zeros(4, dtype=bool))
+    with pytest.raises(SimulationError, match="non-negative"):
+        h.access_chunk(0, np.array([-1, 3], dtype=np.int64), None)
+
+
+def test_walk_degrades_with_a_reason(monkeypatch):
+    cfg = replace(nehalem_config(), l1=CacheConfig("L1", 32 * KB, 8, policy="random"))
+    h = CacheHierarchy(replace(cfg, kernel="auto"))
+    assert h._walk is None
+    assert "l1 left scalar" in h.kernel_degraded
+    monkeypatch.setattr(cext, "_tried", True)
+    monkeypatch.setattr(cext, "_lib", None)
+    monkeypatch.setattr(cext, "_reason", "disabled by REPRO_CEXT=0")
+    h = CacheHierarchy(replace(nehalem_config(), kernel="auto"))
+    assert h._walk is None
+    assert h.kernel_degraded == "no C lowering: disabled by REPRO_CEXT=0"
+    # the numpy fallback still runs every chunk
+    h.access_chunk(0, np.arange(200, dtype=np.int64), None)
+    assert sum(h.kernel_chunks.values()) == 1
+
+
+@pytest.mark.parametrize(
+    "target",
+    [
+        TargetSpec(kind="zipf", working_set_mb=2.0, alpha=0.9, seed=3),
+        TargetSpec(kind="benchmark", name="lbm", seed=5),
+    ],
+    ids=["zipf", "lbm"],
+)
+def test_fixed_size_run_matches_scalar(target):
+    runs = [
+        measure_fixed_size(
+            target,
+            int(1.5 * MB),
+            config=nehalem_config(kernel=kernel),
+            interval_instructions=40_000.0,
+            n_intervals=2,
+            warmup_instructions=40_000.0,
+            seed=11,
+        )
+        for kernel in ("auto", "scalar")
+    ]
+    assert runs[0] == runs[1]

@@ -57,7 +57,7 @@ def assert_hierarchies_equal(tag: str, ha: CacheHierarchy, hb: CacheHierarchy):
         for i, (a, b) in enumerate(zip(getattr(ha, level), getattr(hb, level))):
             assert cache_state(a) == cache_state(b), f"{tag}: {level}[{i}] differs"
     assert cache_state(ha.l3) == cache_state(hb.l3), f"{tag}: l3 differs"
-    assert ha._owner == hb._owner, f"{tag}: owner maps differ"
+    assert ha.owner_map() == hb.owner_map(), f"{tag}: owner maps differ"
     for i, (a, b) in enumerate(zip(ha.totals, hb.totals)):
         assert vars(a) == vars(b), f"{tag}: totals[{i}] differ"
 
