@@ -59,9 +59,7 @@ class SetAssocCache:
         self.set_mask = self.num_sets - 1
         self.tag_shift = self.num_sets.bit_length() - 1
         #: per-set, way-indexed tag list; ``None`` marks an invalid way.
-        self._tags: list[list[int | None]] = [
-            [None] * self.ways for _ in range(self.num_sets)
-        ]
+        self._tags: list[list[int | None]] = self._new_tag_lists()
         #: per-set dirty bitmask (bit w set ⇔ way w dirty).
         self._dirty: list[int] = [0] * self.num_sets
         #: per-set count of valid ways (skips the ``None in tags`` scan once full).
@@ -76,6 +74,10 @@ class SetAssocCache:
         self.wb_count = 0
         self.fill_count = 0
         self.inval_count = 0
+
+    def _new_tag_lists(self) -> list[list[int | None]]:
+        """Empty tag lists for a new cache (storage hook, see :mod:`repro.kernels.veccache`)."""
+        return [[None] * self.ways for _ in range(self.num_sets)]
 
     # -- address helpers ----------------------------------------------------
 

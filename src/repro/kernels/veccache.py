@@ -3,10 +3,16 @@
 Each ``Vec*Cache`` is a :class:`~repro.caches.setassoc.SetAssocCache`
 subclass with three storage changes:
 
-* tags keep the per-set Python lists (scalar ``in``/``index`` scans stay
-  C-speed) **plus** a 2-D int64 numpy mirror (``-1`` marks an invalid way)
-  that is synced at every tag write — batch probes and fills are then
-  single gather/scatter operations,
+* tags live in a 2-D int64 numpy mirror (``-1`` marks an invalid way) —
+  batch probes and fills are single gather/scatter operations.  The
+  per-set Python lists the scalar code scans (``in``/``index`` stay
+  C-speed) are built from the mirror lazily: a new or flushed cache, and
+  one whose lines the C hierarchy walk moved, holds a stale-lists marker
+  in their place, and the first scalar use (the code protocol,
+  ``probe``, ``invalidate``, ``recency_order``, the vector and batch
+  kernels) rebuilds them once.  A cache that only the C walk drives never
+  builds them, so construction costs O(arrays), not one object per set.
+  Once built, the lists are synced at every tag write,
 * dirty bits and valid-way counts move into int64 numpy arrays (the
   inherited scalar code mutates them element-wise, unchanged),
 * replacement metadata is numpy-only, with the scalar ``_touch``/``_victim``
@@ -39,6 +45,8 @@ reuse preallocated buffers — a snapshot is a handful of ``memcpy``\\ s."""
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from ..caches.setassoc import (
@@ -66,8 +74,12 @@ class VecSetAssocCache(SetAssocCache):
         self._dirty = np.zeros(self.num_sets, dtype=np.int64)
         self._nvalid = np.zeros(self.num_sets, dtype=np.int64)
         #: 2-D tag mirror; -1 marks an invalid way.  Kept in lockstep with
-        #: the per-set lists at every tag write (fill/invalidate/flush).
+        #: the per-set lists, once they exist, at every tag write.
         self._tags_np = np.full((self.num_sets, self.ways), -1, dtype=np.int64)
+
+    def _new_tag_lists(self) -> _StaleTagLists:
+        # built from the (all -1) mirror on first scalar use
+        return _StaleTagLists(self)
 
     # -- scalar protocol (mirror-synced overrides) ---------------------------
 
@@ -112,10 +124,10 @@ class VecSetAssocCache(SetAssocCache):
         return True, was_dirty
 
     def flush(self) -> None:
-        self._tags = [[None] * self.ways for _ in range(self.num_sets)]
         self._dirty.fill(0)
         self._nvalid.fill(0)
         self._tags_np.fill(-1)
+        self.mark_tag_lists_stale()
         self._init_meta()
 
     # -- chunk snapshot / rollback -------------------------------------------
@@ -194,11 +206,12 @@ class VecSetAssocCache(SetAssocCache):
         """Defer :meth:`resync_tag_lists` to the next read of the tag lists.
 
         The hierarchy walk (:class:`repro.kernels.cext.HierWalk`) calls this
-        after a chunk that filled or invalidated lines of this cache.  The
-        flag is the tag-list slot itself: it holds a :class:`_StaleTagLists`
-        marker until some scalar method (``probe``, ``invalidate``,
-        ``recency_order``, the code protocol, ...) indexes it, which
-        rebuilds the lists once.  No method pays a per-call check.
+        after a chunk that filled or invalidated lines of this cache, and
+        :meth:`flush` after clearing the mirror; a new cache starts stale.
+        The flag is the tag-list slot itself: it holds a
+        :class:`_StaleTagLists` marker until some scalar method (``probe``,
+        ``invalidate``, ``recency_order``, the code protocol, ...) indexes
+        it, which rebuilds the lists once.  No method pays a per-call check.
         """
         if type(self._tags) is not _StaleTagLists:
             self._tags = _StaleTagLists(self)
@@ -430,14 +443,16 @@ class VecNRUCache(VecSetAssocCache):
 class VecPLRUCache(VecSetAssocCache):
     """Tree pseudo-LRU with the transition tables as numpy arrays."""
 
-    #: per way count: (touch ndarray, victim ndarray, touch list, victim list)
-    #: — the ndarrays feed the batch hooks, the lists the scalar hooks
+    #: per way count: (touch ndarray, victim ndarray, touch list, victim
+    #: list, node weights) — the ndarrays feed the batch hooks, the lists
+    #: the scalar hooks
     _np_tables: dict[int, tuple] = {}
 
     def __init__(self, config: CacheConfig):
         if config.ways & (config.ways - 1):
             raise SimulationError("tree-PLRU requires a power-of-two way count")
         super().__init__(config)
+        self._levels = config.ways.bit_length() - 1
         if config.ways not in VecPLRUCache._np_tables:
             touch, victim = _build_plru_tables(config.ways)
             VecPLRUCache._np_tables[config.ways] = (
@@ -445,20 +460,20 @@ class VecPLRUCache(VecSetAssocCache):
                 np.asarray(victim, dtype=np.int64),
                 touch,
                 victim,
+                # per level, the tree-bit weights of that level's nodes
+                # (level ``lev`` holds nodes ``2^lev - 1 .. 2^(lev+1) - 2``)
+                [
+                    np.int64(1) << ((1 << lev) - 1 + np.arange(1 << lev, dtype=np.int64))
+                    for lev in range(self._levels)
+                ],
             )
         (
             self._touch_np,
             self._victim_np,
             self._touch_tab,
             self._victim_tab,
+            self._node_weights,
         ) = VecPLRUCache._np_tables[config.ways]
-        self._levels = config.ways.bit_length() - 1
-        #: per level, the tree-bit weights of that level's nodes (level ``lev``
-        #: holds nodes ``2^lev - 1 .. 2^(lev+1) - 2``)
-        self._node_weights = [
-            np.int64(1) << ((1 << lev) - 1 + np.arange(1 << lev, dtype=np.int64))
-            for lev in range(self._levels)
-        ]
         self._init_meta()
 
     def _init_meta(self) -> None:
@@ -522,16 +537,19 @@ class _StaleTagLists:
 
     Any index, assignment or iteration rebuilds the real lists from the
     numpy tag mirror (see :meth:`VecSetAssocCache.mark_tag_lists_stale`)
-    and forwards to them.
+    and forwards to them.  The marker holds only a weak reference to its
+    cache: the cache holds the marker, and a strong back-reference would
+    make every marked cache a reference cycle that only a full garbage
+    collection frees, arrays and all.
     """
 
     __slots__ = ("_cache",)
 
     def __init__(self, cache: VecSetAssocCache):
-        self._cache = cache
+        self._cache = weakref.ref(cache)
 
     def _lists(self) -> list:
-        cache = self._cache
+        cache = self._cache()
         if cache._tags is self:
             cache.resync_tag_lists()
         return cache._tags

@@ -11,6 +11,8 @@ work, not n Python iterations.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ..errors import ConfigError
@@ -143,6 +145,20 @@ class StridedPattern(Pattern):
         self._pos = 0
 
 
+@functools.lru_cache(maxsize=2)
+def _chase_order(seed: int | None, region_lines: int) -> np.ndarray:
+    """The chase permutation for an integer (or default) seed, read-only.
+
+    Building a workload again (every measurement of a sweep or validation
+    does) then costs no redraw.  Two entries cover the usual pattern of
+    alternating between a couple of workloads; more would only hold on
+    to region-sized arrays nobody reads again.
+    """
+    order = np.asarray(make_rng(seed).permutation(region_lines), dtype=np.int64)
+    order.flags.writeable = False
+    return order
+
+
 class PointerChasePattern(Pattern):
     """Walk of a random Hamiltonian cycle over the region.
 
@@ -150,12 +166,29 @@ class PointerChasePattern(Pattern):
     per lap like a sweep, but the address sequence is de-correlated so the
     stream prefetcher cannot help, and callers should pair it with a low
     ``mlp`` since each load depends on the previous one.
+
+    The visiting order is ``make_rng(seed).permutation(region_lines)``, a
+    pure function of ``(seed, region_lines)``: instances built with the same
+    integer seed share one read-only array from a small module-level cache,
+    and :meth:`reset` keeps it.  A seed passed as a ``Generator`` has
+    consumable state instead, so the order is drawn from it at construction
+    and redrawn at every reset, uncached.
     """
 
-    def __init__(self, base_line: int, region_lines: int, seed: int | None = None):
+    def __init__(
+        self,
+        base_line: int,
+        region_lines: int,
+        seed: int | np.random.Generator | None = None,
+    ):
         super().__init__(base_line, region_lines, seed)
-        self._order = self._rng.permutation(region_lines).astype(np.int64)
+        self._order = self._draw_order()
         self._pos = 0
+
+    def _draw_order(self) -> np.ndarray:
+        if isinstance(self._seed, np.random.Generator):
+            return np.asarray(self._rng.permutation(self.region_lines), dtype=np.int64)
+        return _chase_order(self._seed, self.region_lines)
 
     def lines(self, n: int) -> np.ndarray:
         region = self.region_lines
@@ -165,5 +198,6 @@ class PointerChasePattern(Pattern):
 
     def reset(self) -> None:
         super().reset()
-        self._order = self._rng.permutation(self.region_lines).astype(np.int64)
+        if isinstance(self._seed, np.random.Generator):
+            self._order = self._draw_order()
         self._pos = 0

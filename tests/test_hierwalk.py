@@ -16,6 +16,8 @@ Skipped where the C lowering is unavailable (no compiler, ``REPRO_CEXT=0``).
 
 from __future__ import annotations
 
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -174,6 +176,25 @@ def test_python_readers_see_walk_state():
     for h in (walk, ref):
         h.access_chunk(1, lines[::-1].copy(), None, bypass_private=True)
     assert_same_state(walk, ref)
+
+
+def test_dead_hierarchy_is_freed_without_a_gc_pass():
+    """A walked cache and its stale-lists marker form no reference cycle.
+
+    Every chunk the walk runs marks the caches it touched; a marker holding
+    its cache strongly would leave a dead hierarchy's arrays to a full
+    garbage collection.
+    """
+    gc.collect()
+    gc.disable()
+    try:
+        h = CacheHierarchy(nehalem_config(kernel="auto"))
+        h.access_chunk(0, np.arange(5000, dtype=np.int64) * 3, None)
+        l3 = weakref.ref(h.l3)
+        del h
+        assert l3() is None
+    finally:
+        gc.enable()
 
 
 def test_walk_rejects_malformed_chunks():

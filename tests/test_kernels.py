@@ -12,6 +12,7 @@ pipelined kernel's rollback path.
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -23,7 +24,12 @@ from repro.caches.hierarchy import CacheHierarchy
 from repro.config import CacheConfig, nehalem_config, tiny_config
 from repro.errors import ConfigError
 from repro.kernels import make_vec_cache
-from repro.kernels.veccache import VecLRUCache, VecNRUCache, VecPLRUCache
+from repro.kernels.veccache import (
+    VecLRUCache,
+    VecNRUCache,
+    VecPLRUCache,
+    _StaleTagLists,
+)
 from repro.units import KB
 
 MODES = ("scalar", "vector", "auto")
@@ -246,6 +252,62 @@ def test_scalar_ops_match_plain_cache(policy, ways):
         assert vec.victim_tag == ref.victim_tag
     assert cache_state(vec)["counters"] == cache_state(ref)["counters"]
     assert [list(x) for x in vec._tags] == [list(x) for x in ref._tags]
+
+
+@pytest.mark.parametrize("policy", ["lru", "nru", "plru"])
+@pytest.mark.parametrize("first", ["access", "probe", "invalidate", "order"])
+def test_lazy_tag_lists_follow_scalar_protocol(policy, first):
+    """A new or flushed Vec* cache builds its tag lists on first scalar use.
+
+    ``first`` is the operation that meets the stale-lists marker; from
+    there on the cache must answer like the scalar twin, access for access.
+    """
+    cfg = CacheConfig("T", 64 * 4 * 16, 4, policy=policy)
+    vec = make_vec_cache(cfg)
+    ref = _scalar_twin(vec)
+    rng = np.random.default_rng(11)
+    ops = ("access", "access", "access", "probe", "invalidate", "order")
+    for phase in ("fresh", "flushed"):
+        assert type(vec._tags) is _StaleTagLists, phase
+        for i in range(400):
+            op = first if i == 0 else ops[int(rng.integers(0, len(ops)))]
+            s = int(rng.integers(0, vec.num_sets))
+            t = int(rng.integers(0, 12))
+            if op == "access":
+                w = bool(rng.random() < 0.3)
+                assert vec._access_code(s, t, w) == ref._access_code(s, t, w)
+                assert vec.victim_tag == ref.victim_tag
+            elif op == "probe":
+                assert vec.probe(s, t) == ref.probe(s, t)
+            elif op == "invalidate":
+                assert vec.invalidate(s, t) == ref.invalidate(s, t)
+            elif policy == "lru":
+                assert vec.recency_order(s) == ref.recency_order(s)
+            else:
+                assert vec.resident_tags(s) == ref.resident_tags(s)
+        assert cache_state(vec) == cache_state(ref), phase
+        vec.flush()
+        ref.flush()
+
+
+def test_building_a_machine_allocates_no_per_set_objects():
+    """Set-up is O(arrays): no Python object per cache set.
+
+    The nehalem L3 alone has 8,192 sets, so eager per-set tag lists (or any
+    other per-set object) blow far through the bound.
+    """
+    cfg = nehalem_config(kernel="auto")
+    CacheHierarchy(cfg)  # warm module-level state (C lowering, PLRU tables)
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        h = CacheHierarchy(cfg)
+        added = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    assert h.l3.num_sets == 8192
+    assert added < 500, added
 
 
 @pytest.mark.parametrize("ways", [2, 4, 8, 16])

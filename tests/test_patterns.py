@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError
+from repro.rng import make_rng
 from repro.workloads.patterns import (
     PointerChasePattern,
     RandomPattern,
@@ -104,6 +105,38 @@ def test_reset_restores_initial_stream():
         p.reset()
         b = p.lines(50)
         assert np.array_equal(a, b), type(p).__name__
+
+
+def test_pointer_chase_order_is_the_seeded_permutation():
+    p = PointerChasePattern(0, 300, seed=21)
+    assert np.array_equal(p._order, make_rng(21).permutation(300))
+    assert p._order.dtype == np.int64
+    order = p._order
+    p.lines(123)
+    p.reset()
+    assert p._order is order
+    assert np.array_equal(p.lines(300), make_rng(21).permutation(300))
+
+
+def test_pointer_chase_order_is_shared_and_read_only():
+    a = PointerChasePattern(0, 300, seed=22)
+    b = PointerChasePattern(1000, 300, seed=22)
+    assert a._order is b._order
+    with pytest.raises(ValueError):
+        a._order[0] = 1
+    assert not np.array_equal(a._order, PointerChasePattern(0, 300, seed=23)._order)
+
+
+def test_pointer_chase_generator_seed_is_consumed():
+    """A Generator seed draws the order from it, at build and every reset."""
+    gen = np.random.default_rng(5)
+    twin = np.random.default_rng(5)
+    p = PointerChasePattern(10, 200, seed=gen)
+    assert np.array_equal(p.lines(200), twin.permutation(200) + 10)
+    assert gen.bit_generator.state == twin.bit_generator.state
+    p.reset()
+    assert np.array_equal(p.lines(200), twin.permutation(200) + 10)
+    assert gen.bit_generator.state == twin.bit_generator.state
 
 
 def test_pattern_validation():
