@@ -1,11 +1,11 @@
-"""Bench: scalar vs vectorized simulation kernels (and set-sampled L3).
+"""Bench: the scalar interpreter vs the C hierarchy walk (and set-sampled L3).
 
 Three microbenches, each timing ``CacheHierarchy.access_chunk`` directly so
 the numbers isolate the simulation engines from workload generation:
 
 ``pirate_sweep``
-    the Pirate's private-level-bypass linear sweep — the L3-only kernel's
-    home turf and the CI perf-smoke's ≥2x gate,
+    the Pirate's private-level-bypass linear sweep — the CI perf-smoke's
+    floor on ``auto`` (the C walk) over ``scalar``,
 ``fig8_gromacs``
     a fig8-shaped co-run: full-path target chunks interleaved with large
     Pirate sweep chunks (the heavy-pirate regime every fig8 point at a
@@ -14,17 +14,17 @@ the numbers isolate the simulation engines from workload generation:
     a fig4-shaped co-run: a sequential-scan microbenchmark target against
     the same Pirate.
 
-Every engine mode produces bit-identical counters (asserted here), so the
+Both kernel modes produce bit-identical counters (asserted here), so the
 timings compare pure execution cost.  Besides the pytest benches this file
 is an executable::
 
     python benchmarks/bench_kernels.py --quick --json out.json \
-        --min-speedup 2.0
+        --min-speedup 10
 
-which times scalar/auto/vector plus a ``sample_sets=8`` run per bench,
-optionally enforces a floor on the Pirate-sweep vectorized speedup, and
-emits the JSON payload ``scripts/bench_baseline.py`` archives as
-``BENCH_kernels.json``.
+which times scalar/auto plus a ``sample_sets=8`` run per bench, optionally
+enforces a floor on the Pirate-sweep ``auto`` speedup (skipped, with the
+reason printed, where the C walk cannot load), and emits the JSON payload
+``scripts/bench_baseline.py`` archives as ``BENCH_kernels.json``.
 """
 
 from __future__ import annotations
@@ -43,8 +43,8 @@ if __name__ == "__main__":  # script mode: make src/ importable from anywhere
 import pytest
 
 from repro.caches.hierarchy import CacheHierarchy
-from repro.config import nehalem_config
-from repro.kernels import BatchedL3Bank
+from repro.config import KERNEL_MODES, nehalem_config
+from repro.kernels import cext
 from repro.units import MB
 from repro.workloads import make_benchmark
 
@@ -110,86 +110,29 @@ def _run_pirate_only(mode: str, sample_sets: int, pirates):
 
 
 def _time_modes(runner, repeats: int) -> dict:
-    """Best-of-``repeats`` wall time per engine mode + a sampled run.
+    """Best-of-``repeats`` wall time per kernel mode + a sampled run.
 
     Asserts the exact modes agree on every counter before reporting any
     timing — a fast engine with wrong numbers is not a speedup.
     """
     result = {}
     fingerprints = {}
-    for mode in ("scalar", "auto", "vector"):
+    for mode in KERNEL_MODES:
         times = []
         for _ in range(repeats):
             elapsed, fp = runner(mode, 1)
             times.append(elapsed)
             fingerprints[mode] = fp
         result[f"{mode}_s"] = round(min(times), 4)
-    if not (fingerprints["scalar"] == fingerprints["auto"] == fingerprints["vector"]):
-        raise AssertionError("engine modes disagree on counters")
+    if fingerprints["scalar"] != fingerprints["auto"]:
+        raise AssertionError("kernel modes disagree on counters")
     sampled, _ = min(
         (runner("auto", 8) for _ in range(repeats)), key=lambda r: r[0]
     )
     result["sampled8_s"] = round(sampled, 4)
-    result["vector_speedup"] = round(result["scalar_s"] / result["vector_s"], 3)
     result["auto_speedup"] = round(result["scalar_s"] / result["auto_s"], 3)
     result["sampled_speedup"] = round(result["scalar_s"] / result["sampled8_s"], 3)
     return result
-
-
-def _run_batched_sweep(chunks: list[np.ndarray], repeats: int) -> dict:
-    """The tentpole bench: every pirate size of a sweep in one stream pass.
-
-    A stolen-size sweep replays the same target-side stream against N L3
-    configurations (way-stealing: same sets, fewer ways per size).  The
-    baseline is the per-size vectorized path — N independent banks, N
-    passes; the contender is :class:`BatchedL3Bank` — one size-stacked bank,
-    one pass (C lowering when a compiler is present).  Counters are asserted
-    equal before any timing is reported.
-    """
-    from dataclasses import replace as _dc_replace
-
-    l3 = nehalem_config().l3
-    configs = [l3.with_ways(w) for w in range(4, 4 + 12)]  # 12 sweep sizes
-
-    def fingerprint(stats_list):
-        return [
-            (s.l3_hits, s.l3_misses, s.l3_fetches, s.dram_writeback_lines)
-            for s in stats_list
-        ]
-
-    per_size_times, batched_times = [], []
-    fp_per_size = fp_batched = None
-    lowering = "python"
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        totals = []
-        for cfg in configs:
-            mc = _dc_replace(nehalem_config(kernel="vector"), l3=cfg)
-            hier = CacheHierarchy(mc)
-            for pl in chunks:
-                hier.access_chunk(1, pl, None, bypass_private=True)
-            totals.append(hier.totals[1])
-        per_size_times.append(time.perf_counter() - t0)
-        fp_per_size = fingerprint(totals)
-
-        t0 = time.perf_counter()
-        bank = BatchedL3Bank(configs)
-        lowering = bank.lowering
-        for pl in chunks:
-            bank.access_chunk(pl)
-        batched_times.append(time.perf_counter() - t0)
-        fp_batched = fingerprint(bank.totals)
-    if fp_per_size != fp_batched:
-        raise AssertionError("batched bank disagrees with the per-size engine")
-    per_size = min(per_size_times)
-    batched = min(batched_times)
-    return {
-        "n_sizes": len(configs),
-        "per_size_vector_s": round(per_size, 4),
-        "batched_s": round(batched, 4),
-        "batched_speedup": round(per_size / batched, 3),
-        "lowering": lowering,
-    }
 
 
 def collect(quick: bool = True) -> dict:
@@ -209,7 +152,6 @@ def collect(quick: bool = True) -> dict:
         "fig4_seq": _time_modes(
             lambda mode, ss: _run_corun(mode, ss, seq, pirates), repeats
         ),
-        "batched_sweep": _run_batched_sweep(pirates, repeats),
     }
     return {
         "meta": {
@@ -218,6 +160,7 @@ def collect(quick: bool = True) -> dict:
             "chunks": n,
             "repeats": repeats,
             "l3_mb": nehalem_config().l3.size / MB,
+            "walk": "c" if cext.available() else cext.unavailable_reason(),
             "python": sys.version.split()[0],
             "numpy": np.__version__,
         },
@@ -232,23 +175,15 @@ def collect(quick: bool = True) -> dict:
 def test_kernel_microbenches(run_once):
     payload = run_once(collect, True)
     for name, bench in payload["benches"].items():
-        if name == "batched_sweep":
-            print(
-                f"{name}: per-size vector {bench['per_size_vector_s']}s  "
-                f"batched[{bench['lowering']}] {bench['batched_s']}s "
-                f"({bench['batched_speedup']}x, {bench['n_sizes']} sizes)"
-            )
-            continue
         print(
             f"{name}: scalar {bench['scalar_s']}s  "
             f"auto {bench['auto_s']}s ({bench['auto_speedup']}x)  "
-            f"vector {bench['vector_s']}s ({bench['vector_speedup']}x)  "
             f"sampled/8 {bench['sampled8_s']}s ({bench['sampled_speedup']}x)"
         )
     # timing floors are CI's perf-smoke business; here only sanity-check
-    # that the L3 kernel actually engaged on its home-turf bench
-    assert payload["benches"]["pirate_sweep"]["vector_speedup"] > 1.0
-    assert payload["benches"]["batched_sweep"]["batched_speedup"] > 1.0
+    # that the C walk actually engaged on its home-turf bench
+    if cext.available():
+        assert payload["benches"]["pirate_sweep"]["auto_speedup"] > 1.0
 
 
 # -- script mode --------------------------------------------------------------
@@ -260,13 +195,8 @@ def main(argv=None) -> int:
     parser.add_argument("--json", default="", help="write the payload here")
     parser.add_argument(
         "--min-speedup", type=float, default=None, metavar="X",
-        help="fail unless the Pirate-sweep vectorized speedup is >= X",
-    )
-    parser.add_argument(
-        "--min-batched-speedup", type=float, default=None, metavar="X",
-        help="fail unless the batched-sweep speedup is >= X (enforced only "
-        "under the C lowering; the pure-Python fallback is correctness, "
-        "not performance)",
+        help="fail unless the Pirate-sweep auto (C walk) speedup over scalar "
+        "is >= X (skipped where the C walk cannot load)",
     )
     args = parser.parse_args(argv)
     payload = collect(quick=args.quick)
@@ -277,32 +207,20 @@ def main(argv=None) -> int:
     else:
         print(text, end="")
     if args.min_speedup is not None:
-        got = payload["benches"]["pirate_sweep"]["vector_speedup"]
+        if not cext.available():
+            print(
+                "skip pirate_sweep floor: auto runs the scalar loops here "
+                f"({cext.unavailable_reason()})"
+            )
+            return 0
+        got = payload["benches"]["pirate_sweep"]["auto_speedup"]
         if got < args.min_speedup:
             print(
-                f"FAIL pirate_sweep vectorized speedup {got}x "
+                f"FAIL pirate_sweep auto speedup {got}x "
                 f"< required {args.min_speedup}x"
             )
             return 1
-        print(f"ok pirate_sweep vectorized speedup {got}x >= {args.min_speedup}x")
-    if args.min_batched_speedup is not None:
-        bench = payload["benches"]["batched_sweep"]
-        if bench["lowering"] != "c":
-            print(
-                f"skip batched-sweep floor: lowering is {bench['lowering']!r} "
-                "(no C compiler on this runner)"
-            )
-        elif bench["batched_speedup"] < args.min_batched_speedup:
-            print(
-                f"FAIL batched_sweep speedup {bench['batched_speedup']}x "
-                f"< required {args.min_batched_speedup}x"
-            )
-            return 1
-        else:
-            print(
-                f"ok batched_sweep speedup {bench['batched_speedup']}x "
-                f">= {args.min_batched_speedup}x"
-            )
+        print(f"ok pirate_sweep auto speedup {got}x >= {args.min_speedup}x")
     return 0
 
 

@@ -1,11 +1,12 @@
-"""Bench: analytic surrogate engine vs the measured vector-kernel sweep.
+"""Bench: analytic surrogate engine vs the measured sweep.
 
 One end-to-end fetch-ratio curve on ``gromacs`` (a benchmark-suite target,
 not a microbenchmark), timed three ways:
 
 ``measure``
-    the bit-exact simulator sweep with the vectorized kernels — the
-    engine every other number in the repo comes from,
+    the bit-exact simulator sweep under the default kernel mode (the C
+    hierarchy walk) — the engine every other number in the repo comes
+    from,
 ``surrogate``
     one trace profile + a reuse-distance histogram, then every size
     answered analytically in O(trace),
@@ -16,11 +17,9 @@ not a microbenchmark), timed three ways:
 The surrogate's claim is *throughput*, not exactness — its accuracy gate
 is the conformance grader (``repro validate --engine surrogate``), so this
 bench only sanity-checks the curve shapes (monotone fetch counts) and
-reports wall time.  The CI perf-smoke enforces ``surrogate_speedup >= 10``
-on the quick tier.  Script mode::
+reports wall time; CI runs it report-only.  Script mode::
 
-    python benchmarks/bench_surrogate.py --quick --json out.json \
-        --min-speedup 10
+    python benchmarks/bench_surrogate.py --quick --json out.json
 
 emits the JSON payload ``scripts/bench_baseline.py`` archives under the
 ``surrogate_curve`` key of ``BENCH_kernels.json``.
@@ -63,9 +62,6 @@ def _time_curve(engine: str, *, quick: bool) -> tuple[float, object]:
         n_intervals=1 if quick else 2,
         seed=11,
     )
-    if engine == "measure":
-        # the strongest fair baseline: vectorized kernels, not scalar
-        kwargs["config"] = nehalem_config(kernel="vector")
     t0 = time.perf_counter()
     curve = measure_curve_fixed(
         benchmark_target(BENCHMARK, seed=7), SIZES_MB, engine=engine, **kwargs
@@ -131,10 +127,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true", help="smaller tier (CI)")
     parser.add_argument("--json", default="", help="write the payload here")
-    parser.add_argument(
-        "--min-speedup", type=float, default=None, metavar="X",
-        help="fail unless both the surrogate and auto curve speedups are >= X",
-    )
     args = parser.parse_args(argv)
     payload = collect(quick=args.quick)
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -143,16 +135,6 @@ def main(argv=None) -> int:
         print(f"wrote {args.json}")
     else:
         print(text, end="")
-    if args.min_speedup is not None:
-        for engine in ("surrogate", "auto"):
-            got = payload["bench"][f"{engine}_speedup"]
-            if got < args.min_speedup:
-                print(
-                    f"FAIL {engine} curve speedup {got}x "
-                    f"< required {args.min_speedup}x"
-                )
-                return 1
-            print(f"ok {engine} curve speedup {got}x >= {args.min_speedup}x")
     return 0
 
 

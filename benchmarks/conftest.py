@@ -14,7 +14,7 @@ Environment knobs (mirroring the test suite's conventions):
     (e.g. ``REPRO_BENCH_ONLY=fig8,kernels``),
 ``REPRO_TEST_ORDER_SEED=<int>``
     shuffle bench order with that seed, exactly like the test suite,
-``REPRO_KERNEL=<auto|scalar|vector>``
+``REPRO_KERNEL=<auto|scalar>``
     the simulation engine every bench's default config picks up.
 
 Each bench prints one machine-parseable line on completion::

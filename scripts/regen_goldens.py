@@ -28,6 +28,7 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 sys.path.insert(0, str(REPO))
 
+from repro.config import KERNEL_MODES  # noqa: E402
 from tests.golden_scenarios import SCENARIOS  # noqa: E402
 
 
@@ -46,10 +47,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--kernel",
         default=None,
-        metavar="MODE",
-        help="force a simulation-kernel mode (scalar/vector/batch/auto) for "
-        "every scenario via REPRO_KERNEL; with --check this proves the "
-        "chosen engine reproduces the checked-in goldens bit-for-bit",
+        choices=KERNEL_MODES,
+        help="force a simulation-kernel mode for every scenario via "
+        "REPRO_KERNEL; with --check this proves the chosen engine "
+        "reproduces the checked-in goldens bit-for-bit",
     )
     args = parser.parse_args(argv)
     if args.kernel is not None:

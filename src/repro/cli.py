@@ -56,7 +56,7 @@ from pathlib import Path
 from .analysis.plot import plot_performance_curve
 from .analysis.report import format_quality_report
 from .analysis.reuse import reuse_profile
-from .config import KERNEL_MODES, nehalem_config
+from .config import KERNEL_MODES, check_kernel, nehalem_config
 from .core import choose_pirate_threads, measure_curve_dynamic, measure_curve_fixed
 from .core.bandit import measure_bandwidth_curve
 from .core.journal import new_run_id
@@ -158,14 +158,21 @@ def _resolve_tier_args(args):
     return engine, policy
 
 
+#: ``--kernel`` is validated by :func:`~repro.config.check_kernel`, not
+#: argparse ``choices``, so a retired mode gets a one-line error naming
+#: the replacement
+_KERNEL_METAVAR = "{" + ",".join(KERNEL_MODES) + "}"
+
+
 def _add_engine_args(p: argparse.ArgumentParser) -> None:
     """``--kernel``/``--sample-sets``: simulation-engine knobs shared by every
     command that runs the machine."""
     p.add_argument(
-        "--kernel", choices=KERNEL_MODES, default=None,
-        help="simulation engine: auto routes scalar vs vectorized kernels by "
-             "measured cost, scalar/vector force one (default: auto, or "
-             "$REPRO_KERNEL); all modes give bit-identical results",
+        "--kernel", default=None, metavar=_KERNEL_METAVAR,
+        help="simulation engine: auto runs the C hierarchy walk (the scalar "
+             "loops where it cannot run, e.g. without a C compiler), scalar "
+             "the interpreter loops (default: auto, or $REPRO_KERNEL); both "
+             "give bit-identical results",
     )
     p.add_argument(
         "--sample-sets", type=int, default=1, metavar="N",
@@ -1117,7 +1124,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sweep result cache directory")
     p.add_argument("--telemetry", default="",
                    help="write the run's span/metric stream to this JSONL file")
-    p.add_argument("--kernel", choices=KERNEL_MODES, default=None,
+    p.add_argument("--kernel", default=None, metavar=_KERNEL_METAVAR,
                    help="simulation engine for every experiment")
     p.add_argument("--engine", default="",
                    help="curve engine tier (measure/surrogate/auto) for "
@@ -1216,8 +1223,15 @@ def main(argv: list[str] | None = None, out=print) -> int:
             out(f"unknown benchmark {args.benchmark!r}; try: python -m repro list")
             return 2
     try:
+        if getattr(args, "kernel", None) is not None:
+            try:
+                check_kernel(args.kernel)
+            except ConfigError as e:
+                raise _CLIError(f"--kernel: {e}") from None
         return args.fn(args, out=out)
-    except _CLIError as e:
+    except (_CLIError, ConfigError) as e:
+        # a ConfigError reaching here (e.g. a retired $REPRO_KERNEL) is
+        # malformed input all the same: one line, not a traceback
         out(f"error: {e}")
         return 2
 

@@ -19,17 +19,43 @@ from .units import GHZ, KB, LINE_SIZE, MB, bytes_per_cycle, is_pow2
 POLICIES = ("lru", "nru", "plru", "random")
 
 #: Simulation-kernel modes accepted by :class:`MachineConfig`.
-KERNEL_MODES = ("auto", "scalar", "vector", "batch")
+KERNEL_MODES = ("auto", "scalar")
+
+#: Modes earlier releases accepted.  They are rejected with their own
+#: message, so a stale ``REPRO_KERNEL``, ``--kernel`` or journaled machine
+#: fails in one line that says what to use instead.
+_RETIRED_KERNEL_MODES = ("vector", "batch")
+
+
+def check_kernel(name: str) -> str:
+    """Validate a kernel-mode name; returns it unchanged.
+
+    Raises a one-line :class:`~repro.errors.ConfigError` for a retired or
+    unknown mode.
+    """
+    if name in KERNEL_MODES:
+        return name
+    if name in _RETIRED_KERNEL_MODES:
+        raise ConfigError(
+            f"kernel mode {name!r} was retired: use 'auto' (the C hierarchy "
+            f"walk) or 'scalar' (the interpreter loops), which give "
+            f"bit-identical results"
+        )
+    raise ConfigError(f"unknown kernel mode {name!r}; choose one of {KERNEL_MODES}")
 
 
 def _default_kernel() -> str:
     """Default kernel mode; ``REPRO_KERNEL`` overrides it process-wide.
 
-    The env hook lets harness scripts (``regen_goldens.py --kernel``, the CI
-    perf-smoke job, the benchmarks) force a mode without threading a flag
-    through every config construction site.
+    The env hook lets harness scripts (``regen_goldens.py --kernel``, the
+    benchmarks) force a mode without threading a flag through every config
+    construction site.
     """
-    return os.environ.get("REPRO_KERNEL", "auto")
+    name = os.environ.get("REPRO_KERNEL", "auto")
+    try:
+        return check_kernel(name)
+    except ConfigError as e:
+        raise ConfigError(f"REPRO_KERNEL: {e}") from None
 
 
 @dataclass(frozen=True)
@@ -132,15 +158,13 @@ class MachineConfig:
     prefetch_trigger: int = 2
     #: Prefetch depth (lines fetched ahead of a detected stream).
     prefetch_degree: int = 4
-    #: Simulation-kernel selection: ``auto`` picks the vectorized numpy
-    #: kernels (:mod:`repro.kernels`) per chunk when they are profitable,
-    #: ``vector`` forces them wherever they apply, ``scalar`` keeps the
-    #: interpreter loops, and ``batch`` is ``vector`` plus the opt-in C
-    #: lowering of the sequential L3 paths (:mod:`repro.kernels.cext`;
-    #: pure-Python fallback when no compiler is available) and batched
-    #: sweep execution (:mod:`repro.kernels.batchkernel`,
-    #: single-job collapse in :func:`repro.core.parallel.run_sweep`).
-    #: All modes are bit-identical; ``REPRO_KERNEL`` overrides the
+    #: Simulation-kernel selection: ``auto`` runs every chunk through the C
+    #: hierarchy walk (:mod:`repro.kernels.cext`) wherever it covers the
+    #: machine, and the interpreter loops otherwise (no C compiler,
+    #: ``REPRO_CEXT=0``, random replacement, more than 63 ways or 127
+    #: cores; ``CacheHierarchy.kernel_degraded`` says which).  ``scalar``
+    #: always runs the interpreter loops, the oracle the walk is pinned
+    #: to.  Both modes are bit-identical; ``REPRO_KERNEL`` overrides the
     #: default process-wide.
     kernel: str = field(default_factory=_default_kernel)
     #: Shared-L3 set sampling: simulate every Nth L3 set and rescale the L3
@@ -157,10 +181,7 @@ class MachineConfig:
             raise ConfigError("all cache levels must share one line size")
         if self.dram_bandwidth_gbps <= 0 or self.l3_bandwidth_gbps <= 0:
             raise ConfigError("bandwidth caps must be positive")
-        if self.kernel not in KERNEL_MODES:
-            raise ConfigError(
-                f"unknown kernel mode {self.kernel!r}; choose one of {KERNEL_MODES}"
-            )
+        check_kernel(self.kernel)
         if self.sample_sets < 1 or not is_pow2(self.sample_sets):
             raise ConfigError(
                 f"sample_sets must be a positive power of two, got {self.sample_sets}"
@@ -230,12 +251,13 @@ def machine_content_token(config: MachineConfig) -> dict:
     """Canonical machine description for content keys (caches, journals).
 
     The ``kernel`` field is execution strategy, not experiment content —
-    scalar, vectorized and batched/C engines are bit-identical
-    (``tests/test_kernels``, ``tests/test_batchkernel``) — so it is
-    excluded: a sweep cached or journaled under ``REPRO_KERNEL=vector``
-    (or ``batch``) is the same sweep under ``scalar``, and a journal
-    written by one can be resumed by any other.  ``sample_sets`` *does*
-    change results and stays in.
+    the C walk and the scalar interpreter are bit-identical
+    (``tests/test_hierwalk``, ``tests/test_kernels``) — so it is excluded:
+    a sweep cached or journaled under ``auto`` is the same sweep under
+    ``scalar``, and a journal written by one can be resumed by the other.
+    Entries written under the retired ``vector``/``batch`` modes keep
+    their keys for the same reason.  ``sample_sets`` *does* change results
+    and stays in.
     """
     token = asdict(config)
     token.pop("kernel", None)

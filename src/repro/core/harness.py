@@ -75,21 +75,14 @@ def export_kernel_telemetry(tel, hierarchy) -> None:
     """Record which engines ran a hierarchy's chunks.
 
     ``kernel_chunks_total{engine,path}`` counts chunks per engine (``c``,
-    ``vector``, ``scalar``) and path (``full``, ``l3only``);
-    ``kernel_bailouts_total{stage}`` and ``router_probes_total`` count the
-    numpy path's scalar bail-outs and paired cost probes.  A
-    ``kernel_degraded`` event names why kernel mode ``auto`` ran without
+    ``scalar``) and path (``full``, ``l3only``).  A ``kernel_degraded``
+    event names why kernel mode ``auto`` ran the scalar loops instead of
     the C walk.  The counters are plain ints kept by the hierarchy, so
     this is the only telemetry cost, paid once per run.
     """
     for (engine, path), n in hierarchy.kernel_chunks.items():
         if n:
             tel.count("kernel_chunks_total", float(n), engine=engine, path=path)
-    for stage, n in hierarchy.kernel_bailouts.items():
-        if n:
-            tel.count("kernel_bailouts_total", float(n), stage=stage)
-    if hierarchy.router_probes:
-        tel.count("router_probes_total", float(hierarchy.router_probes))
     if hierarchy.kernel_degraded is not None:
         tel.event("kernel_degraded", reason=hierarchy.kernel_degraded)
 

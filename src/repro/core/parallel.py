@@ -299,8 +299,8 @@ def spec_token(spec: SweepSpec) -> dict:
         )
     return {
         "cache_format": CACHE_FORMAT_VERSION,
-        # machine_content_token drops the kernel field: scalar and vector
-        # engines are bit-identical, so a point cached (or a journal head
+        # machine_content_token drops the kernel field: the C walk and the
+        # scalar loops are bit-identical, so a point cached (or a journal head
         # pinned) under one kernel mode must hit under the other.
         "machine": machine_content_token(spec.config),
         "workload": token_fn(),

@@ -12,6 +12,7 @@ import inspect
 import sys
 import time
 
+from ..config import KERNEL_MODES
 from . import FULL, QUICK, Scale
 from . import (  # noqa: F401  (imported for registration order)
     conformance,
@@ -186,7 +187,7 @@ def main(argv: list[str] | None = None) -> int:
         help="write the run's span/metric stream to this JSONL file",
     )
     parser.add_argument(
-        "--kernel", choices=("auto", "scalar", "vector"), default=None,
+        "--kernel", choices=KERNEL_MODES, default=None,
         help="simulation engine for every experiment (sets REPRO_KERNEL "
              "for this process and its pool workers)",
     )

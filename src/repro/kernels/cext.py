@@ -1,33 +1,23 @@
-"""C lowerings of the in-order cache loops (the L3 stream and the hierarchy walk).
+"""The C hierarchy walk: kernel mode ``auto``'s engine for every chunk.
 
 The interpreter loops in :mod:`repro.caches` execute one Python bytecode
 sequence per access: probe a set's ways, bump counters, pick a victim,
 touch the replacement metadata.  The same small state machines run in a
-few nanoseconds per access in C.  One embedded C source holds two entry
-points:
-
-* ``l3_stream`` — the in-order L3 loop, wrapped by :class:`L3Stream`, used
-  by the batched bank and kernel mode ``batch`` (the pipelined kernel's
-  sequential L3 stage, bypass chunks).  It can record fill/eviction events
-  so the caller can replay owner bookkeeping and inclusive
-  back-invalidations in original order, and stop after the first eviction
-  (the pipelined kernel's rollback protocol needs every back-invalidation
-  verdict *before* simulating past it).
-* ``hier_walk`` — one core's chunk through L1, L2 and the shared L3 in
-  order, prefetcher, inclusive back-invalidation and set sampling
-  included, wrapped by :class:`HierWalk`.  Kernel mode ``auto`` runs every
-  chunk through it (:func:`walk_for`).
+few nanoseconds per access in C.  The embedded C source has one entry
+point, ``hier_walk``: one core's chunk through L1, L2 and the shared L3
+in order, prefetcher, inclusive back-invalidation and set sampling
+included, wrapped by :class:`HierWalk`.
 
 :func:`load` compiles the source with the system C compiler at first use
 (cached by content hash under ``_cext_build/`` next to this file, or
 ``REPRO_CEXT_DIR``) and binds it with :mod:`ctypes`; no third-party
-dependency and nothing at install time.  When no compiler is available —
-or ``REPRO_CEXT=0`` — every caller falls back to the pure-Python/numpy
-paths and :func:`unavailable_reason` says why, so the lowering is a strict
-speed overlay: it operates in place on the ``Vec*Cache`` SoA arrays with
-**bit-identical** semantics (``tests/test_batchkernel.py`` pins the L3
-stream, ``tests/test_hierwalk.py`` the walk, both against the scalar
-interpreter).
+dependency and nothing at install time.  :func:`walk_gap` is the one
+predicate that decides, from a :class:`~repro.config.MachineConfig`
+alone, whether the walk covers a machine: it needs the lowering to load
+(a C compiler, ``REPRO_CEXT`` not ``0``), LRU/NRU/PLRU at every level
+with at most 63 ways, and at most 127 cores.  Where it does not, the
+hierarchy runs the scalar interpreter, the oracle the walk is pinned to
+bit for bit (``tests/test_hierwalk.py``).
 """
 
 from __future__ import annotations
@@ -44,7 +34,7 @@ import numpy as np
 
 from ..caches.base import CoreMemStats
 from ..errors import SimulationError
-from .veccache import VecLRUCache, VecNRUCache, VecPLRUCache, stack_vec_caches
+from .veccache import MAX_WAYS, VecLRUCache, VecNRUCache, stack_vec_caches
 
 _POLICY_LRU = 0
 _POLICY_NRU = 1
@@ -54,125 +44,13 @@ _POLICY_PLRU = 2
 #: free ways fill lowest-index-first, LRU evicts the first strict-minimum
 #: stamp (numpy ``argmin`` tie-break), NRU touch saturates-and-resets the
 #: accessed mask and evicts the lowest clear bit, PLRU walks the
-#: precomputed transition tables.  ``kinds[i] == 1`` marks a write-back
-#: event (``mark_dirty``: set the dirty bit if resident, no counters, no
-#: replacement touch); demand events update counters and metadata exactly
-#: like ``_access_code`` + ``_fill_slow``.
+#: precomputed transition tables.
 _SOURCE = r"""
 #include <stdint.h>
 
 #define POLICY_LRU 0
 #define POLICY_NRU 1
 #define POLICY_PLRU 2
-
-int64_t l3_stream(
-    int64_t ways, int64_t set_mask, int64_t tag_shift,
-    int64_t policy, int64_t levels, int64_t full_mask,
-    int64_t tags_stride, int64_t meta_stride,
-    int64_t *tags, int64_t *dirty, int64_t *nvalid,
-    int64_t *meta, int64_t *clock_io,
-    const int64_t *plru_touch, const int64_t *plru_victim,
-    const int64_t *lines, const uint8_t *writes, const uint8_t *kinds,
-    int64_t start, int64_t k, int64_t stop_on_evict,
-    int64_t *counters, int64_t *victim_io,
-    int64_t *miss_pos, int64_t *fill_set, int64_t *fill_way,
-    int64_t *evict_pos, int64_t *evict_line, uint8_t *evict_dirty,
-    int64_t *out_counts)
-{
-    int64_t acc = 0, hit = 0, miss = 0, evict = 0, wb = 0, fill = 0;
-    int64_t wb_missing = 0, nm = 0, ne = 0;
-    int64_t clk = clock_io ? *clock_io : 0;
-    int64_t i = start;
-    for (; i < k; i++) {
-        int64_t line = lines[i];
-        int64_t set = line & set_mask;
-        int64_t tag = line >> tag_shift;
-        int64_t *row = tags + set * tags_stride;
-        int64_t w = -1;
-        for (int64_t j = 0; j < ways; j++) {
-            if (row[j] == tag) { w = j; break; }
-        }
-        if (kinds && kinds[i]) {
-            /* write-back event: mark_dirty — no counters, no touch */
-            if (w >= 0) dirty[set] |= (int64_t)1 << w;
-            else wb_missing++;
-            continue;
-        }
-        acc++;
-        int is_write = writes ? writes[i] : 0;
-        int evicted_here = 0;
-        if (w >= 0) {
-            hit++;
-            if (is_write) dirty[set] |= (int64_t)1 << w;
-        } else {
-            miss++;
-            if (nvalid[set] < ways) {
-                /* free ways fill lowest-index-first (tags.index(None)) */
-                for (w = 0; row[w] != -1; w++) {}
-                nvalid[set]++;
-            } else {
-                if (policy == POLICY_LRU) {
-                    const int64_t *rrow = meta + set * meta_stride;
-                    int64_t best = rrow[0];
-                    w = 0;
-                    for (int64_t j = 1; j < ways; j++) {
-                        if (rrow[j] < best) { best = rrow[j]; w = j; }
-                    }
-                } else if (policy == POLICY_NRU) {
-                    int64_t inv = ~meta[set * meta_stride] & full_mask;
-                    w = __builtin_ctzll((unsigned long long)inv);
-                } else {
-                    w = plru_victim[meta[set * meta_stride]];
-                }
-                int64_t vtag = row[w];
-                int64_t vd = (dirty[set] >> w) & 1;
-                evict++;
-                if (vd) wb++;
-                victim_io[0] = 1;
-                victim_io[1] = vtag;
-                if (evict_pos) {
-                    evict_pos[ne] = i;
-                    evict_line[ne] = (vtag << tag_shift) | set;
-                    evict_dirty[ne] = (uint8_t)vd;
-                    ne++;
-                }
-                evicted_here = 1;
-            }
-            row[w] = tag;
-            if (is_write) dirty[set] |= (int64_t)1 << w;
-            else dirty[set] &= ~((int64_t)1 << w);
-            fill++;
-            if (miss_pos) {
-                miss_pos[nm] = i;
-                fill_set[nm] = set;
-                fill_way[nm] = w;
-                nm++;
-            }
-        }
-        /* replacement touch (hit or fill), exactly the scalar _touch */
-        if (policy == POLICY_LRU) {
-            meta[set * meta_stride + w] = clk++;
-        } else if (policy == POLICY_NRU) {
-            int64_t bits = meta[set * meta_stride] | ((int64_t)1 << w);
-            if (bits == full_mask) bits = (int64_t)1 << w;
-            meta[set * meta_stride] = bits;
-        } else {
-            meta[set * meta_stride] = plru_touch[(meta[set * meta_stride] << levels) | w];
-        }
-        if (evicted_here && stop_on_evict) { i++; break; }
-    }
-    if (clock_io) *clock_io = clk;
-    counters[0] += acc;
-    counters[1] += hit;
-    counters[2] += miss;
-    counters[3] += evict;
-    counters[4] += wb;
-    counters[5] += fill;
-    counters[6] += wb_missing;
-    out_counts[0] = nm;
-    out_counts[1] = ne;
-    return i;
-}
 
 /* ---- hier_walk: one core's chunk through the whole hierarchy, in order ----
  *
@@ -267,8 +145,11 @@ static inline int64_t victim(const Cache *c, int64_t set)
             if (m[j] < best) { best = m[j]; w = j; }
         return w;
     }
-    if (c->policy == POLICY_NRU)
-        return __builtin_ctzll((unsigned long long)(~m[0] & c->full_mask));
+    if (c->policy == POLICY_NRU) {
+        /* NRUCache._victim: a 1-way set's only bit is always set */
+        uint64_t inv = (uint64_t)(~m[0] & c->full_mask);
+        return inv ? __builtin_ctzll(inv) : 0;
+    }
     return c->pv[m[0]];
 }
 
@@ -594,11 +475,6 @@ def _compile() -> ctypes.CDLL:
             csrc.unlink(missing_ok=True)
             tmp.unlink(missing_ok=True)
     lib = ctypes.CDLL(str(so))
-    fn = lib.l3_stream
-    fn.restype = ctypes.c_longlong
-    fn.argtypes = [ctypes.c_longlong] * 8 + [ctypes.c_void_p] * 10 + [
-        ctypes.c_longlong
-    ] * 3 + [ctypes.c_void_p] * 9
     walk = lib.hier_walk
     walk.restype = None
     walk.argtypes = [
@@ -647,197 +523,8 @@ def unavailable_reason() -> str | None:
     return _reason
 
 
-class StreamResult:
-    """Outcome of one :meth:`L3Stream.run` call (counter deltas + events)."""
-
-    __slots__ = (
-        "next_pos",
-        "hits",
-        "misses",
-        "evictions",
-        "wb",
-        "wb_missing",
-        "miss_pos",
-        "fill_set",
-        "fill_way",
-        "evict_pos",
-        "evict_line",
-        "evict_dirty",
-    )
-
-
 def _ptr(arr):
     return None if arr is None else arr.ctypes.data
-
-
-class L3Stream:
-    """ctypes binding of ``l3_stream`` for one ``Vec*Cache`` instance.
-
-    Operates in place on the cache's SoA arrays (which may be views into a
-    batched bank's size-stacked storage — strides are honoured) and applies
-    the counter deltas and ``victim_tag`` side channel to the cache object,
-    so a run is externally indistinguishable from the scalar loop.  The
-    scalar per-set tag *lists* are NOT synced here; callers that need them
-    fresh replay the recorded fill events or call
-    ``cache.resync_tag_lists()``.
-
-    Use :func:`stream_for` to construct (returns None when the policy is
-    uncovered or the lowering is unavailable).
-    """
-
-    def __init__(self, fn, cache):
-        self._fn = fn
-        self.cache = cache
-        if isinstance(cache, VecLRUCache):
-            self._policy = _POLICY_LRU
-            self._meta = cache._rank
-            self._levels = 0
-            self._full_mask = 0
-            self._touch_tab = self._victim_tab = None
-        elif isinstance(cache, VecNRUCache):
-            self._policy = _POLICY_NRU
-            self._meta = cache._acc
-            self._levels = 0
-            self._full_mask = cache._full_mask
-            self._touch_tab = self._victim_tab = None
-        elif isinstance(cache, VecPLRUCache):
-            self._policy = _POLICY_PLRU
-            self._meta = cache._tree
-            self._levels = cache._levels
-            self._full_mask = 0
-            self._touch_tab = cache._touch_np
-            self._victim_tab = cache._victim_np
-        else:
-            raise TypeError(f"no C lowering for {type(cache).__name__}")
-        tags = cache._tags_np
-        if tags.strides[1] != 8 or self._meta.strides[-1] != 8:
-            raise ValueError("cache arrays must be row-wise C-contiguous")
-        if not (cache._dirty.flags.c_contiguous and cache._nvalid.flags.c_contiguous):
-            raise ValueError("dirty/nvalid arrays must be contiguous")
-        self._tags_stride = tags.strides[0] // 8
-        self._meta_stride = (
-            self._meta.strides[0] // 8 if self._meta.ndim == 2 else 1
-        )
-        self._clock_arr = np.zeros(1, dtype=np.int64) if self._policy == _POLICY_LRU else None
-
-    def run(
-        self,
-        lines: np.ndarray,
-        writes: np.ndarray | None = None,
-        *,
-        kinds: np.ndarray | None = None,
-        start: int = 0,
-        stop_on_evict: bool = False,
-        record: bool = False,
-    ) -> StreamResult:
-        """Play ``lines[start:]`` through the cache; returns the deltas.
-
-        ``writes`` is an optional parallel bool array (demand writes);
-        ``kinds`` an optional parallel uint8 array where 1 marks a
-        write-back (``mark_dirty``) event instead of a demand access.  With
-        ``stop_on_evict`` the run ends right after the first access that
-        evicts a victim (``next_pos`` is where to resume); with ``record``
-        the returned result carries per-event fill and eviction arrays for
-        owner/back-invalidation replay and tag-list sync.
-        """
-        c = self.cache
-        lines = np.ascontiguousarray(lines, dtype=np.int64)
-        k = len(lines)
-        w8 = None if writes is None else np.ascontiguousarray(writes, dtype=np.uint8)
-        k8 = None if kinds is None else np.ascontiguousarray(kinds, dtype=np.uint8)
-        counters = np.zeros(8, dtype=np.int64)
-        victim_io = np.zeros(2, dtype=np.int64)
-        out_counts = np.zeros(2, dtype=np.int64)
-        if record:
-            cap = k - start
-            miss_pos = np.empty(cap, dtype=np.int64)
-            fill_set = np.empty(cap, dtype=np.int64)
-            fill_way = np.empty(cap, dtype=np.int64)
-            ecap = 1 if stop_on_evict else cap
-            evict_pos = np.empty(ecap, dtype=np.int64)
-            evict_line = np.empty(ecap, dtype=np.int64)
-            evict_dirty = np.empty(ecap, dtype=np.uint8)
-        else:
-            miss_pos = fill_set = fill_way = None
-            evict_pos = evict_line = evict_dirty = None
-        clock_arr = self._clock_arr
-        if clock_arr is not None:
-            clock_arr[0] = c._clock
-        next_pos = self._fn(
-            c.ways,
-            c.set_mask,
-            c.tag_shift,
-            self._policy,
-            self._levels,
-            self._full_mask,
-            self._tags_stride,
-            self._meta_stride,
-            _ptr(c._tags_np),
-            _ptr(c._dirty),
-            _ptr(c._nvalid),
-            _ptr(self._meta),
-            _ptr(clock_arr),
-            _ptr(self._touch_tab),
-            _ptr(self._victim_tab),
-            _ptr(lines),
-            _ptr(w8),
-            _ptr(k8),
-            start,
-            k,
-            1 if stop_on_evict else 0,
-            _ptr(counters),
-            _ptr(victim_io),
-            _ptr(miss_pos),
-            _ptr(fill_set),
-            _ptr(fill_way),
-            _ptr(evict_pos),
-            _ptr(evict_line),
-            _ptr(evict_dirty),
-            _ptr(out_counts),
-        )
-        if clock_arr is not None:
-            c._clock = int(clock_arr[0])
-        c.acc_count += int(counters[0])
-        c.hit_count += int(counters[1])
-        c.miss_count += int(counters[2])
-        c.evict_count += int(counters[3])
-        c.wb_count += int(counters[4])
-        c.fill_count += int(counters[5])
-        if victim_io[0]:
-            c.victim_tag = int(victim_io[1])
-        res = StreamResult()
-        res.next_pos = int(next_pos)
-        res.hits = int(counters[1])
-        res.misses = int(counters[2])
-        res.evictions = int(counters[3])
-        res.wb = int(counters[4])
-        res.wb_missing = int(counters[6])
-        if record:
-            nm = int(out_counts[0])
-            ne = int(out_counts[1])
-            res.miss_pos = miss_pos[:nm]
-            res.fill_set = fill_set[:nm]
-            res.fill_way = fill_way[:nm]
-            res.evict_pos = evict_pos[:ne]
-            res.evict_line = evict_line[:ne]
-            res.evict_dirty = evict_dirty[:ne]
-        else:
-            res.miss_pos = res.fill_set = res.fill_way = None
-            res.evict_pos = res.evict_line = res.evict_dirty = None
-        return res
-
-
-def stream_for(cache) -> L3Stream | None:
-    """An :class:`L3Stream` bound to ``cache``, or None when unavailable."""
-    lib = load()
-    if lib is None:
-        return None
-    if not isinstance(cache, (VecLRUCache, VecNRUCache, VecPLRUCache)):
-        return None
-    try:
-        return L3Stream(lib.l3_stream, cache)
-    except ValueError:
-        return None
 
 
 class _Level(ctypes.Structure):
@@ -885,8 +572,6 @@ _NCNT = 9
 _PF_META = 4
 #: owner bytes are int8; -1 marks "no owner"
 _MAX_WALK_CORES = 127
-#: dirty masks are int64 bitmasks
-_MAX_WALK_WAYS = 63
 
 
 def _level_policy(cache) -> tuple[int, int, int, np.ndarray | None, np.ndarray | None]:
@@ -900,9 +585,10 @@ def _level_policy(cache) -> tuple[int, int, int, np.ndarray | None, np.ndarray |
 class HierWalk:
     """ctypes binding of ``hier_walk`` for one :class:`CacheHierarchy`.
 
-    Construction moves every level onto stacked storage
-    (:func:`~repro.kernels.veccache.stack_vec_caches`) and allocates the
-    state the Python engines keep in dicts and lists:
+    Built only for a machine :func:`walk_gap` clears, whose levels are
+    therefore ``Vec*Cache`` models.  Construction moves every level onto
+    stacked storage (:func:`~repro.kernels.veccache.stack_vec_caches`) and
+    allocates the state the scalar interpreter keeps in dicts and lists:
 
     * ``owner`` — one byte per L3 slot (``set * ways + way``), the core
       that filled the line there, -1 for none.  Equivalent to the
@@ -919,8 +605,8 @@ class HierWalk:
     tag lists marked stale (rebuilt on first scalar use).
     """
 
-    def __init__(self, fn, hier):
-        self._fn = fn
+    def __init__(self, hier):
+        self._fn = load().hier_walk
         n = hier.config.num_cores
         self.caches = [*hier.l1, *hier.l2, hier.l3]
         self._cnt = np.zeros((2 * n + 1, _NCNT), dtype=np.int64)
@@ -1055,7 +741,7 @@ class HierWalk:
         self.pf_meta[:, :2] = 0  # issued/started are lifetime counters
 
     def owner_map(self) -> dict[int, int]:
-        """Resident L3 line -> owning core (the Python engines' ``_owner``)."""
+        """Resident L3 line -> owning core (the scalar engine's ``_owner``)."""
         l3 = self.caches[-1]
         tags = l3._tags_np.reshape(-1)
         slots = np.flatnonzero((self.owner >= 0) & (tags >= 0))
@@ -1070,20 +756,20 @@ class HierWalk:
         pf.streams_started = started
 
 
-def walk_for(hier) -> tuple[HierWalk | None, str | None]:
-    """The C hierarchy walk for ``hier``, or ``(None, reason)`` if it cannot run."""
-    lib = load()
-    if lib is None:
-        return None, f"no C lowering: {unavailable_reason()}"
-    for name, cache in (("l1", hier.l1[0]), ("l2", hier.l2[0]), ("l3", hier.l3)):
-        if not isinstance(cache, (VecLRUCache, VecNRUCache, VecPLRUCache)):
-            cfg = cache.config
-            return None, (
-                f"{name} left scalar by make_vec_cache "
-                f"({cfg.policy}, {cfg.ways} ways)"
-            )
-        if cache.ways > _MAX_WALK_WAYS:
-            return None, f"{name} has {cache.ways} ways (walk limit {_MAX_WALK_WAYS})"
-    if hier.config.num_cores > _MAX_WALK_CORES:
-        return None, f"{hier.config.num_cores} cores (walk limit {_MAX_WALK_CORES})"
-    return HierWalk(lib.hier_walk, hier), None
+def walk_gap(config) -> str | None:
+    """Why the C walk cannot run a machine built from ``config``, or None.
+
+    Decided from the config before any cache is built: the hierarchy
+    builds array-backed caches and a :class:`HierWalk` when this returns
+    None, and the plain scalar caches otherwise.
+    """
+    if load() is None:
+        return f"no C lowering: {unavailable_reason()}"
+    for name, level in (("l1", config.l1), ("l2", config.l2), ("l3", config.l3)):
+        if level.policy not in ("lru", "nru", "plru"):
+            return f"{name} uses {level.policy} replacement (the walk models lru, nru, plru)"
+        if level.ways > MAX_WAYS:
+            return f"{name} has {level.ways} ways (walk limit {MAX_WAYS})"
+    if config.num_cores > _MAX_WALK_CORES:
+        return f"{config.num_cores} cores (walk limit {_MAX_WALK_CORES})"
+    return None

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import threading
 import time
 from dataclasses import dataclass, field
@@ -54,6 +55,8 @@ from .protocol import (
     job_to_wire,
 )
 from .store import ResultStore
+
+_log = logging.getLogger("repro.service")
 
 #: service journal format; foreign journals are ignored on restart
 SERVICE_JOURNAL_VERSION = 1
@@ -152,6 +155,7 @@ class SweepServer:
             "jobs_cached": 0,
             "jobs_failed": 0,
             "jobs_recovered": 0,
+            "jobs_unrecoverable": 0,
             "watch_streams": 0,
         }
 
@@ -197,8 +201,12 @@ class SweepServer:
                 continue
             try:
                 orphans.append(job_from_wire(record.get("job")))
-            except ServiceError:
-                continue  # a torn or foreign record is not worth a crash
+            except ServiceError as e:
+                # a torn, foreign or outdated record (say, a machine with a
+                # retired kernel mode) is not worth a crash, but is counted
+                # and named rather than dropped silently
+                self.stats["jobs_unrecoverable"] += 1
+                _log.warning("journaled job %s is unrecoverable: %s", key, e)
         return orphans
 
     # -- events ---------------------------------------------------------------------

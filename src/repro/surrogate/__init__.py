@@ -1,6 +1,6 @@
 """Analytic surrogate engine: O(trace) fetch-ratio curves (DESIGN.md §9).
 
-A third engine tier beside the scalar and vector simulation kernels: one
+An engine tier beside the measured simulation (C walk or scalar loops): one
 reuse-distance profiling pass predicts the Target's whole fetch-ratio
 curve, with a Che characteristic-time cross-check, a Poisson set-conflict
 associativity correction, and a self-reported confidence per point.  The

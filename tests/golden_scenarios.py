@@ -77,20 +77,17 @@ def fig4_telemetry_scenario() -> dict:
 
 #: telemetry that depends on which engine ran (kernel mode, C compiler,
 #: REPRO_CEXT), not on the measurement: the golden must hold under every one
-_ENGINE_COUNTERS = ("kernel_bailouts_total", "router_probes_total")
 _ENGINE_EVENTS = ("kernel_degraded",)
 
 
 def _engine_neutral(summary: dict) -> dict:
     """Fold the engine label out of ``kernel_chunks_total`` (chunks per path
     are deterministic, their split over engines is not) and drop the
-    engine-dependent counters and events."""
+    engine-dependent events."""
     meas = summary["measurement"]
     counters: dict[str, float] = {}
     for key, value in meas["counters"].items():
         name = base_name(key)
-        if name in _ENGINE_COUNTERS:
-            continue
         if name == "kernel_chunks_total":
             path = key[key.index("path=") + 5 : -1]
             key = metric_key(name, {"path": path})

@@ -17,6 +17,8 @@ Skipped where the C lowering is unavailable (no compiler, ``REPRO_CEXT=0``).
 from __future__ import annotations
 
 import gc
+import re
+import warnings
 import weakref
 from dataclasses import replace
 
@@ -25,7 +27,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.caches import hierarchy
 from repro.caches.hierarchy import CacheHierarchy
+from repro.caches.setassoc import NRUCache
 from repro.config import CacheConfig, MachineConfig, nehalem_config, tiny_config
 from repro.core.harness import measure_fixed_size
 from repro.errors import SimulationError
@@ -46,7 +50,7 @@ def level(draw, name: str, set_choices: tuple[int, ...], wide_nru: bool = False)
     if policy == "lru":
         ways = draw(st.integers(1, 6))
     elif policy == "nru":
-        ways = draw(st.sampled_from((2, 52) if wide_nru else (2, 3, 4)))
+        ways = draw(st.sampled_from((1, 2, 52, 63) if wide_nru else (1, 2, 3, 4)))
     else:
         ways = draw(st.sampled_from((1, 2, 4, 8)))
     sets = draw(st.sampled_from(set_choices))
@@ -207,18 +211,41 @@ def test_walk_rejects_malformed_chunks():
 
 
 def test_walk_degrades_with_a_reason(monkeypatch):
-    cfg = replace(nehalem_config(), l1=CacheConfig("L1", 32 * KB, 8, policy="random"))
-    h = CacheHierarchy(replace(cfg, kernel="auto"))
-    assert h._walk is None
-    assert "l1 left scalar" in h.kernel_degraded
+    """Uncovered machines get the scalar caches, a reason and one warning."""
+    monkeypatch.setattr(hierarchy, "_warned_reasons", set())
+    random_l1 = replace(
+        nehalem_config(), l1=CacheConfig("L1", 32 * KB, 8, policy="random")
+    )
+    wide_l3 = replace(
+        nehalem_config(),
+        l3=CacheConfig("L3", 64 * 64 * LINE, 64, policy="lru", inclusive=True),
+    )
+    cases = [
+        (random_l1, "l1 uses random replacement"),
+        (wide_l3, "l3 has 64 ways (walk limit 63)"),
+        (nehalem_config(num_cores=128), "128 cores (walk limit 127)"),
+    ]
+    for cfg, reason in cases:
+        with pytest.warns(RuntimeWarning, match=re.escape(reason)):
+            h = CacheHierarchy(replace(cfg, kernel="auto"))
+        assert h._walk is None
+        assert reason in h.kernel_degraded
+        assert type(h.l3) is type(CacheHierarchy(replace(cfg, kernel="scalar")).l3)
     monkeypatch.setattr(cext, "_tried", True)
     monkeypatch.setattr(cext, "_lib", None)
     monkeypatch.setattr(cext, "_reason", "disabled by REPRO_CEXT=0")
-    h = CacheHierarchy(replace(nehalem_config(), kernel="auto"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        hs = [CacheHierarchy(replace(nehalem_config(), kernel="auto")) for _ in range(3)]
+    # one warning per distinct reason, not one per machine
+    assert len(caught) == 1
+    h = hs[0]
     assert h._walk is None
     assert h.kernel_degraded == "no C lowering: disabled by REPRO_CEXT=0"
-    # the numpy fallback still runs every chunk
+    assert isinstance(h.l3, NRUCache)
+    # the scalar fallback runs every chunk
     h.access_chunk(0, np.arange(200, dtype=np.int64), None)
+    assert h.kernel_chunks["scalar", "full"] == 1
     assert sum(h.kernel_chunks.values()) == 1
 
 

@@ -1,13 +1,15 @@
-"""Equivalence and property tests for the vectorized simulation kernels.
+"""Equivalence and property tests for the kernel modes and array caches.
 
-The contract under test is absolute: every kernel mode (``scalar``,
-``vector``, ``auto``) produces **bit-identical** per-chunk stats, cumulative
-totals, and cache state — tags, dirty bits, replacement metadata, victim
-side channel, owner map — on any access stream.  The streams here mix the
-kernels' best and worst cases: random, sequential, single-set aliasing
-(adversarial for round decomposition), tight L1-hit reuse, and Pirate-style
-bypass sweeps that trigger inclusive-L3 back-invalidations and the
-pipelined kernel's rollback path.
+The contract under test is absolute: both kernel modes (``scalar`` and
+``auto``, the C hierarchy walk where it covers the machine) produce
+**bit-identical** per-chunk stats, cumulative totals, and cache state —
+tags, dirty bits, replacement metadata, victim side channel, owner map —
+on any access stream.  The streams here mix random, sequential,
+single-set aliasing, tight L1-hit reuse, and Pirate-style bypass sweeps
+that trigger inclusive-L3 back-invalidations.  The ``Vec*Cache`` models
+the walk runs on must also follow the scalar protocol access for access,
+and every hierarchy the experiments and validation tiers build must be
+one the walk covers.
 """
 
 from __future__ import annotations
@@ -21,18 +23,20 @@ import numpy as np
 import pytest
 
 from repro.caches.hierarchy import CacheHierarchy
-from repro.config import CacheConfig, nehalem_config, tiny_config
+from repro.config import KERNEL_MODES, CacheConfig, nehalem_config, tiny_config
 from repro.errors import ConfigError
-from repro.kernels import make_vec_cache
+from repro.experiments.scale import FULL, QUICK
+from repro.kernels import cext, make_vec_cache
 from repro.kernels.veccache import (
     VecLRUCache,
     VecNRUCache,
     VecPLRUCache,
     _StaleTagLists,
 )
+from repro.reference.cachesim import single_core_config
+from repro.reference.sweep import _way_grid
 from repro.units import KB
-
-MODES = ("scalar", "vector", "auto")
+from repro.validation.tiers import VALIDATE_FULL, VALIDATE_QUICK
 
 
 # -- state comparison ---------------------------------------------------------
@@ -77,10 +81,10 @@ def run_streams(
     seed: int = 0,
     chunk_sizes=(1, 7, 64, 300, 800),
 ):
-    """Drive all three engine modes through one mixed stream, comparing
+    """Drive every kernel mode through one mixed stream, comparing
     per-chunk stats every chunk and full cache state periodically."""
     rng = np.random.default_rng(seed)
-    hs = {m: CacheHierarchy(cfg_fn(m)) for m in MODES}
+    hs = {m: CacheHierarchy(cfg_fn(m)) for m in KERNEL_MODES}
     sweep_pos = 0
     for step in range(steps):
         n = int(rng.choice(chunk_sizes))
@@ -103,7 +107,7 @@ def run_streams(
                 0, lines.copy(), None if writes is None else writes.copy()
             )
             per_mode[m] = vars(st).copy()
-        assert per_mode["scalar"] == per_mode["vector"] == per_mode["auto"], (
+        assert per_mode["scalar"] == per_mode["auto"], (
             f"{tag} step {step}: chunk stats diverge: {per_mode}"
         )
         # Pirate-style bypass chunk on core 1 (linear sweep)
@@ -116,13 +120,11 @@ def run_streams(
         for m, h in hs.items():
             st = h.access_chunk(1, plines.copy(), None, bypass_private=True)
             per_mode[m] = vars(st).copy()
-        assert per_mode["scalar"] == per_mode["vector"] == per_mode["auto"], (
+        assert per_mode["scalar"] == per_mode["auto"], (
             f"{tag} pirate step {step}: chunk stats diverge: {per_mode}"
         )
         if step % 16 == 15:
-            assert_hierarchies_equal(f"{tag} step {step}", hs["scalar"], hs["vector"])
             assert_hierarchies_equal(f"{tag} step {step}", hs["scalar"], hs["auto"])
-    assert_hierarchies_equal(f"{tag} final", hs["scalar"], hs["vector"])
     assert_hierarchies_equal(f"{tag} final", hs["scalar"], hs["auto"])
 
 
@@ -167,8 +169,8 @@ def test_nru_private_equivalence():
 
 
 def test_random_l3_falls_back_to_scalar():
-    # random replacement is uncovered: vector/auto must silently keep the
-    # scalar cache for that level and still agree with pure scalar
+    # random replacement is uncovered: auto must build the scalar caches
+    # (and say why) and still agree with pure scalar
     run_streams(
         lambda m: replace(
             nehalem_config(kernel=m),
@@ -183,7 +185,7 @@ def test_random_l3_falls_back_to_scalar():
 
 def test_tiny_rollback_pressure():
     # a small inclusive L3 forces frequent back-invalidations into lines the
-    # pipelined kernel has already simulated past — the rollback path
+    # target is still reusing from its private caches
     run_streams(
         lambda m: tiny_config(kernel=m, prefetch_enabled=True),
         "tiny-pf",
@@ -201,7 +203,7 @@ def test_tiny_rollback_pressure():
 
 
 def test_sampled_equivalence_across_modes():
-    # sampling changes the numbers, but all engine modes must agree on the
+    # sampling changes the numbers, but both kernel modes must agree on the
     # sampled numbers bit-for-bit too
     run_streams(
         lambda m: nehalem_config(kernel=m, sample_sets=8), "sampled-x8", steps=32
@@ -226,6 +228,44 @@ def test_sample_sets_validation():
         replace(nehalem_config(), kernel="simd")
 
 
+@pytest.mark.parametrize("source", ["config", "env", "cli", "wire"])
+@pytest.mark.parametrize("kernel", ["vector", "batch"])
+def test_retired_kernel_modes_fail_in_one_line(kernel, source, monkeypatch):
+    """A retired mode is one ConfigError naming its replacement, wherever
+    it comes from: a config, ``REPRO_KERNEL``, ``--kernel`` or the wire."""
+    from repro.cli import main
+    from repro.config import machine_from_dict, machine_to_dict
+    from repro.service.protocol import JobSpec, ServiceError, job_from_wire, job_to_wire
+    from repro.workloads import TargetSpec
+
+    want = f"kernel mode '{kernel}' was retired: use 'auto'"
+    if source == "config":
+        with pytest.raises(ConfigError, match=want):
+            nehalem_config(kernel=kernel)
+        data = machine_to_dict(nehalem_config())
+        data["kernel"] = kernel
+        with pytest.raises(ConfigError, match=want):
+            machine_from_dict(data)
+    elif source == "env":
+        monkeypatch.setenv("REPRO_KERNEL", kernel)
+        with pytest.raises(ConfigError, match=f"REPRO_KERNEL: {want}"):
+            nehalem_config()
+        lines = []
+        assert main(["sweep", "mcf", "--sizes", "8"], out=lines.append) == 2
+        assert len(lines) == 1 and lines[0].startswith("error: REPRO_KERNEL: "), lines
+    elif source == "cli":
+        lines = []
+        assert main(["sweep", "mcf", "--sizes", "8", "--kernel", kernel], out=lines.append) == 2
+        assert len(lines) == 1 and lines[0].startswith("error: --kernel: "), lines
+        assert want in lines[0]
+    else:
+        wire = job_to_wire(JobSpec(workload=TargetSpec("micro.random"), sizes_mb=(1.0,)))
+        wire["machine"] = machine_to_dict(nehalem_config())
+        wire["machine"]["kernel"] = kernel
+        with pytest.raises(ServiceError, match=want):
+            job_from_wire(wire)
+
+
 # -- cache-level properties ---------------------------------------------------
 
 
@@ -237,7 +277,7 @@ def _scalar_twin(vec):
 
 
 @pytest.mark.parametrize("policy", ["lru", "nru", "plru"])
-@pytest.mark.parametrize("ways", [2, 4, 8])
+@pytest.mark.parametrize("ways", [1, 2, 4, 8])
 def test_scalar_ops_match_plain_cache(policy, ways):
     """The Vec* caches' inherited scalar protocol is the plain protocol."""
     cfg = CacheConfig("T", 64 * ways * 16, ways, policy=policy)
@@ -294,102 +334,97 @@ def test_building_a_machine_allocates_no_per_set_objects():
     """Set-up is O(arrays): no Python object per cache set.
 
     The nehalem L3 alone has 8,192 sets, so eager per-set tag lists (or any
-    other per-set object) blow far through the bound.
+    other per-set object) blow far through the bound.  Without the C walk
+    ``auto`` builds the scalar oracle, whose lists are eager by design;
+    the array-backed caches the walk would run on are measured instead.
     """
     cfg = nehalem_config(kernel="auto")
-    CacheHierarchy(cfg)  # warm module-level state (C lowering, PLRU tables)
+
+    def build():
+        if cext.available():
+            return CacheHierarchy(cfg).l3
+        return [make_vec_cache(c) for c in (cfg.l1, cfg.l2, cfg.l3)][-1]
+
+    build()  # warm module-level state (C lowering, PLRU tables)
     gc.collect()
     gc.disable()
     try:
         before = len(gc.get_objects())
-        h = CacheHierarchy(cfg)
+        l3 = build()
         added = len(gc.get_objects()) - before
     finally:
         gc.enable()
-    assert h.l3.num_sets == 8192
+    assert l3.num_sets == 8192
     assert added < 500, added
-
-
-@pytest.mark.parametrize("ways", [2, 4, 8, 16])
-def test_plru_touch_last_batch_closed_form(ways):
-    """touch_last_batch == replaying the touches one by one, any stream."""
-    cfg = CacheConfig("T", 64 * ways * 8, ways, policy="plru")
-    rng = np.random.default_rng(13)
-    for trial in range(20):
-        a = make_vec_cache(cfg)
-        b = make_vec_cache(cfg)
-        # randomize starting tree state via scalar touches
-        for _ in range(30):
-            s = int(rng.integers(0, a.num_sets))
-            w = int(rng.integers(0, ways))
-            a._touch(s, w)
-            b._touch(s, w)
-        k = int(rng.integers(1, 200))
-        sets = rng.integers(0, a.num_sets, k).astype(np.int64)
-        wys = rng.integers(0, ways, k).astype(np.int64)
-        a.touch_last_batch(sets, wys, k)
-        for s, w in zip(sets.tolist(), wys.tolist()):
-            b._touch(s, w)
-        assert np.array_equal(a._tree, b._tree), f"trial {trial}"
-
-
-def test_lru_touch_last_batch_is_last_touch_order():
-    cfg = CacheConfig("T", 64 * 8 * 8, 8, policy="lru")
-    rng = np.random.default_rng(5)
-    a = make_vec_cache(cfg)
-    b = make_vec_cache(cfg)
-    k = 500
-    sets = rng.integers(0, a.num_sets, k).astype(np.int64)
-    wys = rng.integers(0, 8, k).astype(np.int64)
-    a.touch_last_batch(sets, wys, k)
-    for s, w in zip(sets.tolist(), wys.tolist()):
-        b._touch(s, w)
-    for s in range(a.num_sets):
-        assert a.recency_order(s) == b.recency_order(s)
-
-
-def test_probe_batch_matches_scalar_probe():
-    cfg = CacheConfig("T", 64 * 4 * 16, 4, policy="lru")
-    vec = make_vec_cache(cfg)
-    rng = np.random.default_rng(3)
-    for _ in range(300):
-        vec._access_code(int(rng.integers(0, vec.num_sets)), int(rng.integers(0, 8)), False)
-    sets = rng.integers(0, vec.num_sets, 200).astype(np.int64)
-    tags = rng.integers(0, 8, 200).astype(np.int64)
-    hit, way = vec.probe_batch(sets, tags)
-    for i in range(200):
-        w = vec.probe(int(sets[i]), int(tags[i]))
-        if w < 0:
-            assert not hit[i]
-        else:
-            assert hit[i] and way[i] == w
 
 
 def test_make_vec_cache_coverage():
     assert isinstance(
         make_vec_cache(CacheConfig("T", 8 * KB, 4, policy="lru")), VecLRUCache
     )
-    assert isinstance(
-        make_vec_cache(CacheConfig("T", 8 * KB, 4, policy="nru")), VecNRUCache
-    )
+    for ways in (1, 4, 63):
+        assert isinstance(
+            make_vec_cache(CacheConfig("T", 64 * ways, ways, policy="nru")), VecNRUCache
+        )
     assert isinstance(
         make_vec_cache(CacheConfig("T", 8 * KB, 4, policy="plru")), VecPLRUCache
     )
     assert make_vec_cache(CacheConfig("T", 8 * KB, 4, policy="random")) is None
+    assert make_vec_cache(CacheConfig("T", 64 * 64, 64, policy="lru")) is None
 
 
-# -- goldens under --kernel vector -------------------------------------------
+def _shipped_machines():
+    """Every machine the experiment scales and validation tiers build.
 
-
-def test_fixed_curve_golden_unchanged_under_vector_kernel(monkeypatch):
-    """The checked-in golden reproduces bit-for-bit with kernel=vector.
-
-    The golden was generated under the default engine; the forced-vector
-    run must serialize to the identical JSON tree (the CI perf-smoke job
-    runs the full ``regen_goldens.py --check`` under ``REPRO_KERNEL=vector``
-    — this is the in-suite sentinel for the same property).
+    The Pirate co-runs use the nehalem machine with and without prefetch
+    (the validation side turns it off), the profiling pass a one-core
+    nehalem, and the reference replays a one-core machine whose L3 keeps
+    only the ways of each grid size, under the NRU and the LRU model
+    (Fig. 4 contrasts them) — down to the 1-way 0.5 MB point.
     """
-    monkeypatch.setenv("REPRO_KERNEL", "vector")
+    bases = [nehalem_config(), nehalem_config(prefetch_enabled=False)]
+    machines = {"nehalem": bases[0], "nehalem-nopf": bases[1]}
+    machines["profile"] = nehalem_config(num_cores=1)
+    sizes = set()
+    for grid in (QUICK, FULL, VALIDATE_QUICK, VALIDATE_FULL):
+        sizes.update(grid.sizes_mb)
+    for base in bases:
+        for ways in _way_grid(base, sorted(sizes)):
+            for policy in ("nru", "lru"):
+                for prefetch in (False, True):
+                    cfg = single_core_config(
+                        base, l3_ways=ways, policy=policy, prefetch=prefetch
+                    )
+                    machines[f"reference-{policy}-{ways}w-pf{int(prefetch)}"] = cfg
+    return machines
+
+
+def test_every_shipped_hierarchy_runs_the_walk():
+    """With a compiler, no machine the package builds falls back to scalar."""
+    machines = _shipped_machines()
+    assert "reference-nru-1w-pf0" in machines
+    for name, cfg in machines.items():
+        h = CacheHierarchy(replace(cfg, kernel="auto"))
+        if cext.available():
+            assert h.kernel_degraded is None, (name, h.kernel_degraded)
+            assert h._walk is not None, name
+        else:
+            assert h.kernel_degraded.startswith("no C lowering"), name
+
+
+# -- goldens under --kernel scalar -------------------------------------------
+
+
+def test_fixed_curve_golden_unchanged_under_scalar_kernel(monkeypatch):
+    """The checked-in golden reproduces bit-for-bit with kernel=scalar.
+
+    The golden was generated under the default engine; the forced-scalar
+    run must serialize to the identical JSON tree (CI runs the full
+    ``regen_goldens.py --check`` under ``REPRO_CEXT=0``, which runs the
+    same scalar loops — this is the in-suite sentinel for the same
+    property).
+    """
+    monkeypatch.setenv("REPRO_KERNEL", "scalar")
     from tests.golden_scenarios import fixed_curve_scenario
 
     golden = json.loads(

@@ -148,9 +148,9 @@ def test_seed_changes_keys_and_cell_seeds():
 
 
 def test_kernel_mode_does_not_fork_keys(monkeypatch):
-    """Execution strategy (scalar/vector kernels) is not experiment content."""
+    """Execution strategy (C walk or scalar loops) is not experiment content."""
     base = compile_grid(small_config())
-    monkeypatch.setenv("REPRO_KERNEL", "vector")
+    monkeypatch.setenv("REPRO_KERNEL", "scalar")
     assert [c.key for c in compile_grid(small_config()).cells] == [
         c.key for c in base.cells
     ]

@@ -7,8 +7,9 @@ under the server and vice versa — plus the regression for the bug that
 used to break that promise: ``spec_token`` hashed the machine's
 ``kernel`` field (execution strategy, bit-identical by proof) into cache
 keys and journal pins while the grid compiler excluded it, so a journal
-written under ``REPRO_KERNEL=vector`` refused to resume under scalar.
-The SIGKILL test then drives the whole story end to end: a real server
+written under one kernel mode refused to resume under another.  A job
+journaled under a kernel mode that no longer exists is counted and
+logged on restart, not dropped silently.  The SIGKILL test then drives the whole story end to end: a real server
 killed mid-sweep, restarted, and resumed with zero re-measured points.
 """
 
@@ -24,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.config import machine_content_token, nehalem_config
+from repro.config import KERNEL_MODES, machine_content_token, nehalem_config
 from repro.core.journal import JournalState, journal_path, read_journal_records
 from repro.core.parallel import (
     SweepSpec,
@@ -64,12 +65,12 @@ def batch_spec(job: JobSpec) -> SweepSpec:
 
 
 def test_spec_token_excludes_kernel():
-    """scalar/vector/auto engines share cache keys and journal pins."""
+    """Every kernel mode shares cache keys and journal pins."""
     job = tiny_job()
     tokens = set()
     shas = set()
     keys = set()
-    for kernel in ("auto", "scalar", "vector"):
+    for kernel in KERNEL_MODES:
         spec = replace(batch_spec(job), config=nehalem_config(kernel=kernel))
         tokens.add(json.dumps(spec_token(spec), sort_keys=True))
         shas.add(sweep_spec_sha(spec, SIZES))
@@ -89,7 +90,7 @@ def test_spec_token_still_keys_sample_sets():
 
 def test_machine_content_token_shared_by_grid_and_sweeps():
     """One helper defines machine content for cells, caches, and journals."""
-    config = nehalem_config(kernel="vector")
+    config = nehalem_config(kernel="scalar")
     token = machine_content_token(config)
     assert "kernel" not in token
     assert token == _machine_token(config)
@@ -98,13 +99,13 @@ def test_machine_content_token_shared_by_grid_and_sweeps():
     )
 
 
-def test_journal_written_under_vector_resumes_under_scalar(tmp_path):
+def test_journal_written_under_auto_resumes_under_scalar(tmp_path):
     """The user-facing consequence of the fix, end to end."""
     job = tiny_job()
-    vector = replace(batch_spec(job), config=nehalem_config(kernel="vector"))
+    auto = replace(batch_spec(job), config=nehalem_config(kernel="auto"))
     scalar = replace(batch_spec(job), config=nehalem_config(kernel="scalar"))
     results_v, stats_v = run_sweep_supervised(
-        vector, SIZES, journal_dir=tmp_path, run_id="xkernel"
+        auto, SIZES, journal_dir=tmp_path, run_id="xkernel"
     )
     assert stats_v.measured == len(SIZES)
     results_s, stats_s = run_sweep_supervised(
@@ -209,6 +210,47 @@ def test_torn_headless_job_journal_restarts_clean(tmp_path):
         result = client.wait(client.submit(job)["key"])["result"]
     assert result["stats"]["measured"] == len(SIZES)
     assert result["stats"]["journal_hits"] == 0
+
+
+def test_journaled_job_with_retired_kernel_is_counted_on_restart(tmp_path, caplog):
+    """A job journaled under a retired kernel mode cannot be rebuilt.
+
+    The restart must neither crash nor drop it silently: it is counted in
+    ``jobs_unrecoverable`` and logged once with its key and the reason,
+    and the jobs that do decode are still recovered.
+    """
+    from repro.service import ServerThread
+    from repro.service.protocol import job_to_wire
+    from repro.service.server import SERVICE_JOURNAL_VERSION
+
+    state = tmp_path / "state"
+    journals = state / "journals"
+    journals.mkdir(parents=True)
+    good = tiny_job()
+    retired = job_to_wire(tiny_job(seed=5))
+    retired["machine"]["kernel"] = "batch"
+    records = [
+        {"key": "old-batch-job", "job": retired},
+        {"key": job_key(good), "job": job_to_wire(good)},
+    ]
+    (journals / SERVICE_JOURNAL).write_text(
+        "".join(
+            json.dumps(
+                {"type": "job", "service_format": SERVICE_JOURNAL_VERSION,
+                 "state": "submitted", **r}
+            )
+            + "\n"
+            for r in records
+        )
+    )
+    with caplog.at_level("WARNING", logger="repro.service"):
+        with ServerThread(state, tmp_path / "svc.sock") as srv:
+            stats = srv.client().stats()["stats"]
+    assert stats["jobs_unrecoverable"] == 1
+    assert stats["jobs_recovered"] == 1
+    logged = [r.getMessage() for r in caplog.records if r.name == "repro.service"]
+    assert len(logged) == 1
+    assert "old-batch-job" in logged[0] and "kernel mode 'batch' was retired" in logged[0]
 
 
 # -- SIGKILL the server mid-sweep --------------------------------------------------
