@@ -134,10 +134,11 @@ class CacheHierarchy:
             if not walk:
                 _warn_degraded(self.kernel_degraded)
         if walk:
-            vec = _kernels().make_vec_cache
-            self.l1: list[SetAssocCache] = [vec(config.l1) for _ in range(n)]
-            self.l2: list[SetAssocCache] = [vec(config.l2) for _ in range(n)]
-            self.l3: SetAssocCache = vec(config.l3)
+            # each level on one stacked storage the walk runs on in place
+            vec = _kernels().make_vec_caches
+            self.l1: list[SetAssocCache] = vec(config.l1, n)
+            self.l2: list[SetAssocCache] = vec(config.l2, n)
+            self.l3: SetAssocCache = vec(config.l3, 1)[0]
         else:
             self.l1 = [make_cache(config.l1, seed) for _ in range(n)]
             self.l2 = [make_cache(config.l2, seed) for _ in range(n)]

@@ -88,8 +88,13 @@ class PirateThreadWorkload:
         if self._count <= 0:
             # stealing nothing: spin on one line (negligible footprint)
             return np.full(n_lines, PIRATE_BASE + self.index, dtype=np.int64), None
-        ks = (self._pos + np.arange(n_lines, dtype=np.int64)) % self._count
-        self._pos = (self._pos + n_lines) % self._count
+        pos = self._pos
+        self._pos = (pos + n_lines) % self._count
+        if pos + n_lines <= self._count:
+            start = self.line_at(pos)
+            stop = start + n_lines * self.stride
+            return np.arange(start, stop, self.stride, dtype=np.int64), None
+        ks = (pos + np.arange(n_lines, dtype=np.int64)) % self._count
         return ks * self.stride + (PIRATE_BASE + self.index), None
 
     def reset(self) -> None:

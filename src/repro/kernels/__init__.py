@@ -34,6 +34,7 @@ from .veccache import (
     VecPLRUCache,
     VecSetAssocCache,
     make_vec_cache,
+    make_vec_caches,
 )
 
 __all__ = [
@@ -43,4 +44,5 @@ __all__ = [
     "VecPLRUCache",
     "VecSetAssocCache",
     "make_vec_cache",
+    "make_vec_caches",
 ]

@@ -34,7 +34,7 @@ import numpy as np
 
 from ..caches.base import CoreMemStats
 from ..errors import SimulationError
-from .veccache import MAX_WAYS, VecLRUCache, VecNRUCache, stack_vec_caches
+from .veccache import MAX_WAYS, VecLRUCache, VecNRUCache
 
 _POLICY_LRU = 0
 _POLICY_NRU = 1
@@ -586,9 +586,10 @@ class HierWalk:
     """ctypes binding of ``hier_walk`` for one :class:`CacheHierarchy`.
 
     Built only for a machine :func:`walk_gap` clears, whose levels are
-    therefore ``Vec*Cache`` models.  Construction moves every level onto
-    stacked storage (:func:`~repro.kernels.veccache.stack_vec_caches`) and
-    allocates the state the scalar interpreter keeps in dicts and lists:
+    therefore ``Vec*Cache`` models, each level built on one stacked
+    storage (:func:`~repro.kernels.veccache.make_vec_caches`) that the walk
+    runs on in place.  Construction allocates the state the scalar
+    interpreter keeps in dicts and lists:
 
     * ``owner`` — one byte per L3 slot (``set * ways + way``), the core
       that filled the line there, -1 for none.  Equivalent to the
@@ -652,10 +653,14 @@ class HierWalk:
         self._lru_l3 = [(2 * n, l3)] if isinstance(l3, VecLRUCache) else []
 
     def _level(self, caches, row: int) -> _Level:
-        arrays = stack_vec_caches(caches)
-        self._keep.append(arrays)
-        tags, dirty, nvalid, meta = arrays
         c = caches[0]
+        tags, dirty, nvalid, meta = c.stack
+        # C finds core k's cache at slot k of the stacked arrays
+        if len(tags) != len(caches) or any(
+            x.stack is not c.stack or x.stack_index != k for k, x in enumerate(caches)
+        ):
+            raise SimulationError("a level's caches must be one make_vec_caches stack")
+        self._keep.append(c.stack)
         policy, levels, full_mask, touch, vict = _level_policy(c)
         self._keep.append((touch, vict))
         lv = _Level()

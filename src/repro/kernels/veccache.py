@@ -55,17 +55,45 @@ MAX_WAYS = 63
 
 
 class VecSetAssocCache(SetAssocCache):
-    """Shared SoA storage; policy subclasses add replacement metadata."""
+    """Shared SoA storage; policy subclasses add replacement metadata.
 
-    def __init__(self, config: CacheConfig):
+    Every cache's arrays are one slice of a level's stacked storage
+    (:func:`make_vec_caches`): ``[n, sets, ways]`` tags and ``[n, sets]``
+    dirty masks, valid counts and NRU/PLRU metadata (LRU stamps are
+    ``[n, sets, ways]``), so the C walk reaches every core's cache from one
+    base pointer and nothing is copied when it attaches
+    (:func:`make_vec_cache` builds a stack of one).
+    """
+
+    #: replacement metadata is one int64 per way (LRU), not one per set
+    _META_PER_WAY = False
+
+    def __init__(self, config: CacheConfig, stack: tuple[np.ndarray, ...], index: int):
         super().__init__(config)
+        #: the level's stacked ``(tags, dirty, nvalid, meta)`` arrays and
+        #: this cache's slot in them
+        self.stack = stack
+        self.stack_index = index
+        tags, dirty, nvalid, meta = stack
         # numpy replaces the per-set int lists; the inherited scalar methods
         # mutate these element-wise, which numpy setitem supports verbatim
-        self._dirty = np.zeros(self.num_sets, dtype=np.int64)
-        self._nvalid = np.zeros(self.num_sets, dtype=np.int64)
+        self._dirty = dirty[index]
+        self._nvalid = nvalid[index]
         #: 2-D tag mirror; -1 marks an invalid way.  Kept in lockstep with
         #: the per-set lists, once they exist, at every tag write.
-        self._tags_np = np.full((self.num_sets, self.ways), -1, dtype=np.int64)
+        self._tags_np = tags[index]
+        self._meta = meta[index]
+
+    @classmethod
+    def new_stack(cls, config: CacheConfig, n: int) -> tuple[np.ndarray, ...]:
+        """Empty stacked storage for ``n`` caches of ``config``."""
+        sets, ways = config.num_sets, config.ways
+        return (
+            np.full((n, sets, ways), -1, dtype=np.int64),
+            np.zeros((n, sets), dtype=np.int64),
+            np.zeros((n, sets), dtype=np.int64),
+            np.zeros((n, sets, ways) if cls._META_PER_WAY else (n, sets), dtype=np.int64),
+        )
 
     def _new_tag_lists(self) -> _StaleTagLists:
         # built from the (all -1) mirror on first scalar use
@@ -151,21 +179,19 @@ class VecSetAssocCache(SetAssocCache):
 class VecLRUCache(VecSetAssocCache):
     """True LRU as a last-touch stamp per way (``argmin`` = LRU)."""
 
-    def __init__(self, config: CacheConfig):
-        super().__init__(config)
+    _META_PER_WAY = True
+
+    def __init__(self, config: CacheConfig, stack: tuple[np.ndarray, ...], index: int):
+        super().__init__(config, stack, index)
+        self._rank = self._meta
         self._init_meta()
 
     def _init_meta(self) -> None:
         # distinct initial stamps keep argmin deterministic before the set
         # fills; they sit below every real stamp and never pick a victim
         # (eviction requires a full set, where every way has been touched).
-        # Reset in place on flush: the array may be a view into stacked
-        # storage that C code holds a pointer to.
-        stamps = np.arange(self.ways, dtype=np.int64)
-        if hasattr(self, "_rank"):
-            self._rank[...] = stamps
-        else:
-            self._rank = np.tile(stamps, (self.num_sets, 1))
+        # Reset in place: the C walk holds a pointer to the stacked storage.
+        self._rank[...] = np.arange(self.ways, dtype=np.int64)
         self._clock = self.ways
 
     def _touch(self, set_idx: int, way: int) -> None:
@@ -185,20 +211,18 @@ class VecLRUCache(VecSetAssocCache):
 class VecNRUCache(VecSetAssocCache):
     """Nehalem accessed-bit policy on a numpy bitmask array."""
 
-    def __init__(self, config: CacheConfig):
+    def __init__(self, config: CacheConfig, stack: tuple[np.ndarray, ...], index: int):
         if not 1 <= config.ways <= MAX_WAYS:
             raise SimulationError(
                 f"array-backed NRU supports 1..{MAX_WAYS} ways, got {config.ways}"
             )
-        super().__init__(config)
+        super().__init__(config, stack, index)
         self._full_mask = (1 << self.ways) - 1
+        self._acc = self._meta
         self._init_meta()
 
     def _init_meta(self) -> None:
-        if hasattr(self, "_acc"):
-            self._acc.fill(0)  # in place, see VecLRUCache._init_meta
-        else:
-            self._acc = np.zeros(self.num_sets, dtype=np.int64)
+        self._acc.fill(0)  # in place, see VecLRUCache._init_meta
 
     def _touch(self, set_idx: int, way: int) -> None:
         # int() first: the remaining ops then run on Python ints, not np.int64
@@ -231,10 +255,10 @@ class VecPLRUCache(VecSetAssocCache):
     #: list) — the ndarrays feed the C walk, the lists the scalar hooks
     _np_tables: dict[int, tuple] = {}
 
-    def __init__(self, config: CacheConfig):
+    def __init__(self, config: CacheConfig, stack: tuple[np.ndarray, ...], index: int):
         if config.ways & (config.ways - 1):
             raise SimulationError("tree-PLRU requires a power-of-two way count")
-        super().__init__(config)
+        super().__init__(config, stack, index)
         self._levels = config.ways.bit_length() - 1
         if config.ways not in VecPLRUCache._np_tables:
             touch, victim = _build_plru_tables(config.ways)
@@ -250,13 +274,11 @@ class VecPLRUCache(VecSetAssocCache):
             self._touch_tab,
             self._victim_tab,
         ) = VecPLRUCache._np_tables[config.ways]
+        self._tree = self._meta
         self._init_meta()
 
     def _init_meta(self) -> None:
-        if hasattr(self, "_tree"):
-            self._tree.fill(0)  # in place, see VecLRUCache._init_meta
-        else:
-            self._tree = np.zeros(self.num_sets, dtype=np.int64)
+        self._tree.fill(0)  # in place, see VecLRUCache._init_meta
 
     def _touch(self, set_idx: int, way: int) -> None:
         # Python-list table lookup: cheaper than fancy-indexing the numpy
@@ -304,57 +326,26 @@ class _StaleTagLists:
         return len(self._lists())
 
 
-def stack_vec_caches(caches: list[VecSetAssocCache]) -> tuple[np.ndarray, ...]:
-    """Move same-policy, same-set-count caches onto stacked storage.
+def make_vec_caches(config: CacheConfig, n: int) -> list[VecSetAssocCache] | None:
+    """``n`` array-backed caches of ``config`` on one stacked storage.
 
-    Allocates ``tags``/LRU stamps as ``[n, sets, max_ways]`` and dirty
-    masks, valid counts and NRU/PLRU metadata as ``[n, sets]``, copies each
-    cache's state into its slice and re-points the cache at it
-    (``stack[c, :, :ways_c]``), so the scalar methods keep working while C
-    code walks every cache from one base pointer.  Returns ``(tags, dirty,
-    nvalid, meta)``.
+    Cache ``c`` owns slot ``c`` of every stacked array, so the C walk
+    reads the whole level from one base pointer per array.  None if
+    ``config.policy`` is uncovered: LRU, NRU and PLRU up to
+    :data:`MAX_WAYS` ways are; random replacement draws from a per-cache
+    RNG, which the C walk does not model, so it stays scalar.
     """
-    n = len(caches)
-    sets = caches[0].num_sets
-    max_ways = max(c.ways for c in caches)
-    tags = np.full((n, sets, max_ways), -1, dtype=np.int64)
-    dirty = np.zeros((n, sets), dtype=np.int64)
-    nvalid = np.zeros((n, sets), dtype=np.int64)
-    lru = isinstance(caches[0], VecLRUCache)
-    meta = np.zeros((n, sets, max_ways) if lru else (n, sets), dtype=np.int64)
-    for c, cache in enumerate(caches):
-        w = cache.ways
-        tags[c, :, :w] = cache._tags_np
-        cache._tags_np = tags[c, :, :w]
-        dirty[c] = cache._dirty
-        cache._dirty = dirty[c]
-        nvalid[c] = cache._nvalid
-        cache._nvalid = nvalid[c]
-        if lru:
-            meta[c, :, :w] = cache._rank
-            cache._rank = meta[c, :, :w]
-        elif isinstance(cache, VecNRUCache):
-            meta[c] = cache._acc
-            cache._acc = meta[c]
-        else:
-            meta[c] = cache._tree
-            cache._tree = meta[c]
-    return tags, dirty, nvalid, meta
+    cls = _VEC_CLASSES.get(config.policy) if config.ways <= MAX_WAYS else None
+    if cls is None:
+        return None
+    stack = cls.new_stack(config, n)
+    return [cls(config, stack, c) for c in range(n)]
 
 
 def make_vec_cache(config: CacheConfig) -> VecSetAssocCache | None:
-    """Array-backed cache for ``config.policy``, or None if uncovered.
+    """One array-backed cache for ``config`` (see :func:`make_vec_caches`)."""
+    caches = make_vec_caches(config, 1)
+    return None if caches is None else caches[0]
 
-    Covered: LRU, NRU and PLRU up to :data:`MAX_WAYS` ways.  Random
-    replacement draws from a per-cache RNG, which the C walk does not
-    model, so it stays scalar.
-    """
-    if config.ways > MAX_WAYS:
-        return None
-    if config.policy == "lru":
-        return VecLRUCache(config)
-    if config.policy == "nru":
-        return VecNRUCache(config)
-    if config.policy == "plru":
-        return VecPLRUCache(config)
-    return None
+
+_VEC_CLASSES = {"lru": VecLRUCache, "nru": VecNRUCache, "plru": VecPLRUCache}

@@ -8,8 +8,6 @@ reproduction is bit-reproducible end to end.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 import numpy as np
 
 #: Root seed used by the experiment drivers unless overridden.
@@ -59,18 +57,3 @@ def stable_seed(*parts: int | str) -> int:
         acc = (acc * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
     return acc & 0x7FFFFFFFFFFFFFFF
 
-
-def interleave_indices(
-    rng: np.random.Generator, weights: Iterable[float], n: int
-) -> np.ndarray:
-    """Draw ``n`` component indices according to ``weights``.
-
-    The returned ``int64`` array is the per-access component choice used by
-    mixture workloads; exposed here so tests can validate the distribution.
-    """
-    w = np.asarray(list(weights), dtype=np.float64)
-    if w.ndim != 1 or w.size == 0:
-        raise ValueError("weights must be a non-empty 1-D sequence")
-    if np.any(w < 0) or w.sum() <= 0:
-        raise ValueError(f"weights must be non-negative and sum > 0, got {w}")
-    return rng.choice(w.size, size=n, p=w / w.sum()).astype(np.int64)

@@ -63,19 +63,31 @@ class MixtureWorkload(Workload):
             raise ConfigError(f"{name}: mixture needs at least one component")
         self.components = components
         w = np.array([c.weight for c in components], dtype=np.float64)
-        self._probs = w / w.sum()
+        # Generator.choice(k, p=w / w.sum()) picks cdf.searchsorted(u,
+        # side="right") for u = random(n), with this same cdf; _lines
+        # computes that count of cdf entries <= u directly (DESIGN §3)
+        cdf = (w / w.sum()).cumsum()
+        cdf /= cdf[-1]
+        self._cdf = cdf[:-1].tolist()
 
     def _lines(self, n_lines: int) -> np.ndarray:
-        k = len(self.components)
-        if k == 1:
+        if not self._cdf:
             return self.components[0].pattern.lines(n_lines)
-        choice = self._rng.choice(k, size=n_lines, p=self._probs)
+        u = self._rng.random(n_lines)
+        choice = (u >= self._cdf[0]).view(np.uint8)
+        for edge in self._cdf[1:]:
+            choice += u >= edge
+        del u  # free the draws before the components allocate their lines
+        counts = np.bincount(choice, minlength=len(self.components)).tolist()
+        # the positions that chose component c, in order, are one slice of
+        # the stable (radix) sort; fill them with c's next lines
+        order = np.argsort(choice, kind="stable")
         out = np.empty(n_lines, dtype=np.int64)
-        for c in range(k):
-            mask = choice == c
-            cnt = int(mask.sum())
+        start = 0
+        for comp, cnt in zip(self.components, counts):
             if cnt:
-                out[mask] = self.components[c].pattern.lines(cnt)
+                out[order[start : start + cnt]] = comp.pattern.lines(cnt)
+                start += cnt
         return out
 
     def footprint_lines(self) -> int:

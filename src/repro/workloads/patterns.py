@@ -75,28 +75,37 @@ class SequentialPattern(Pattern):
     def lines(self, n: int) -> np.ndarray:
         base = self.base_line
         region = self.region_lines
+        pos = self._pos
         if self.segment_lines is None:
-            out = (self._pos + np.arange(n, dtype=np.int64)) % region + base
-            self._pos = (self._pos + n) % region
-            return out
-        # segmented: emit runs, jumping to a random aligned segment when a
-        # run is exhausted
+            self._pos = (pos + n) % region
+            if pos + n <= region:
+                return np.arange(pos + base, pos + base + n, dtype=np.int64)
+            return (pos + np.arange(n, dtype=np.int64)) % region + base
+        # segmented: finish the current run, then jump to a random aligned
+        # segment per exhausted run.  The number of jumps is known up front,
+        # so one sized draw replaces one scalar draw per jump and consumes
+        # the generator identically (DESIGN §3, "Stream generation").
         seg = self.segment_lines
+        first = min(n, self._seg_left)
+        m = -(-(n - first) // seg)
+        if m == 0:
+            self._pos = (pos + first) % region
+            self._seg_left -= first
+            return np.arange(pos + base, pos + base + first, dtype=np.int64)
         nseg = max(region // seg, 1)
-        out = np.empty(n, dtype=np.int64)
-        filled = 0
-        while filled < n:
-            if self._seg_left <= 0:
-                self._pos = int(self._rng.integers(0, nseg)) * seg
-                self._seg_left = seg
-            take = min(n - filled, self._seg_left)
-            out[filled : filled + take] = (
-                self._pos + np.arange(take, dtype=np.int64)
-            ) % region + base
-            self._pos = (self._pos + take) % region
-            self._seg_left -= take
-            filled += take
-        return out
+        starts = self._rng.integers(0, nseg, size=m) * seg
+        last = n - first - (m - 1) * seg
+        self._pos = (int(starts[-1]) + last) % region
+        self._seg_left = seg - last
+        # a run never crosses the region end (aligned starts, seg <= region),
+        # so line i of the chunk is i plus its run's start-minus-offset
+        shifts = np.empty(m + 1, dtype=np.int64)
+        shifts[0] = pos + base
+        shifts[1:] = starts + (base - first) - seg * np.arange(m, dtype=np.int64)
+        runs = np.full(m + 1, seg, dtype=np.int64)
+        runs[0] = first
+        runs[-1] = last
+        return np.repeat(shifts, runs) + np.arange(n, dtype=np.int64)
 
     def reset(self) -> None:
         super().reset()
@@ -131,8 +140,13 @@ class StridedPattern(Pattern):
 
     def lines(self, n: int) -> np.ndarray:
         region = self.region_lines
-        idx = (self._pos + np.arange(n, dtype=np.int64) * self.stride_lines) % region
-        self._pos = int((self._pos + n * self.stride_lines) % region)
+        pos = self._pos
+        stride = self.stride_lines
+        self._pos = (pos + n * stride) % region
+        if pos + (n - 1) * stride < region:
+            start = pos + self.base_line
+            return np.arange(start, start + n * stride, stride, dtype=np.int64)
+        idx = (pos + np.arange(n, dtype=np.int64) * stride) % region
         return idx + self.base_line
 
     def footprint_lines(self) -> int:
@@ -192,8 +206,11 @@ class PointerChasePattern(Pattern):
 
     def lines(self, n: int) -> np.ndarray:
         region = self.region_lines
-        idx = (self._pos + np.arange(n, dtype=np.int64)) % region
-        self._pos = int((self._pos + n) % region)
+        pos = self._pos
+        self._pos = (pos + n) % region
+        if pos + n <= region:
+            return self._order[pos : pos + n] + self.base_line
+        idx = (pos + np.arange(n, dtype=np.int64)) % region
         return self._order[idx] + self.base_line
 
     def reset(self) -> None:

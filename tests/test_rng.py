@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.rng import DEFAULT_SEED, interleave_indices, make_rng, spawn, stable_seed
+from repro.rng import DEFAULT_SEED, make_rng, spawn, stable_seed
 
 
 def test_make_rng_is_deterministic():
@@ -47,19 +47,3 @@ def test_stable_seed_depends_on_all_parts():
     assert stable_seed("fig6", "mcf", 4) == s1
     assert 0 <= s1 < 2**63
 
-
-def test_interleave_indices_distribution():
-    idx = interleave_indices(make_rng(0), [1.0, 3.0], 20_000)
-    assert idx.dtype == np.int64
-    frac = float(np.mean(idx == 1))
-    assert frac == pytest.approx(0.75, abs=0.02)
-
-
-def test_interleave_indices_validates_weights():
-    rng = make_rng(0)
-    with pytest.raises(ValueError):
-        interleave_indices(rng, [], 10)
-    with pytest.raises(ValueError):
-        interleave_indices(rng, [-1.0, 2.0], 10)
-    with pytest.raises(ValueError):
-        interleave_indices(rng, [0.0, 0.0], 10)

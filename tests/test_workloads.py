@@ -58,6 +58,34 @@ def test_mixture_weights_respected():
     assert in_random == pytest.approx(0.75, abs=0.02)
 
 
+def test_mixture_choice_distribution():
+    """Each line picks a component with probability weight / sum(weights)."""
+    regions = [(0, 10, 1.0), (100, 10, 3.0), (200, 10, 6.0)]
+    wl = MixtureWorkload(
+        "three",
+        [
+            MixtureComponent(RandomPattern(base, size, seed=i), weight=w)
+            for i, (base, size, w) in enumerate(regions)
+        ],
+        mem_fraction=0.5,
+        cpi_base=1.0,
+        seed=0,
+    )
+    lines = np.concatenate([wl.chunk(n)[0] for n in (1, 7, 2000, 17_992)])
+    assert lines.dtype == np.int64
+    for base, size, w in regions:
+        frac = float(np.mean((lines >= base) & (lines < base + size)))
+        assert frac == pytest.approx(w / 10.0, abs=0.02)
+
+
+def test_mixture_validates_weights():
+    with pytest.raises(ConfigError):
+        MixtureWorkload("empty", [], mem_fraction=0.5, cpi_base=1.0)
+    for bad in (-1.0, 0.0):
+        with pytest.raises(ConfigError):
+            MixtureComponent(RandomPattern(0, 10, seed=1), weight=bad)
+
+
 def test_mixture_deterministic_with_seed():
     a, _ = mix(seed=3).chunk(1000)
     b, _ = mix(seed=3).chunk(1000)
