@@ -1,4 +1,4 @@
-"""Bench: the scalar interpreter vs the C hierarchy walk (and set-sampled L3).
+"""Bench: the scalar interpreter vs the C hierarchy walk.
 
 Three microbenches, each timing ``CacheHierarchy.access_chunk`` directly so
 the numbers isolate the simulation engines from workload generation:
@@ -21,10 +21,10 @@ is an executable::
     python benchmarks/bench_kernels.py --quick --json out.json \
         --min-speedup 10
 
-which times scalar/auto plus a ``sample_sets=8`` run per bench, optionally
-enforces a floor on the Pirate-sweep ``auto`` speedup (skipped, with the
-reason printed, where the C walk cannot load), and emits the JSON payload
-``scripts/bench_baseline.py`` archives as ``BENCH_kernels.json``.
+which times scalar and auto per bench, optionally enforces a floor on the
+Pirate-sweep ``auto`` speedup (skipped, with the reason printed, where the
+C walk cannot load), and emits the JSON payload ``scripts/bench_baseline.py``
+archives as ``BENCH_kernels.json``.
 """
 
 from __future__ import annotations
@@ -83,13 +83,13 @@ def _seq_chunks(n_chunks: int, chunk_lines: int = 800, ws_lines: int = 40_000):
     return out
 
 
-def _run_corun(mode: str, sample_sets: int, targets, pirates):
+def _run_corun(mode: str, targets, pirates):
     """One co-run: alternate target (full path) and Pirate (L3-only) chunks.
 
     Returns ``(seconds, fingerprint)`` where the fingerprint is the flat
     counter tuple of both cores — identical across engine modes by design.
     """
-    hier = CacheHierarchy(nehalem_config(kernel=mode, sample_sets=sample_sets))
+    hier = CacheHierarchy(nehalem_config(kernel=mode))
     t0 = time.perf_counter()
     for (lines, writes), pl in zip(targets, pirates):
         hier.access_chunk(0, lines, writes)
@@ -99,8 +99,8 @@ def _run_corun(mode: str, sample_sets: int, targets, pirates):
     return elapsed, fp
 
 
-def _run_pirate_only(mode: str, sample_sets: int, pirates):
-    hier = CacheHierarchy(nehalem_config(kernel=mode, sample_sets=sample_sets))
+def _run_pirate_only(mode: str, pirates):
+    hier = CacheHierarchy(nehalem_config(kernel=mode))
     t0 = time.perf_counter()
     for pl in pirates:
         hier.access_chunk(1, pl, None, bypass_private=True)
@@ -110,9 +110,9 @@ def _run_pirate_only(mode: str, sample_sets: int, pirates):
 
 
 def _time_modes(runner, repeats: int) -> dict:
-    """Best-of-``repeats`` wall time per kernel mode + a sampled run.
+    """Best-of-``repeats`` wall time per kernel mode.
 
-    Asserts the exact modes agree on every counter before reporting any
+    Asserts the modes agree on every counter before reporting any
     timing — a fast engine with wrong numbers is not a speedup.
     """
     result = {}
@@ -120,18 +120,13 @@ def _time_modes(runner, repeats: int) -> dict:
     for mode in KERNEL_MODES:
         times = []
         for _ in range(repeats):
-            elapsed, fp = runner(mode, 1)
+            elapsed, fp = runner(mode)
             times.append(elapsed)
             fingerprints[mode] = fp
         result[f"{mode}_s"] = round(min(times), 4)
     if fingerprints["scalar"] != fingerprints["auto"]:
         raise AssertionError("kernel modes disagree on counters")
-    sampled, _ = min(
-        (runner("auto", 8) for _ in range(repeats)), key=lambda r: r[0]
-    )
-    result["sampled8_s"] = round(sampled, 4)
     result["auto_speedup"] = round(result["scalar_s"] / result["auto_s"], 3)
-    result["sampled_speedup"] = round(result["scalar_s"] / result["sampled8_s"], 3)
     return result
 
 
@@ -144,14 +139,12 @@ def collect(quick: bool = True) -> dict:
     seq = _seq_chunks(n)
     benches = {
         "pirate_sweep": _time_modes(
-            lambda mode, ss: _run_pirate_only(mode, ss, pirates), repeats
+            lambda mode: _run_pirate_only(mode, pirates), repeats
         ),
         "fig8_gromacs": _time_modes(
-            lambda mode, ss: _run_corun(mode, ss, gromacs, pirates), repeats
+            lambda mode: _run_corun(mode, gromacs, pirates), repeats
         ),
-        "fig4_seq": _time_modes(
-            lambda mode, ss: _run_corun(mode, ss, seq, pirates), repeats
-        ),
+        "fig4_seq": _time_modes(lambda mode: _run_corun(mode, seq, pirates), repeats),
     }
     return {
         "meta": {
@@ -177,8 +170,7 @@ def test_kernel_microbenches(run_once):
     for name, bench in payload["benches"].items():
         print(
             f"{name}: scalar {bench['scalar_s']}s  "
-            f"auto {bench['auto_s']}s ({bench['auto_speedup']}x)  "
-            f"sampled/8 {bench['sampled8_s']}s ({bench['sampled_speedup']}x)"
+            f"auto {bench['auto_s']}s ({bench['auto_speedup']}x)"
         )
     # timing floors are CI's perf-smoke business; here only sanity-check
     # that the C walk actually engaged on its home-turf bench

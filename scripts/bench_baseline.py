@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Record the kernel-benchmark baseline as ``BENCH_kernels.json``.
 
-Runs the scalar/auto/sampled microbenches from
+Runs the scalar/auto microbenches from
 ``benchmarks/bench_kernels.py`` plus the end-to-end surrogate-vs-measured
 curve bench from ``benchmarks/bench_surrogate.py`` (archived under the
 ``surrogate_curve`` key) and writes the payload to the repository root
@@ -52,8 +52,7 @@ def main(argv: list[str] | None = None) -> int:
     for name, bench in payload["benches"].items():
         print(
             f"  {name}: scalar {bench['scalar_s']}s  auto {bench['auto_s']}s "
-            f"({bench['auto_speedup']}x)  sampled/8 {bench['sampled8_s']}s "
-            f"({bench['sampled_speedup']}x)"
+            f"({bench['auto_speedup']}x)"
         )
     sc = payload["surrogate_curve"]["bench"]
     print(

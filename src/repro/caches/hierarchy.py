@@ -39,10 +39,6 @@ engines run it, selected by ``MachineConfig.kernel``:
 levels — exact for streaming threads whose reuse distance exceeds the L2
 (the Pirate; see ``repro.core.pirate``) and used only there.
 
-Set sampling (``MachineConfig.sample_sets = N > 1``) simulates only every
-``N``-th L3 set and rescales each chunk's L3-derived counters by ``N``;
-private levels stay exact.  See ``DESIGN.md`` for the error model.
-
 Above the kernel modes sits a coarser dispatch: the harness layer's
 *engine tiers* (:data:`ENGINE_TIERS`).  ``measure`` runs the
 co-simulation through the engines above; ``surrogate`` skips simulation entirely and predicts the
@@ -160,11 +156,6 @@ class CacheHierarchy:
         #: only ran bypass-private chunks (the Pirate) has empty L1/L2, so
         #: back-invalidating its victims can skip the invalidate scans
         self._priv_filled: list[bool] = [False] * n
-        #: set-sampling step N (1 = exact) and the line-address mask that
-        #: selects sampled lines (``line & mask == 0``; the mask covers the
-        #: low bits of the L3 set index).
-        self._sample_step: int = config.sample_sets
-        self._sample_mask: int = config.sample_sets - 1
         #: chunks per (engine, path) — engine ``c``/``scalar``, path
         #: ``full``/``l3only``.  Surfaced as ``kernel_chunks_total`` by the
         #: harness.
@@ -211,9 +202,8 @@ class CacheHierarchy:
         ``lines`` is a sequence of line addresses; ``writes`` is an optional
         parallel boolean sequence (all-read when omitted).  ndarray inputs
         are handed to the C walk as-is and converted to lists for the
-        scalar loops.  Returns the chunk's
-        :class:`CoreMemStats` (L3 counters rescaled under set sampling) and
-        folds it into :attr:`totals`.
+        scalar loops.  Returns the chunk's :class:`CoreMemStats` and folds
+        it into :attr:`totals`.
         """
         if not bypass_private and len(lines):
             self._priv_filled[core] = True
@@ -231,13 +221,6 @@ class CacheHierarchy:
             else:
                 stats = self._access_chunk_full(core, lines, writes)
             self.kernel_chunks["scalar", path] += 1
-        if self._sample_mask:
-            s = self._sample_step
-            stats.l3_hits *= s
-            stats.l3_misses *= s
-            stats.l3_fetches *= s
-            stats.prefetch_fills *= s
-            stats.dram_writeback_lines *= s
         self.totals[core].add(stats)
         return stats
 
@@ -256,7 +239,6 @@ class CacheHierarchy:
         l3_probe = l3.probe
         pf_observe = pf.observe if pf is not None else None
         owner = self._owner
-        smask = self._sample_mask
 
         m1, b1 = l1.set_mask, l1.tag_shift
         m2, b2 = l2.set_mask, l2.tag_shift
@@ -288,25 +270,21 @@ class CacheHierarchy:
             if c2 == 3:
                 wb_lines += self._writeback_to_l3(l2.join(line & m2, l2.victim_tag))
 
-            # demand access reaches the shared L3 (unless its set is unsampled)
-            if not (smask and line & smask):
-                c3 = l3_code(line & m3, line >> b3, False)
-                if c3 == 0:
-                    l3_hits += 1
-                else:
-                    l3_misses += 1
-                    l3_fetches += 1
-                    owner[line] = core
-                    if c3 >= 2:  # eviction happened
-                        wb_lines += self._back_invalidate(
-                            l3.join(line & m3, l3.victim_tag), c3 == 3
-                        )
+            # demand access reaches the shared L3
+            c3 = l3_code(line & m3, line >> b3, False)
+            if c3 == 0:
+                l3_hits += 1
+            else:
+                l3_misses += 1
+                l3_fetches += 1
+                owner[line] = core
+                if c3 >= 2:  # eviction happened
+                    wb_lines += self._back_invalidate(
+                        l3.join(line & m3, l3.victim_tag), c3 == 3
+                    )
             if pf_observe is not None:
-                # the prefetcher trains on every L2 miss (full fidelity even
-                # under sampling) but only fills sampled L3 sets
+                # the prefetcher trains on every L2 miss and fills the L3
                 for pline in pf_observe(line):
-                    if smask and pline & smask:
-                        continue
                     ps = pline & m3
                     pt = pline >> b3
                     if l3_probe(ps, pt) < 0:
@@ -342,7 +320,6 @@ class CacheHierarchy:
         l3_code = l3._access_code
         m3, b3 = l3.set_mask, l3.tag_shift
         owner = self._owner
-        smask = self._sample_mask
 
         stats = CoreMemStats()
         stats.mem_accesses = len(lines)
@@ -352,8 +329,6 @@ class CacheHierarchy:
 
         writes_it = repeat(False) if writes is None else writes
         for line, w in zip(lines, writes_it):
-            if smask and line & smask:
-                continue
             c3 = l3_code(line & m3, line >> b3, w)
             if c3 == 0:
                 l3_hits += 1
@@ -384,10 +359,6 @@ class CacheHierarchy:
 
     def _writeback_to_l3(self, line: int) -> int:
         """Dirty L2 victim written back; returns 1 if it had to go to DRAM."""
-        if self._sample_mask and line & self._sample_mask:
-            # the line's L3 set is not simulated under sampling; its
-            # writeback traffic is represented by the sampled sets' rescale
-            return 0
         l3 = self.l3
         if l3.mark_dirty(line & l3.set_mask, line >> l3.tag_shift):
             return 0

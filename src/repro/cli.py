@@ -165,8 +165,8 @@ _KERNEL_METAVAR = "{" + ",".join(KERNEL_MODES) + "}"
 
 
 def _add_engine_args(p: argparse.ArgumentParser) -> None:
-    """``--kernel``/``--sample-sets``: simulation-engine knobs shared by every
-    command that runs the machine."""
+    """``--kernel``: the simulation-engine knob shared by every command that
+    runs the machine."""
     p.add_argument(
         "--kernel", default=None, metavar=_KERNEL_METAVAR,
         help="simulation engine: auto runs the C hierarchy walk (the scalar "
@@ -174,19 +174,12 @@ def _add_engine_args(p: argparse.ArgumentParser) -> None:
              "the interpreter loops (default: auto, or $REPRO_KERNEL); both "
              "give bit-identical results",
     )
-    p.add_argument(
-        "--sample-sets", type=int, default=1, metavar="N",
-        help="simulate every Nth shared-L3 set and rescale its counters "
-             "(power of two; 1 = exact)",
-    )
 
 
 def _engine_config(args, **kwargs):
-    """Build the machine config from the engine flags (+ command extras)."""
+    """Build the machine config from the engine flag (+ command extras)."""
     try:
-        return nehalem_config(
-            kernel=args.kernel, sample_sets=args.sample_sets, **kwargs
-        )
+        return nehalem_config(kernel=args.kernel, **kwargs)
     except ConfigError as e:
         raise _CLIError(str(e)) from None
 
@@ -554,8 +547,6 @@ def cmd_validate(args, out=print) -> int:
         )
     workers = _resolve_workers(args) or 0
     tier = resolve_tier("full" if args.full else "quick")
-    # sampling applies to the measured (pirated) side only; the reference
-    # replay forces sample_sets=1 (see reference.cachesim.single_core_config)
     config = _engine_config(args, prefetch_enabled=False)
     if args.sizes:
         sizes = sorted(_parse_sizes(args.sizes))

@@ -167,11 +167,6 @@ class MachineConfig:
     #: to.  Both modes are bit-identical; ``REPRO_KERNEL`` overrides the
     #: default process-wide.
     kernel: str = field(default_factory=_default_kernel)
-    #: Shared-L3 set sampling: simulate every Nth L3 set and rescale the L3
-    #: counter deltas by N (1 = exact).  A statistical speed/accuracy trade
-    #: validated by ``repro validate``; must be a power of two not exceeding
-    #: the L3 set count.
-    sample_sets: int = 1
 
     def __post_init__(self) -> None:
         if self.num_cores <= 0:
@@ -182,15 +177,6 @@ class MachineConfig:
         if self.dram_bandwidth_gbps <= 0 or self.l3_bandwidth_gbps <= 0:
             raise ConfigError("bandwidth caps must be positive")
         check_kernel(self.kernel)
-        if self.sample_sets < 1 or not is_pow2(self.sample_sets):
-            raise ConfigError(
-                f"sample_sets must be a positive power of two, got {self.sample_sets}"
-            )
-        if self.sample_sets > self.l3.num_sets:
-            raise ConfigError(
-                f"sample_sets {self.sample_sets} exceeds the L3's "
-                f"{self.l3.num_sets} sets"
-            )
 
     @property
     def line_size(self) -> int:
@@ -212,15 +198,11 @@ def nehalem_config(
     prefetch_enabled: bool = True,
     num_cores: int = 4,
     kernel: str | None = None,
-    sample_sets: int = 1,
 ) -> MachineConfig:
     """The paper's evaluation machine (Table I + §III-A bandwidth figures)."""
     kwargs = {} if kernel is None else {"kernel": kernel}
     return MachineConfig(
-        num_cores=num_cores,
-        prefetch_enabled=prefetch_enabled,
-        sample_sets=sample_sets,
-        **kwargs,
+        num_cores=num_cores, prefetch_enabled=prefetch_enabled, **kwargs
     )
 
 
@@ -232,7 +214,6 @@ def tiny_config(
     num_cores: int = 2,
     prefetch_enabled: bool = False,
     kernel: str | None = None,
-    sample_sets: int = 1,
 ) -> MachineConfig:
     """A miniature machine for unit tests (same code paths, tiny state)."""
     kwargs = {} if kernel is None else {"kernel": kernel}
@@ -242,7 +223,6 @@ def tiny_config(
         l2=CacheConfig("L2", 2 * KB, 4, policy="plru"),
         l3=CacheConfig("L3", l3_size, l3_ways, policy=policy, inclusive=True, shared=True),
         prefetch_enabled=prefetch_enabled,
-        sample_sets=sample_sets,
         **kwargs,
     )
 
@@ -256,11 +236,14 @@ def machine_content_token(config: MachineConfig) -> dict:
     a sweep cached or journaled under ``auto`` is the same sweep under
     ``scalar``, and a journal written by one can be resumed by the other.
     Entries written under the retired ``vector``/``batch`` modes keep
-    their keys for the same reason.  ``sample_sets`` *does* change results
-    and stays in.
+    their keys for the same reason.
     """
     token = asdict(config)
     token.pop("kernel", None)
+    # the retired L3 set-sampling factor, fixed at its exact value 1: keys
+    # written before its removal (sweep cache, journals, grid cells,
+    # service store) stay valid
+    token["sample_sets"] = 1
     return token
 
 
@@ -283,11 +266,17 @@ def machine_from_dict(data: dict) -> MachineConfig:
     """
     if not isinstance(data, dict):
         raise ConfigError(f"machine must be a mapping, got {type(data).__name__}")
+    kwargs = dict(data)
+    # wire payloads and journals from before set sampling's removal carry
+    # its exact value 1; any other value names a model that no longer exists
+    if kwargs.pop("sample_sets", 1) != 1:
+        raise ConfigError(
+            "machine: L3 set sampling was removed; sample_sets must be 1 (exact)"
+        )
     known = {f.name for f in fields(MachineConfig)}
-    unknown = sorted(set(data) - known)
+    unknown = sorted(set(kwargs) - known)
     if unknown:
         raise ConfigError(f"machine: unknown field(s) {', '.join(map(repr, unknown))}")
-    kwargs = dict(data)
     try:
         if "core" in kwargs:
             kwargs["core"] = CoreConfig(**kwargs["core"])

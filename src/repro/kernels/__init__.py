@@ -22,9 +22,7 @@ Two layers:
 before it builds any cache: covered machines get ``Vec*Cache`` levels and
 a :class:`~repro.kernels.cext.HierWalk`; the rest (no compiler,
 ``REPRO_CEXT=0``, random replacement, more than 63 ways, more than 127
-cores) get the scalar caches ``kernel="scalar"`` builds.  Set sampling
-(``MachineConfig.sample_sets``) is a separate, *statistical* mode that
-trades exactness for speed and is validated by ``repro validate``.
+cores) get the scalar caches ``kernel="scalar"`` builds.
 """
 
 from . import cext

@@ -5,8 +5,8 @@ sequence per access: probe a set's ways, bump counters, pick a victim,
 touch the replacement metadata.  The same small state machines run in a
 few nanoseconds per access in C.  The embedded C source has one entry
 point, ``hier_walk``: one core's chunk through L1, L2 and the shared L3
-in order, prefetcher, inclusive back-invalidation and set sampling
-included, wrapped by :class:`HierWalk`.
+in order, prefetcher and inclusive back-invalidation included, wrapped
+by :class:`HierWalk`.
 
 :func:`load` compiles the source with the system C compiler at first use
 (cached by content hash under ``_cext_build/`` next to this file, or
@@ -77,7 +77,7 @@ typedef struct {
 
 typedef struct {
     Level l1, l2, l3;
-    int64_t ncores, private_data, smask;
+    int64_t ncores, private_data;
     int8_t *owner;          /* per L3 slot (set * ways + way); -1 = none */
     uint8_t *priv_filled;   /* per core */
     int64_t pf_on, pf_trigger, pf_degree, pf_size;
@@ -255,9 +255,8 @@ static int64_t back_invalidate(const Walk *W, int64_t line, int dirty,
 }
 
 /* CacheHierarchy._writeback_to_l3 */
-static int64_t writeback_to_l3(const Walk *W, Cache *l3, int64_t line)
+static int64_t writeback_to_l3(Cache *l3, int64_t line)
 {
-    if (W->smask && (line & W->smask)) return 0;
     int64_t set = line & l3->set_mask;
     int64_t w = find_way(l3, set, line >> l3->tag_shift);
     if (w < 0) return 1;
@@ -343,7 +342,6 @@ void hier_walk(const Walk *W, int64_t core, const int64_t *lines,
 {
     Cache l1, l2, l3;
     bind(&l3, &W->l3, 0);
-    int64_t smask = W->smask;
     int64_t l1h = 0, l2h = 0, l3h = 0, l3m = 0, fetch = 0, pff = 0, wb = 0;
     int64_t way, vtag = 0;
     int code;
@@ -351,7 +349,6 @@ void hier_walk(const Walk *W, int64_t core, const int64_t *lines,
         /* _access_chunk_l3_only */
         for (int64_t i = 0; i < n; i++) {
             int64_t line = lines[i];
-            if (smask && (line & smask)) continue;
             int64_t s3 = line & l3.set_mask;
             code = access_code(&l3, s3, line >> l3.tag_shift,
                                writes ? writes[i] : 0, &way, &vtag);
@@ -375,29 +372,26 @@ void hier_walk(const Walk *W, int64_t core, const int64_t *lines,
                 int64_t sv = v & l2.set_mask;
                 if (fill_code(&l2, sv, v >> l2.tag_shift, 1, &way, &vtag)
                         == MISS_DIRTY)
-                    wb += writeback_to_l3(W, &l3, (vtag << l2.tag_shift) | sv);
+                    wb += writeback_to_l3(&l3, (vtag << l2.tag_shift) | sv);
             }
             int64_t s2 = line & l2.set_mask;
             code = access_code(&l2, s2, line >> l2.tag_shift, 0, &way, &vtag);
             if (code == HIT) { l2h++; continue; }
             if (code == MISS_DIRTY)
-                wb += writeback_to_l3(W, &l3, (vtag << l2.tag_shift) | s2);
-            if (!(smask && (line & smask))) {
-                int64_t s3 = line & l3.set_mask;
-                code = access_code(&l3, s3, line >> l3.tag_shift, 0, &way, &vtag);
-                if (code == HIT) {
-                    l3h++;
-                } else {
-                    l3m++;
-                    fetch++;
-                    wb += l3_filled(W, &l3, core, s3, way, code, vtag);
-                }
+                wb += writeback_to_l3(&l3, (vtag << l2.tag_shift) | s2);
+            int64_t s3 = line & l3.set_mask;
+            code = access_code(&l3, s3, line >> l3.tag_shift, 0, &way, &vtag);
+            if (code == HIT) {
+                l3h++;
+            } else {
+                l3m++;
+                fetch++;
+                wb += l3_filled(W, &l3, core, s3, way, code, vtag);
             }
             if (W->pf_on) {
                 int64_t lo = 0;
                 int64_t np = pf_observe(W, core, line, &lo);
                 for (int64_t p = lo; p < lo + np; p++) {
-                    if (smask && (p & smask)) continue;
                     int64_t ps = p & l3.set_mask;
                     int64_t pt = p >> l3.tag_shift;
                     if (find_way(&l3, ps, pt) >= 0) continue;
@@ -553,7 +547,6 @@ class _Walk(ctypes.Structure):
         ("l3", _Level),
         ("ncores", ctypes.c_int64),
         ("private_data", ctypes.c_int64),
-        ("smask", ctypes.c_int64),
         ("owner", ctypes.c_void_p),
         ("priv_filled", ctypes.c_void_p),
         ("pf_on", ctypes.c_int64),
@@ -628,7 +621,6 @@ class HierWalk:
             setattr(w, field, self._level(caches, row))
         w.ncores = n
         w.private_data = 1 if hier.config.private_data else 0
-        w.smask = hier.config.sample_sets - 1
         w.owner = self.owner.ctypes.data
         w.priv_filled = self.priv_filled.ctypes.data
         w.pf_on = 1 if pf is not None else 0

@@ -64,11 +64,7 @@ def single_core_config(
         l3 = l3.with_ways(l3_ways)
     if l3_size is not None:
         l3 = l3.with_size_same_assoc(l3_size)
-    # the oracle always replays exactly: set sampling is a measurement-side
-    # approximation, and validating it requires an unsampled reference
-    return replace(
-        base, num_cores=1, l3=l3, prefetch_enabled=prefetch, sample_sets=1
-    )
+    return replace(base, num_cores=1, l3=l3, prefetch_enabled=prefetch)
 
 
 def simulate_trace(

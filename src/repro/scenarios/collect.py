@@ -13,26 +13,7 @@ import csv
 import json
 from pathlib import Path
 
-from .runner import GridResult
-
-#: column order of the CSV artifact (every row carries exactly these keys)
-ROW_FIELDS = (
-    "cell",
-    "workload",
-    "policy",
-    "prefetch",
-    "pirate_threads",
-    "engine",
-    "l3_mb",
-    "l3_ways",
-    "size_mb",
-    "cpi",
-    "bandwidth_gbps",
-    "fetch_ratio",
-    "miss_ratio",
-    "pirate_fetch_ratio",
-    "valid",
-)
+from .runner import ROW_FIELDS, GridResult
 
 
 def write_rows_csv(path: str | Path, rows: list[dict]) -> None:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -54,7 +55,7 @@ WORKLOAD_KEYS = (
     "instance", "seed",
 )
 #: recognized keys of a machine axis entry
-MACHINE_KEYS = ("geometry", "l3_mb", "l3_ways", "sample_sets", "num_cores")
+MACHINE_KEYS = ("geometry", "l3_mb", "l3_ways", "num_cores")
 #: recognized keys of a pirate-schedule axis entry
 PIRATE_KEYS = ("threads", "sizes_mb")
 #: recognized keys of the sweep section
@@ -198,6 +199,21 @@ def _workload_entry(entry, index: int) -> TargetSpec:
         raise GridError(f"{where}: {e}") from None
 
 
+def _machine_number(entry: dict, key: str, where: str):
+    """A machine entry's numeric value: ``l3_mb`` a finite number, the
+    other keys an integer (a string or null is a GridError, not a deep
+    ValueError/TypeError)."""
+    v = entry[key]
+    if key == "l3_mb":
+        ok = isinstance(v, (int, float)) and math.isfinite(v)
+    else:
+        ok = isinstance(v, int)
+    if isinstance(v, bool) or not ok:
+        kind = "a finite number" if key == "l3_mb" else "an integer"
+        raise GridError(f"{where}: {key} must be {kind}, got {v!r}")
+    return v
+
+
 def _machine_entry(entry, index: int) -> tuple[str, MachineConfig]:
     """Compile one machine axis entry into (label, base config)."""
     where = f"axes.machine[{index}]"
@@ -209,34 +225,29 @@ def _machine_entry(entry, index: int) -> tuple[str, MachineConfig]:
         raise GridError(
             f"{where}: unknown geometry {geometry!r}; known: {', '.join(GEOMETRIES)}"
         )
-    sample_sets = entry.get("sample_sets", 1)
+    num = {
+        k: _machine_number(entry, k, where)
+        for k in ("l3_mb", "l3_ways", "num_cores")
+        if k in entry
+    }
     try:
         if geometry == "tiny":
-            kwargs = {}
-            if "l3_mb" in entry:
-                kwargs["l3_size"] = int(entry["l3_mb"] * MB)
-            if "l3_ways" in entry:
-                kwargs["l3_ways"] = int(entry["l3_ways"])
-            if "num_cores" in entry:
-                kwargs["num_cores"] = int(entry["num_cores"])
-            config = tiny_config(sample_sets=sample_sets, **kwargs)
+            kwargs = {k: num[k] for k in ("l3_ways", "num_cores") if k in num}
+            if "l3_mb" in num:
+                kwargs["l3_size"] = int(num["l3_mb"] * MB)
+            config = tiny_config(**kwargs)
         else:
-            config = nehalem_config(
-                sample_sets=sample_sets,
-                num_cores=int(entry.get("num_cores", 4)),
-            )
-            if "l3_mb" in entry or "l3_ways" in entry:
+            config = nehalem_config(num_cores=num.get("num_cores", 4))
+            if "l3_mb" in num or "l3_ways" in num:
                 l3 = replace(
                     config.l3,
-                    size=int(entry.get("l3_mb", config.l3.size / MB) * MB),
-                    ways=int(entry.get("l3_ways", config.l3.ways)),
+                    size=int(num.get("l3_mb", config.l3.size / MB) * MB),
+                    ways=num.get("l3_ways", config.l3.ways),
                 )
                 config = replace(config, l3=l3)
     except ConfigError as e:
         raise GridError(f"{where}: {e}") from None
     label = f"{geometry}:{config.l3.size // MB}MB/{config.l3.ways}w"
-    if sample_sets != 1:
-        label += f"/s{sample_sets}"
     return label, config
 
 

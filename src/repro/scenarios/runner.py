@@ -30,6 +30,26 @@ from ..core.parallel import SweepSpec, run_sweep
 from ..observability import ensure_telemetry
 from .grid import CompiledGrid, GridCell
 
+#: the row schema: every row carries exactly these keys, in the CSV
+#: artifact's column order
+ROW_FIELDS = (
+    "cell",
+    "workload",
+    "policy",
+    "prefetch",
+    "pirate_threads",
+    "engine",
+    "l3_mb",
+    "l3_ways",
+    "size_mb",
+    "cpi",
+    "bandwidth_gbps",
+    "fetch_ratio",
+    "miss_ratio",
+    "pirate_fetch_ratio",
+    "valid",
+)
+
 
 @dataclass
 class CellResult:
@@ -150,20 +170,31 @@ def _cell_artifact(out_dir: Path, cell: GridCell) -> Path:
 
 
 def _load_cell(out_dir: Path, cell: GridCell) -> CellResult | None:
-    """A prior run's verified result for this cell, or None."""
+    """A prior run's verified result for this cell, or None (re-run it)."""
     path = _cell_artifact(out_dir, cell)
     try:
         payload = json.loads(path.read_text())
     except (OSError, ValueError):
         return None
-    if payload.get("key") != cell.key:
-        return None  # short-name collision or stale artifact: re-run
+    if not isinstance(payload, dict) or payload.get("key") != cell.key:
+        return None  # short-name collision, stale or torn artifact
+    rows = payload.get("rows")
+    schema = set(ROW_FIELDS)
+    if not isinstance(rows, list) or not all(
+        isinstance(r, dict) and r.keys() == schema for r in rows
+    ):
+        return None  # tampered rows would break the CSV/JSONL emit
+    conformance = payload.get("conformance")
+    if conformance is not None and not (
+        isinstance(conformance, dict) and {"passed", "worst_divergence"} <= conformance.keys()
+    ):
+        return None
     return CellResult(
         cell=cell,
-        rows=payload["rows"],
+        rows=rows,
         measured=0,
-        cache_hits=len(payload["rows"]),
-        conformance=payload.get("conformance"),
+        cache_hits=len(rows),
+        conformance=conformance,
         resumed=True,
     )
 

@@ -6,8 +6,8 @@ contract is bit-identity with ``kernel="scalar"``: per-chunk stats, the
 final tags, dirty bits and replacement metadata of every cache, the
 per-cache counters and ``victim_tag``, the L3 owner map, the prefetch
 stream tables and ``l3_resident`` answers.  Hypothesis draws the machine
-(per-level geometry and policy, 1-3 cores, ``private_data``, prefetching,
-set sampling) and the chunk stream (full and bypass chunks, random and
+(per-level geometry and policy, 1-3 cores, ``private_data``,
+prefetching) and the chunk stream (full and bypass chunks, random and
 sequential lines, random writes, lengths on both sides of 64, a
 ``flush()`` part-way); two whole fixed-size measurements close the loop.
 
@@ -69,7 +69,6 @@ def machines(draw) -> MachineConfig:
         l3=l3,
         prefetch_enabled=draw(st.booleans()),
         private_data=draw(st.booleans()),
-        sample_sets=draw(st.sampled_from((1, 2, 8))),
         kernel="scalar",
     )
 

@@ -202,28 +202,7 @@ def test_tiny_rollback_pressure():
     )
 
 
-def test_sampled_equivalence_across_modes():
-    # sampling changes the numbers, but both kernel modes must agree on the
-    # sampled numbers bit-for-bit too
-    run_streams(
-        lambda m: nehalem_config(kernel=m, sample_sets=8), "sampled-x8", steps=32
-    )
-    run_streams(
-        lambda m: tiny_config(kernel=m, sample_sets=4, prefetch_enabled=True),
-        "tiny-sampled-x4",
-        footprint=600,
-        pirate_ws=100,
-        steps=32,
-    )
-
-
-def test_sample_sets_validation():
-    with pytest.raises(ConfigError):
-        nehalem_config(sample_sets=3)
-    with pytest.raises(ConfigError):
-        nehalem_config(sample_sets=-2)
-    with pytest.raises(ConfigError):
-        tiny_config(sample_sets=1 << 20)
+def test_unknown_kernel_mode_rejected():
     with pytest.raises(ConfigError):
         replace(nehalem_config(), kernel="simd")
 

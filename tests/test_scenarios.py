@@ -183,6 +183,18 @@ def test_machine_axis_expands_geometry():
         (lambda c: c["axes"].update(pirate=[{"threads": 0, "sizes_mb": [2.0]}]), "threads"),
         (lambda c: c["axes"].update(pirate=[{"threads": 1, "sizes_mb": [64.0]}]), "exceed"),
         (lambda c: c["axes"].update(machine=[{"geometry": "cray"}]), "unknown geometry"),
+        (
+            lambda c: c["axes"].update(machine=[{"geometry": "tiny", "num_cores": "x"}]),
+            r"axes\.machine\[0\]: num_cores must be an integer",
+        ),
+        (
+            lambda c: c["axes"].update(machine=[{"geometry": "tiny", "l3_ways": None}]),
+            r"axes\.machine\[0\]: l3_ways must be an integer",
+        ),
+        (
+            lambda c: c["axes"].update(machine=[{"geometry": "tiny", "l3_mb": "4"}]),
+            r"axes\.machine\[0\]: l3_mb must be a finite number",
+        ),
         (lambda c: c["sweep"].update(n_intervals=0), "n_intervals"),
         (lambda c: c.update(seed="abc"), "seed"),
     ],
@@ -249,6 +261,34 @@ def test_resume_skips_finished_cells(tmp_path):
     other = compile_grid(small_config(seed=99))
     rerun = run_grid(other, out_dir=out_dir, resume=True)
     assert rerun.resumed_cells == 0
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [
+        lambda p: [1, 2],
+        lambda p: None,
+        lambda p: {k: v for k, v in p.items() if k != "rows"},
+        lambda p: {**p, "rows": [{**p["rows"][0], "foreign": 1}]},
+        lambda p: {**p, "conformance": "pass"},
+    ],
+    ids=["list", "null", "no-rows", "foreign-column", "conformance"],
+)
+def test_resume_reruns_torn_or_tampered_cell(tmp_path, tamper):
+    """A cell artifact that is not a verified result is a miss, not a crash:
+    the cell re-runs, its artifact is rewritten, and emit and summary work."""
+    grid = compile_grid(small_config())
+    out_dir = tmp_path / "out"
+    first = run_grid(grid, out_dir=out_dir)
+    (artifact,) = (out_dir / "cells").iterdir()
+    artifact.write_text(json.dumps(tamper(json.loads(artifact.read_text()))))
+    resumed = run_grid(grid, out_dir=out_dir, resume=True)
+    assert resumed.resumed_cells == 0
+    assert resumed.rows() == first.rows()
+    assert json.loads(artifact.read_text())["rows"] == first.rows()
+    emit(resumed, out_dir)
+    format_summary(resumed)
+    assert run_grid(grid, out_dir=out_dir, resume=True).resumed_cells == 1
 
 
 def test_emit_writes_csv_and_jsonl(tmp_path):

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.config import KERNEL_MODES, machine_content_token, nehalem_config
+from repro.config import KERNEL_MODES, machine_content_token, machine_from_dict, nehalem_config
 from repro.core.journal import JournalState, journal_path, read_journal_records
 from repro.core.parallel import (
     SweepSpec,
@@ -35,9 +35,11 @@ from repro.core.parallel import (
     sweep_spec_sha,
 )
 from repro.core.supervisor import run_sweep_supervised
-from repro.scenarios.grid import _machine_token
+from repro.errors import ConfigError
+from repro.scenarios.grid import _machine_token, compile_grid
 from repro.service import JobSpec, ServiceClient, job_key, job_run_id
-from repro.service.server import SERVICE_JOURNAL
+from repro.service.protocol import ServiceError, job_from_wire, job_to_wire
+from repro.service.server import SERVICE_JOURNAL, SERVICE_JOURNAL_VERSION
 from repro.workloads import TargetSpec
 
 WS = TargetSpec(kind="micro.random", working_set_mb=1.0, seed=7)
@@ -80,12 +82,111 @@ def test_spec_token_excludes_kernel():
     assert len(keys) == 1
 
 
-def test_spec_token_still_keys_sample_sets():
-    """sample_sets changes results, so it must stay in the content key."""
+# -- keys written before L3 set sampling was removed ----------------------------
+
+#: ``job_to_wire(tiny_job())["machine"]`` as clients and service journals
+#: wrote it while ``MachineConfig`` still had a ``sample_sets`` field
+PRE_REMOVAL_MACHINE = {
+    "num_cores": 4,
+    "core": {
+        "clock_hz": 2260000000.0, "l2_hit_latency": 10.0, "l3_hit_latency": 38.0,
+        "dram_latency": 190.0, "l3_port_bytes_per_cycle": 12.4,
+    },
+    "l1": {
+        "name": "L1", "size": 32768, "ways": 8, "line_size": 64, "policy": "plru",
+        "inclusive": False, "shared": False, "write_allocate": True, "write_back": True,
+    },
+    "l2": {
+        "name": "L2", "size": 262144, "ways": 8, "line_size": 64, "policy": "plru",
+        "inclusive": False, "shared": False, "write_allocate": True, "write_back": True,
+    },
+    "l3": {
+        "name": "L3", "size": 8388608, "ways": 16, "line_size": 64, "policy": "nru",
+        "inclusive": True, "shared": True, "write_allocate": True, "write_back": True,
+    },
+    "dram_bandwidth_gbps": 10.4,
+    "l3_bandwidth_gbps": 68.0,
+    "prefetch_enabled": True,
+    "private_data": True,
+    "prefetch_trigger": 2,
+    "prefetch_degree": 4,
+    "kernel": "auto",
+    "sample_sets": 1,
+}
+
+#: one grid cell (tiny machine, one point), for its pre-removal cell key
+PIN_GRID = {
+    "name": "pin",
+    "axes": {
+        "workload": [{"family": "micro.random", "working_set_mb": 1.0}],
+        "machine": [{"geometry": "tiny", "l3_mb": 0.0625, "l3_ways": 8}],
+        "pirate": [{"sizes_mb": [0.03125]}],
+    },
+    "sweep": {"interval_instructions": 20000},
+}
+
+
+def test_content_keys_survive_set_sampling_removal():
+    """Sweep-cache entries, run/service journals, service store entries
+    and grid cell artifacts written before the removal keep their keys."""
+    spec = batch_spec(tiny_job())
+    assert point_cache_key(spec, sweep_points(spec, SIZES)[0]) == (
+        "c1d75d8e28fe1ed54322980e7f30ff5cb2fc83d2286b476b43e06c25ed989390"
+    )
+    assert sweep_spec_sha(spec, SIZES) == (
+        "b2ac8db7e1ff467bb806fd80756a270dc40a38f6eebb6e672579215288171155"
+    )
+    assert job_key(tiny_job()) == (
+        "64c6c49a71bdffa982c7f2b8667df9e9b9695e0aed7bbf5b820d963019b36fbc"
+    )
+    assert [c.key for c in compile_grid(PIN_GRID).cells] == [
+        "4049caf8c3845a67ff903bd37b3c6a6ff30cff1565c60f04c1e5eb53222a26cd"
+    ]
+
+
+def test_pre_removal_journaled_job_resumes(tmp_path):
+    """A pre-removal wire job, journaled as submitted, is rebuilt on restart
+    and resumes its run journal without re-measuring a point."""
     job = tiny_job()
-    a = replace(batch_spec(job), config=nehalem_config(sample_sets=1))
-    b = replace(batch_spec(job), config=nehalem_config(sample_sets=8))
-    assert sweep_spec_sha(a, SIZES) != sweep_spec_sha(b, SIZES)
+    wire = job_to_wire(job)
+    wire["machine"] = dict(PRE_REMOVAL_MACHINE)
+    assert machine_content_token(machine_from_dict(wire["machine"])) == (
+        machine_content_token(nehalem_config())
+    )
+    key = job_key(job_from_wire(wire))
+    assert key == job_key(job)
+    journals = tmp_path / "state" / "journals"
+    run_sweep_supervised(
+        batch_spec(job), SIZES, journal_dir=journals, run_id=job_run_id(key)
+    )
+    (journals / SERVICE_JOURNAL).write_text(
+        json.dumps(
+            {"type": "job", "service_format": SERVICE_JOURNAL_VERSION,
+             "state": "submitted", "key": key, "job": wire}
+        )
+        + "\n"
+    )
+    from repro.service import ServerThread
+
+    with ServerThread(tmp_path / "state", tmp_path / "svc.sock") as srv:
+        client = srv.client()
+        result = client.wait(key)["result"]
+        stats = client.stats()["stats"]
+    assert stats["jobs_recovered"] == 1
+    assert stats["jobs_unrecoverable"] == 0
+    assert result["stats"]["measured"] == 0
+    assert result["stats"]["journal_hits"] == len(SIZES)
+
+
+def test_sampled_machine_is_a_one_line_error():
+    data = dict(PRE_REMOVAL_MACHINE, sample_sets=8)
+    with pytest.raises(ConfigError, match="set sampling was removed") as e:
+        machine_from_dict(data)
+    assert "\n" not in str(e.value)
+    wire = job_to_wire(tiny_job())
+    wire["machine"] = data
+    with pytest.raises(ServiceError, match="set sampling was removed"):
+        job_from_wire(wire)
 
 
 def test_machine_content_token_shared_by_grid_and_sweeps():
@@ -220,8 +321,6 @@ def test_journaled_job_with_retired_kernel_is_counted_on_restart(tmp_path, caplo
     and the jobs that do decode are still recovered.
     """
     from repro.service import ServerThread
-    from repro.service.protocol import job_to_wire
-    from repro.service.server import SERVICE_JOURNAL_VERSION
 
     state = tmp_path / "state"
     journals = state / "journals"
