@@ -19,8 +19,9 @@ The tool a user of the real Cache Pirate would have been handed:
   ``--supervise``/``--point-timeout`` add watchdogs + crash recovery, and
   ``--journal-dir`` + ``--resume RUN_ID`` continue a killed run from its
   write-ahead journal,
-* ``cache verify|repair|gc DIR`` — audit a sweep result cache's entry
-  checksums, quarantine corruption, sweep up the debris,
+* ``cache verify|repair|gc DIR`` — audit the entry checksums of any
+  checksummed store (a sweep cache, ``<state-dir>/store`` or a grid's
+  ``<out>/cells``), quarantine corruption, sweep up the debris,
 * ``stats PATH`` — render a telemetry JSONL stream as a run report,
 * ``validate`` — the conformance oracle: replay each benchmark through the
   pirated cache and the reference simulator and judge them against the
@@ -60,12 +61,13 @@ from .config import KERNEL_MODES, check_kernel, nehalem_config
 from .core import choose_pirate_threads, measure_curve_dynamic, measure_curve_fixed
 from .core.bandit import measure_bandwidth_curve
 from .core.journal import new_run_id
-from .core.parallel import SweepCache
+from .core.parallel import CACHE_FORMAT
 from .core.resilience import PartialCurve, RetryPolicy, measure_point_resilient
 from .core.supervisor import SupervisorPolicy
 from .errors import ConfigError
 from .faults.chaos import ChaosPlan
 from .observability import Telemetry, format_report, read_jsonl, summarize, write_jsonl
+from .store import Store
 from .tracing import capture_trace
 from .units import MB
 from .workloads import (
@@ -499,21 +501,25 @@ def cmd_sweep(args, out=print) -> int:
 
 
 def cmd_cache(args, out=print) -> int:
+    from .scenarios.runner import CELL_FORMAT
+    from .service.store import STORE_FORMAT
+
     root = Path(args.dir)
     if not root.is_dir():
         raise _CLIError(f"no such cache directory: {args.dir}")
-    cache = SweepCache(root)
+    # each entry's format key picks its decoder: one scan serves all kinds
+    store = Store(root, (CACHE_FORMAT, STORE_FORMAT, CELL_FORMAT))
     if args.action == "verify":
-        audit = cache.verify()
+        audit = store.verify()
         out(audit.format())
         return 0 if audit.clean else 1
     if args.action == "repair":
-        audit = cache.repair()
+        audit = store.repair()
         out(audit.format())
         out(f"quarantined {len(audit.corrupt)} corrupt entr"
             f"{'y' if len(audit.corrupt) == 1 else 'ies'}")
         return 0
-    removed = cache.gc()
+    removed = store.gc()
     out(f"removed {removed} file(s) (quarantined, temp, stale-version)")
     return 0
 
@@ -1036,13 +1042,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser(
-        "cache", help="inspect and maintain a sweep result cache directory"
+        "cache",
+        help="inspect and maintain a checksummed store: a sweep cache, "
+             "<state-dir>/store or a grid's <out>/cells",
     )
     p.add_argument("action", choices=("verify", "repair", "gc"),
                    help="verify: checksum every entry (exit 1 on corruption); "
                         "repair: quarantine corrupt entries; gc: delete "
                         "quarantined/temp/stale files")
-    p.add_argument("dir", help="cache directory (--cache-dir of a sweep)")
+    p.add_argument("dir", help="store directory (--cache-dir of a sweep, "
+                               "<state-dir>/store of serve, <out>/cells of grid)")
     p.set_defaults(fn=cmd_cache)
 
     p = sub.add_parser("stats", help="render a telemetry JSONL stream as a run report")

@@ -62,7 +62,6 @@ from .resilience import (
     measure_point_resilient,
 )
 from .parallel import (
-    CacheAudit,
     PointResult,
     SweepCache,
     SweepPoint,
@@ -81,8 +80,6 @@ from .supervisor import SupervisorPolicy, quarantined_result, run_sweep_supervis
 from .journal import (
     JournalState,
     RunJournal,
-    TaskJournal,
-    TaskJournalState,
     journal_path,
     new_run_id,
     read_journal_records,
@@ -125,7 +122,6 @@ __all__ = [
     "SweepPoint",
     "SweepStats",
     "SweepCache",
-    "CacheAudit",
     "PointResult",
     "derive_point_seed",
     "point_cache_key",
@@ -140,8 +136,6 @@ __all__ = [
     "quarantined_result",
     "RunJournal",
     "JournalState",
-    "TaskJournal",
-    "TaskJournalState",
     "journal_path",
     "new_run_id",
     "read_journal_records",

@@ -8,15 +8,14 @@ every ``runall`` invocation) appends its lifecycle to one JSONL file named
 by a run id, fsynced per record, so the on-disk state is a consistent
 prefix of the run's history no matter when the process dies.
 
-Two journal flavors share the machinery:
-
-* :class:`RunJournal` — per *sweep point* states
-  (``running`` → ``done``/``quarantined``), with each ``done`` record
-  carrying the full point payload, so ``repro sweep --resume <run-id>``
-  rebuilds finished points from the journal alone — zero re-measurement —
-  and executes exactly the remainder (``tests/test_journal.py``),
-* :class:`TaskJournal` — per *task id* states for coarse-grained runs
-  (``runall`` journals one task per experiment).
+One journal type serves both granularities.  A supervised sweep records
+per *sweep point* states (``running`` → ``done``/``quarantined``), each
+``done`` record carrying the full point payload, so ``repro sweep --resume
+<run-id>`` rebuilds finished points from the journal alone — zero
+re-measurement — and executes exactly the remainder
+(``tests/test_journal.py``); ``runall`` records one *task* per experiment
+id.  Replay is last-writer-wins per point index or task id
+(:func:`last_records`, which the service journal shares).
 
 Crash tolerance is structural: records are appended with flush+fsync, and
 readers ignore any line that does not parse — a process killed mid-append
@@ -49,11 +48,24 @@ def new_run_id() -> str:
     return uuid.uuid4().hex[:12]
 
 
+def check_run_id(run_id, error: type[Exception] = MeasurementError) -> str:
+    """``run_id`` if it is safe as a journal file name, else raise ``error``.
+
+    The rule: a non-empty ``str`` with no ``/``, no NUL byte and no
+    surrounding whitespace.
+    """
+    bad = not isinstance(run_id, str) or not run_id or run_id != run_id.strip()
+    if bad or "/" in run_id or "\0" in run_id:
+        raise error(
+            f"invalid run id {run_id!r}: needs a non-empty string without '/', "
+            "NUL or surrounding whitespace"
+        )
+    return run_id
+
+
 def journal_path(root: str | Path, run_id: str) -> Path:
     """Where run ``run_id``'s journal lives under ``root``."""
-    if not run_id or "/" in run_id or run_id != run_id.strip():
-        raise MeasurementError(f"invalid run id {run_id!r}")
-    return Path(root) / f"{run_id}.journal.jsonl"
+    return Path(root) / f"{check_run_id(run_id)}.journal.jsonl"
 
 
 def read_journal_records(path: str | Path) -> list[dict]:
@@ -81,6 +93,26 @@ def read_journal_records(path: str | Path) -> list[dict]:
     return records
 
 
+def last_records(records, kind: str, by: str, landed) -> dict:
+    """Last-writer-wins replay: the last ``kind`` record per value of ``by``.
+
+    ``landed(record)`` filters out records that did not fully land (a torn
+    payload, a foreign format) *before* they can shadow the record they
+    would have replaced.
+    """
+    last: dict = {}
+    for r in records:
+        key = r.get(by)
+        if (
+            r.get("type") == kind
+            and isinstance(key, (int, str))
+            and key != ""
+            and landed(r)
+        ):
+            last[key] = r
+    return last
+
+
 class _JournalWriter:
     """Append-only JSONL writer with per-record durability (flush + fsync)."""
 
@@ -102,23 +134,19 @@ class _JournalWriter:
             self._fh.close()
             self._fh = None
 
-    def __enter__(self) -> "_JournalWriter":
-        return self
 
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-
-# -- sweep-point journal -----------------------------------------------------------
+# -- the run journal ----------------------------------------------------------------
 
 
 class RunJournal:
-    """The write-ahead journal of one supervised sweep run.
+    """The write-ahead journal of one run: sweep points or coarse tasks.
 
     Lifecycle: :meth:`start` writes the ``run_start`` head (run id, spec
-    hash, size grid); the supervisor then marks every point ``running``
+    hash, size grid); a supervised sweep then marks every point ``running``
     before it executes and ``done`` (with its full payload) or
-    ``quarantined`` (with its failure reasons) after.  :meth:`resume`
+    ``quarantined`` (with its failure reasons) after, while ``runall``
+    marks one task per experiment id (:meth:`mark`, no payloads — the
+    experiments re-render from their own artifacts).  :meth:`resume`
     reopens an existing journal for appending and stamps a ``run_resume``
     marker, so a journal records every generation that touched it.
     """
@@ -137,8 +165,8 @@ class RunJournal:
         root: str | Path,
         run_id: str,
         *,
-        spec_sha: str,
-        sizes_mb: list[float],
+        spec_sha: str = "",
+        sizes_mb: list[float] | None = None,
         meta: dict | None = None,
     ) -> "RunJournal":
         """Open a fresh journal and durably write its ``run_start`` head."""
@@ -148,17 +176,17 @@ class RunJournal:
                 f"journal for run {run_id!r} already exists at {path}; "
                 f"pass resume=True to continue it or pick a new run id"
             )
+        head = {
+            "type": "run_start",
+            "journal_format": JOURNAL_FORMAT_VERSION,
+            "run_id": run_id,
+            "spec_sha": spec_sha,
+            "meta": meta or {},
+        }
+        if sizes_mb is not None:
+            head["sizes_mb"] = [float(s) for s in sizes_mb]
         journal = cls(path, run_id)
-        journal._writer.append(
-            {
-                "type": "run_start",
-                "journal_format": JOURNAL_FORMAT_VERSION,
-                "run_id": run_id,
-                "spec_sha": spec_sha,
-                "sizes_mb": [float(s) for s in sizes_mb],
-                "meta": meta or {},
-            }
-        )
+        journal._writer.append(head)
         return journal
 
     @classmethod
@@ -193,6 +221,12 @@ class RunJournal:
             }
         )
 
+    def mark(self, task_id: str, state: str) -> None:
+        """Record a coarse task's state (``runall``: one task per experiment)."""
+        if state not in JOURNAL_STATES:
+            raise MeasurementError(f"unknown journal state {state!r}")
+        self._writer.append({"type": "task", "id": str(task_id), "state": state})
+
     def close(self) -> None:
         self._writer.close()
 
@@ -203,9 +237,17 @@ class RunJournal:
         self.close()
 
 
+def _point_landed(r: dict) -> bool:
+    state = r.get("state")
+    if not isinstance(r.get("index"), int) or state not in JOURNAL_STATES:
+        return False
+    # a done record torn mid-payload: the point never finished
+    return state != "done" or isinstance(r.get("payload"), dict)
+
+
 @dataclass
 class JournalState:
-    """A journal replayed into its last-writer-wins point states."""
+    """A journal replayed into its last-writer-wins point and task states."""
 
     run_id: str
     spec_sha: str
@@ -217,6 +259,8 @@ class JournalState:
     payloads: dict[int, dict] = field(default_factory=dict)
     #: point index -> {"attempts", "reasons"} of its ``quarantined`` record
     quarantined: dict[int, dict] = field(default_factory=dict)
+    #: task id -> last recorded state
+    tasks: dict[str, str] = field(default_factory=dict)
     #: how many generations wrote this journal (1 + number of resumes)
     generations: int = 1
 
@@ -240,132 +284,29 @@ class JournalState:
             spec_sha=str(head.get("spec_sha", "")),
             sizes_mb=[float(s) for s in head.get("sizes_mb", [])],
             meta=dict(head.get("meta", {})),
+            generations=1 + sum(r.get("type") == "run_resume" for r in records),
         )
-        for r in records:
-            kind = r.get("type")
-            if kind == "run_resume":
-                state.generations += 1
-                continue
-            if kind != "point":
-                continue
-            try:
-                index = int(r["index"])
-                point_state = r["state"]
-            except (KeyError, TypeError, ValueError):
-                continue
-            if point_state not in JOURNAL_STATES:
-                continue
-            if point_state == "done" and not isinstance(r.get("payload"), dict):
-                continue  # torn mid-payload: the point never finished
-            state.states[index] = point_state
-            if point_state == "done":
+        for index, r in last_records(records, "point", "index", _point_landed).items():
+            state.states[index] = r["state"]
+            if r["state"] == "done":
                 state.payloads[index] = r["payload"]
-                state.quarantined.pop(index, None)
-            elif point_state == "quarantined":
+            elif r["state"] == "quarantined":
                 state.quarantined[index] = {
                     "attempts": int(r.get("attempts", 0)),
                     "reasons": [str(x) for x in r.get("reasons", [])],
                 }
-                state.payloads.pop(index, None)
+        tasks = last_records(records, "task", "id", lambda r: r.get("state") in JOURNAL_STATES)
+        state.tasks = {str(task): r["state"] for task, r in tasks.items()}
         return state
 
     def done_indices(self) -> set[int]:
         return {i for i, s in self.states.items() if s == "done"}
 
+    def done_ids(self) -> set[str]:
+        """Task ids whose last state is ``done``."""
+        return {t for t, s in self.tasks.items() if s == "done"}
+
     def remaining(self, n_points: int) -> list[int]:
         """Point indexes a resumed run still has to execute."""
         settled = {i for i, s in self.states.items() if s in ("done", "quarantined")}
         return [i for i in range(n_points) if i not in settled]
-
-
-# -- coarse-grained task journal (runall) -------------------------------------------
-
-
-class TaskJournal:
-    """A :class:`RunJournal` sibling keyed by task *name* instead of index.
-
-    ``runall`` journals one task per experiment id; resume skips every task
-    whose last state is ``done``.  Payloads are not journaled — experiments
-    re-render from their own artifacts — so the journal stays tiny.
-    """
-
-    def __init__(self, path: Path, run_id: str):
-        self.run_id = run_id
-        self._writer = _JournalWriter(path)
-
-    @property
-    def path(self) -> Path:
-        return self._writer.path
-
-    @classmethod
-    def start(
-        cls, root: str | Path, run_id: str, *, meta: dict | None = None
-    ) -> "TaskJournal":
-        path = journal_path(root, run_id)
-        if path.exists():
-            raise MeasurementError(
-                f"journal for run {run_id!r} already exists at {path}"
-            )
-        journal = cls(path, run_id)
-        journal._writer.append(
-            {
-                "type": "run_start",
-                "journal_format": JOURNAL_FORMAT_VERSION,
-                "run_id": run_id,
-                "spec_sha": "",
-                "meta": meta or {},
-            }
-        )
-        return journal
-
-    @classmethod
-    def resume(cls, root: str | Path, run_id: str) -> "TaskJournal":
-        path = journal_path(root, run_id)
-        if not path.exists():
-            raise MeasurementError(f"no journal for run {run_id!r} under {root}")
-        journal = cls(path, run_id)
-        journal._writer.append({"type": "run_resume", "run_id": run_id})
-        return journal
-
-    def mark(self, task_id: str, state: str) -> None:
-        if state not in JOURNAL_STATES:
-            raise MeasurementError(f"unknown journal state {state!r}")
-        self._writer.append({"type": "task", "id": str(task_id), "state": state})
-
-    def close(self) -> None:
-        self._writer.close()
-
-    def __enter__(self) -> "TaskJournal":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-
-@dataclass
-class TaskJournalState:
-    """A task journal replayed into last-writer-wins task states."""
-
-    run_id: str
-    meta: dict = field(default_factory=dict)
-    states: dict[str, str] = field(default_factory=dict)
-    generations: int = 1
-
-    @classmethod
-    def load(cls, root: str | Path, run_id: str) -> "TaskJournalState":
-        records = read_journal_records(journal_path(root, run_id))
-        head = next((r for r in records if r.get("type") == "run_start"), None)
-        if head is None:
-            raise MeasurementError(
-                f"journal for run {run_id!r} has no run_start head"
-            )
-        state = cls(run_id=run_id, meta=dict(head.get("meta", {})))
-        for r in records:
-            if r.get("type") == "run_resume":
-                state.generations += 1
-            elif r.get("type") == "task" and r.get("state") in JOURNAL_STATES:
-                state.states[str(r.get("id"))] = r["state"]
-        return state
-
-    def done_ids(self) -> set[str]:
-        return {t for t, s in self.states.items() if s == "done"}

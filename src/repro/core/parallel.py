@@ -28,15 +28,11 @@ disk — the cache-hit path does zero measurements.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import logging
 import os
 import pickle
-import tempfile
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from multiprocessing import get_all_start_methods, get_context
 from pathlib import Path
 from typing import Callable, Sequence
@@ -47,6 +43,7 @@ from ..faults.plan import FaultPlan
 from ..hardware.counters import CounterSample
 from ..observability import NULL_TELEMETRY, Telemetry, TelemetryFragment, ensure_telemetry
 from ..rng import stable_seed
+from ..store import Format, Store, checksum, unseal
 from ..units import MB
 from .curves import IntervalSample
 from .monitor import DEFAULT_FETCH_RATIO_THRESHOLD
@@ -55,8 +52,6 @@ from .resilience import PointQuality, RetryPolicy
 #: Bump when the on-disk cache entry layout changes; part of every cache key.
 #: v2 wrapped the point payload in a checksummed envelope (PR 6).
 CACHE_FORMAT_VERSION = 2
-
-_log = logging.getLogger("repro.sweepcache")
 
 
 def derive_point_seed(run_seed: int, stolen_bytes: int) -> int:
@@ -317,15 +312,11 @@ def spec_token(spec: SweepSpec) -> dict:
     }
 
 
-def _canonical_json(obj: object) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=str)
-
-
 def point_cache_key(spec: SweepSpec, point: SweepPoint) -> str:
     """Content hash naming one point's cache entry."""
     token = spec_token(spec)
     token["point"] = {"stolen_bytes": point.stolen_bytes, "seed": point.seed}
-    return hashlib.sha256(_canonical_json(token).encode()).hexdigest()
+    return checksum(token)
 
 
 def sweep_spec_sha(spec: SweepSpec, sizes_mb: Sequence[float]) -> str:
@@ -340,7 +331,7 @@ def sweep_spec_sha(spec: SweepSpec, sizes_mb: Sequence[float]) -> str:
     # the run seed is not in spec_token (point cache keys carry each point's
     # derived seed instead) but it does change every measurement of a sweep
     token["seed"] = spec.seed
-    return hashlib.sha256(_canonical_json(token).encode()).hexdigest()
+    return checksum(token)
 
 
 def _sample_to_dict(s: IntervalSample) -> dict:
@@ -401,192 +392,44 @@ def result_from_payload(
     )
 
 
-def payload_checksum(payload: dict) -> str:
-    """Content checksum stored beside (and verified against) a payload."""
-    return hashlib.sha256(_canonical_json(payload).encode()).hexdigest()
-
-
-@dataclass
-class CacheAudit:
-    """What a :meth:`SweepCache.verify` scan found, entry path by entry path."""
-
-    ok: list[str] = field(default_factory=list)
-    corrupt: list[str] = field(default_factory=list)
-    stale_version: list[str] = field(default_factory=list)
-    #: previously quarantined ``*.json.corrupt`` files awaiting gc
-    quarantined: list[str] = field(default_factory=list)
-    #: orphaned atomic-write temp files (a writer died pre-rename)
-    stale_tmp: list[str] = field(default_factory=list)
-
-    @property
-    def total(self) -> int:
-        return len(self.ok) + len(self.corrupt) + len(self.stale_version)
-
-    @property
-    def clean(self) -> bool:
-        """True when every live entry verified (leftover debris is not dirt)."""
-        return not self.corrupt
-
-    def format(self) -> str:
-        """One-line-per-category report for ``repro cache verify``."""
-        lines = [
-            f"{self.total} entries: {len(self.ok)} ok, "
-            f"{len(self.corrupt)} corrupt, {len(self.stale_version)} stale-version"
-        ]
-        for name in self.corrupt:
-            lines.append(f"  corrupt: {name}")
-        for name in self.stale_version:
-            lines.append(f"  stale-version: {name}")
-        if self.quarantined:
-            lines.append(f"{len(self.quarantined)} quarantined file(s) awaiting gc")
-        if self.stale_tmp:
-            lines.append(f"{len(self.stale_tmp)} orphaned temp file(s) awaiting gc")
-        return "\n".join(lines)
+#: the sweep cache's envelope: ``cache_format`` 2 over a point payload
+CACHE_FORMAT = Format(
+    "cache_format", CACHE_FORMAT_VERSION, lambda p: result_from_payload(p, from_cache=True)
+)
 
 
 class SweepCache:
-    """On-disk store of completed sweep points, one JSON file per key.
+    """On-disk store of completed sweep points, one entry per point key.
 
-    Writes are atomic (temp file + rename), so a sweep killed mid-write
-    never leaves a torn entry, and concurrent sweeps sharing a directory
-    never observe partial files.  Every entry is a checksummed envelope —
-    ``{"cache_format", "sha256", "payload"}`` — and reads verify it:
-    truncated, garbled, bit-rotted or structurally bogus entries are
-    **never** served.  They count as misses, are quarantined on the spot
-    (renamed to ``<key>.json.corrupt`` so the evidence survives for
-    post-mortems while re-measurement can re-store the key), logged as a
-    warning, and counted on ``cache_corrupt_total`` when telemetry is live.
-
-    ``verify()``/``repair()``/``gc()`` back the ``repro cache`` CLI.
+    A view over a :class:`~repro.store.Store` (``disk``): atomic writes,
+    checksummed envelopes, damaged entries read as quarantined misses.
+    The view adds the point payload codec and counts every quarantine on
+    ``corruption_count`` and, when telemetry is live, ``cache_corrupt_total``.
     """
 
     def __init__(self, root: str | Path, telemetry=None):
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
         self.telemetry = ensure_telemetry(telemetry)
-        #: corrupt entries seen (and quarantined) by this instance's loads
+        #: corrupt entries seen (and quarantined) through this instance
         self.corruption_count = 0
+        self.disk = Store(root, CACHE_FORMAT, on_corrupt=self._count_corrupt)
 
-    def _path(self, key: str) -> Path:
-        return self.root / f"{key}.json"
-
-    def _quarantine(self, path: Path, reason: str) -> None:
+    def _count_corrupt(self, path: Path, reason: str) -> None:
         self.corruption_count += 1
         self.telemetry.count("cache_corrupt_total")
         self.telemetry.event("cache_corrupt", entry=path.name, reason=reason)
-        _log.warning("sweep cache entry %s is corrupt (%s); quarantined", path, reason)
-        try:
-            os.replace(path, path.with_suffix(path.suffix + ".corrupt"))
-        except OSError:
-            pass  # losing the quarantine rename must not sink the sweep
 
     @staticmethod
     def _decode(text: str) -> tuple[PointResult | None, str | None]:
-        """(result, why-it-is-corrupt): exactly one side is non-None.
-
-        A ``(None, None)`` return means the entry is a valid envelope of a
-        *different* format version — stale, not corrupt.
-        """
-        try:
-            envelope = json.loads(text)
-        except ValueError:
-            return None, "unparseable JSON"
-        if not isinstance(envelope, dict):
-            return None, "not a JSON object"
-        if envelope.get("cache_format") != CACHE_FORMAT_VERSION:
-            return None, None
-        payload = envelope.get("payload")
-        if not isinstance(payload, dict):
-            return None, "missing payload"
-        if envelope.get("sha256") != payload_checksum(payload):
-            return None, "checksum mismatch"
-        try:
-            return result_from_payload(payload, from_cache=True), None
-        except (KeyError, TypeError, ValueError):
-            return None, "malformed payload"
+        """(result, why-it-is-corrupt), as :func:`repro.store.unseal`."""
+        return unseal(text, (CACHE_FORMAT,))
 
     def load(self, key: str) -> PointResult | None:
-        """The cached result for ``key``, or None on a miss.
-
-        Corruption in any form — torn writes, bit rot, hand-edits, a
-        foreign format — is a *miss*, never an exception: a damaged cache
-        degrades a sweep to re-measurement, it cannot sink it.
-        """
-        path = self._path(key)
-        try:
-            text = path.read_text()
-        except FileNotFoundError:
-            return None
-        except OSError as e:
-            self._quarantine(path, f"unreadable ({e.__class__.__name__})")
-            return None
-        result, reason = self._decode(text)
-        if reason is not None:
-            self._quarantine(path, reason)
-        return result
+        """The cached result for ``key``, or None on a miss (never raises)."""
+        return self.disk.load(key, self._decode)
 
     def store(self, key: str, result: PointResult) -> None:
         """Persist ``result`` under ``key`` atomically, with its checksum."""
-        payload = result_to_payload(result)
-        envelope = {
-            "cache_format": CACHE_FORMAT_VERSION,
-            "sha256": payload_checksum(payload),
-            "payload": payload,
-        }
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(envelope, fh)
-            os.replace(tmp, self._path(key))
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    # -- maintenance (the ``repro cache`` CLI) -------------------------------------
-
-    def verify(self) -> CacheAudit:
-        """Scan every entry, re-verifying checksums; mutates nothing."""
-        audit = CacheAudit()
-        for path in sorted(self.root.glob("*.json")):
-            try:
-                result, reason = self._decode(path.read_text())
-            except OSError as e:
-                result, reason = None, f"unreadable ({e.__class__.__name__})"
-            if result is not None:
-                audit.ok.append(path.name)
-            elif reason is None:
-                audit.stale_version.append(path.name)
-            else:
-                audit.corrupt.append(path.name)
-        audit.quarantined = sorted(p.name for p in self.root.glob("*.corrupt"))
-        audit.stale_tmp = sorted(p.name for p in self.root.glob("*.tmp"))
-        return audit
-
-    def repair(self) -> CacheAudit:
-        """Quarantine every corrupt entry so future loads are clean misses."""
-        audit = self.verify()
-        for name in audit.corrupt:
-            self._quarantine(self.root / name, "repair scan")
-        return audit
-
-    def gc(self) -> int:
-        """Delete quarantined/orphaned debris and stale-version entries.
-
-        Returns how many files were removed.  Never touches verified
-        current-format entries.
-        """
-        audit = self.verify()
-        removed = 0
-        for name in audit.quarantined + audit.stale_tmp + audit.stale_version:
-            try:
-                (self.root / name).unlink()
-                removed += 1
-            except OSError:
-                pass
-        return removed
+        self.disk.save(key, result_to_payload(result))
 
 
 # -- the executor ------------------------------------------------------------------

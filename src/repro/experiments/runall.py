@@ -101,11 +101,11 @@ def run_all(
     surrogate (currently ``conformance``).
 
     ``journal_dir`` write-ahead-journals one task per experiment
-    (:class:`~repro.core.journal.TaskJournal` under ``run_id``), so a
+    (a :class:`~repro.core.journal.RunJournal` under ``run_id``), so a
     killed invocation can be continued with ``resume=True``: experiments
     journaled ``done`` are skipped outright, everything else re-runs.
     """
-    from ..core.journal import TaskJournal, TaskJournalState, new_run_id
+    from ..core.journal import JournalState, RunJournal, new_run_id
 
     selected = list(only) if only else list(EXPERIMENTS)
     unknown = set(selected) - set(EXPERIMENTS)
@@ -120,11 +120,11 @@ def run_all(
         if resume:
             if run_id is None:
                 raise ValueError("resume needs the run id of the journal to continue")
-            journaled_done = TaskJournalState.load(journal_dir, run_id).done_ids()
-            journal = TaskJournal.resume(journal_dir, run_id)
+            journaled_done = JournalState.load(journal_dir, run_id).done_ids()
+            journal = RunJournal.resume(journal_dir, run_id)
         else:
             run_id = run_id or new_run_id()
-            journal = TaskJournal.start(
+            journal = RunJournal.start(
                 journal_dir, run_id, meta={"scale": scale.name, "seed": seed}
             )
         echo(f"journal run id: {run_id}  (resume with --resume {run_id})")

@@ -20,7 +20,6 @@ before any simulation starts, never mid-sweep.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, replace
@@ -36,6 +35,7 @@ from ..config import (
 )
 from ..errors import ConfigError, ReproError
 from ..rng import stable_seed
+from ..store import checksum
 from ..units import MB
 from ..validation.tiers import DEFAULT_CONFORMANCE_BOUND, check_way_representable
 from ..workloads import BENCHMARK_NAMES, TARGET_KINDS, ZOO_NAMES, TargetSpec
@@ -300,10 +300,6 @@ def _machine_token(config: MachineConfig) -> dict:
     return machine_content_token(config)
 
 
-def _canonical_json(obj: object) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=str)
-
-
 def compile_grid(config: dict) -> CompiledGrid:
     """Validate a grid config and expand it into content-keyed cells.
 
@@ -442,9 +438,7 @@ def compile_grid(config: dict) -> CompiledGrid:
                                     "warmup_instructions": warmup,
                                 },
                             }
-                            key = hashlib.sha256(
-                                _canonical_json(token).encode()
-                            ).hexdigest()
+                            key = checksum(token)
                             if key in seen:
                                 duplicates += 1
                                 continue

@@ -15,19 +15,21 @@ Two resume layers compose:
 * ``cache_dir`` — point-level: completed sweep points load from the
   content-addressed cache regardless of which run produced them.
 * ``out_dir`` + ``resume=True`` — cell-level: each finished cell leaves a
-  ``cells/<key>.json`` artifact (key-verified on load), and a resumed run
-  skips those cells without touching the engine at all.
+  checksummed ``cells/<key16>.json`` artifact (a :class:`repro.store.Store`
+  entry, key-verified on load), and a resumed run skips those cells
+  without touching the engine at all; a damaged artifact is quarantined
+  and its cell re-runs.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from ..core.curves import PerformanceCurve
 from ..core.parallel import SweepSpec, run_sweep
 from ..observability import ensure_telemetry
+from ..store import Format, Store
 from .grid import CompiledGrid, GridCell
 
 #: the row schema: every row carries exactly these keys, in the CSV
@@ -165,36 +167,35 @@ def _cell_conformance(cell: GridCell, grid: CompiledGrid, workers: int, tel) -> 
     }
 
 
-def _cell_artifact(out_dir: Path, cell: GridCell) -> Path:
-    return out_dir / "cells" / f"{cell.key[:16]}.json"
-
-
-def _load_cell(out_dir: Path, cell: GridCell) -> CellResult | None:
-    """A prior run's verified result for this cell, or None (re-run it)."""
-    path = _cell_artifact(out_dir, cell)
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, ValueError):
-        return None
-    if not isinstance(payload, dict) or payload.get("key") != cell.key:
-        return None  # short-name collision, stale or torn artifact
-    rows = payload.get("rows")
-    schema = set(ROW_FIELDS)
-    if not isinstance(rows, list) or not all(
-        isinstance(r, dict) and r.keys() == schema for r in rows
-    ):
-        return None  # tampered rows would break the CSV/JSONL emit
-    conformance = payload.get("conformance")
+def _cell_payload(payload: dict) -> dict:
+    """A cell artifact's payload, or ValueError when its shape is wrong."""
+    rows, conformance = payload["rows"], payload["conformance"]
+    if not isinstance(payload["key"], str) or not isinstance(rows, list):
+        raise ValueError("cell artifact needs a key and a row list")
+    if not all(isinstance(r, dict) and r.keys() == set(ROW_FIELDS) for r in rows):
+        raise ValueError("cell rows do not match the row schema")
     if conformance is not None and not (
         isinstance(conformance, dict) and {"passed", "worst_divergence"} <= conformance.keys()
     ):
-        return None
+        raise ValueError("malformed conformance verdict")
+    return payload
+
+
+#: a finished cell's envelope under ``<out>/cells/<key16>.json``
+CELL_FORMAT = Format("cell_format", 1, _cell_payload)
+
+
+def _load_cell(cells: Store, cell: GridCell) -> CellResult | None:
+    """A prior run's verified result for this cell, or None (re-run it)."""
+    payload = cells.load(cell.key[:16])
+    if payload is None or payload["key"] != cell.key:
+        return None  # absent, stale, quarantined, or a short-name collision
     return CellResult(
         cell=cell,
-        rows=rows,
+        rows=payload["rows"],
         measured=0,
-        cache_hits=len(rows),
-        conformance=conformance,
+        cache_hits=len(payload["rows"]),
+        conformance=payload["conformance"],
         resumed=True,
     )
 
@@ -265,17 +266,11 @@ def run_grid(
     """
     tel = ensure_telemetry(telemetry)
     say = echo or (lambda _line: None)
-    out_path = Path(out_dir) if out_dir is not None else None
-    if out_path is not None:
-        (out_path / "cells").mkdir(parents=True, exist_ok=True)
+    cells = Store(Path(out_dir) / "cells", CELL_FORMAT) if out_dir is not None else None
     result = GridResult(name=grid.name)
     with tel.span("grid_run", grid=grid.name, cells=len(grid.cells)):
         for i, cell in enumerate(grid.cells, 1):
-            prior = (
-                _load_cell(out_path, cell)
-                if resume and out_path is not None
-                else None
-            )
+            prior = _load_cell(cells, cell) if resume and cells is not None else None
             if prior is not None:
                 result.cells.append(prior)
                 say(f"[{i}/{len(grid.cells)}] {cell.coords()}: resumed")
@@ -284,11 +279,8 @@ def run_grid(
                 cell, grid, workers=workers, cache_dir=cache_dir, telemetry=tel
             )
             result.cells.append(outcome)
-            if out_path is not None:
-                artifact = _cell_artifact(out_path, cell)
-                tmp = artifact.with_suffix(".json.tmp")
-                tmp.write_text(json.dumps(outcome.to_dict(), indent=2) + "\n")
-                tmp.replace(artifact)
+            if cells is not None:
+                cells.save(cell.key[:16], outcome.to_dict())
             status = f"{outcome.measured} measured, {outcome.cache_hits} cached"
             if outcome.conformance is not None:
                 status += (

@@ -19,15 +19,15 @@ batch CLI and once via the service, is one execution.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import asdict, dataclass, field, fields
 
 from ..config import MachineConfig, machine_from_dict, machine_to_dict, nehalem_config
 from ..core.harness import DEFAULT_INTERVAL_INSTRUCTIONS
+from ..core.journal import check_run_id
 from ..core.monitor import DEFAULT_FETCH_RATIO_THRESHOLD
 from ..core.parallel import SweepSpec, sweep_spec_sha
 from ..errors import ConfigError, ReproError
+from ..store import checksum
 from ..workloads import TargetSpec
 
 #: bumped on any incompatible wire change; echoed in every envelope
@@ -120,6 +120,8 @@ class JobSpec:
             raise ConfigError("n_intervals must be >= 1")
         if not self.interval_instructions > 0:
             raise ConfigError("interval_instructions must be positive")
+        if self.run_id != "":
+            check_run_id(self.run_id, ConfigError)
 
     def sweep_spec(self, *, telemetry_enabled: bool = False) -> SweepSpec:
         """The exact SweepSpec ``measure_curve_fixed`` would build.
@@ -160,8 +162,7 @@ def job_key(job: JobSpec) -> str:
         "engine": job.engine,
         "sweep_sha": sweep_spec_sha(job.sweep_spec(), list(job.sizes_mb)),
     }
-    blob = json.dumps(token, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return checksum(token)
 
 
 def job_to_wire(job: JobSpec) -> dict:

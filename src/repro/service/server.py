@@ -36,6 +36,7 @@ from ..core.journal import (
     JournalState,
     _JournalWriter,
     journal_path,
+    last_records,
     read_journal_records,
 )
 from ..core.parallel import SweepCache, sweep_spec_sha
@@ -76,6 +77,19 @@ def job_run_id(key: str) -> str:
     job-<key16>`` to adopt a server-side journal, or vice versa.
     """
     return f"job-{key[:16]}"
+
+
+def _job_record(key: str, state: str, spec: JobSpec | None = None) -> dict:
+    """One service-journal record; ``submitted`` ones carry the job's wire form."""
+    record = {
+        "type": "job",
+        "service_format": SERVICE_JOURNAL_VERSION,
+        "key": key,
+        "state": state,
+    }
+    if spec is not None:
+        record["job"] = job_to_wire(spec)
+    return record
 
 
 @dataclass
@@ -161,40 +175,25 @@ class SweepServer:
 
     # -- service journal ------------------------------------------------------------
 
-    def _journal_job(self, key: str, state: str, spec: JobSpec | None = None) -> None:
-        record = {
-            "type": "job",
-            "service_format": SERVICE_JOURNAL_VERSION,
-            "key": key,
-            "state": state,
-        }
-        if spec is not None:
-            record["job"] = job_to_wire(spec)
+    def _journal_job(self, key: str, state: str) -> None:
         with self._lock:
-            self._journal.append(record)
+            self._journal.append(_job_record(key, state))
 
     def _recover_jobs(self) -> list[JobSpec]:
         """Jobs the last process accepted but never finished.
 
-        Replays the service journal: the last state per key wins, and
-        anything still ``submitted`` is re-built from its journaled wire
-        form for re-enqueueing.  The per-job *run* journal then makes the
-        re-execution skip every point the dead server completed.
+        Replays the service journal last-writer-wins per key (the run
+        journal's replay): a job whose last record is ``submitted`` is
+        re-built from that record's wire form for re-enqueueing.  The
+        per-job *run* journal then makes the re-execution skip every point
+        the dead server completed.
         """
-        last: dict[str, dict] = {}
-        for record in read_journal_records(self.journal_dir / SERVICE_JOURNAL):
-            if record.get("type") != "job":
-                continue
-            if record.get("service_format") != SERVICE_JOURNAL_VERSION:
-                continue
-            key = record.get("key")
-            if not key:
-                continue
-            prev = last.get(key)
-            if record.get("state") == "submitted" or prev is None:
-                last[key] = record
-            else:
-                prev["state"] = record["state"]
+        last = last_records(
+            read_journal_records(self.journal_dir / SERVICE_JOURNAL),
+            "job",
+            "key",
+            lambda r: r.get("service_format") == SERVICE_JOURNAL_VERSION,
+        )
         orphans = []
         for key, record in last.items():
             if record.get("state") != "submitted":
@@ -285,15 +284,7 @@ class SweepServer:
                 job = Job(key=key, spec=spec, client=client, state="queued")
                 job.clients.add(client)
                 self._jobs[key] = job
-                self._journal.append(
-                    {
-                        "type": "job",
-                        "service_format": SERVICE_JOURNAL_VERSION,
-                        "key": key,
-                        "state": "submitted",
-                        "job": job_to_wire(spec),
-                    }
-                )
+                self._journal.append(_job_record(key, "submitted", spec))
         if self._jobs[key].state == "done" and existing is None:
             job = self._jobs[key]
             self._emit(job, "warm")
@@ -367,7 +358,7 @@ class SweepServer:
                             f"run id {run_id!r} pins a different sweep; "
                             "refusing to resume across configurations"
                         )
-                    done = sum(1 for s in state.states.values() if s == "done")
+                    done = len(state.done_indices())
                     self._emit(job, "resumed", run_id=run_id, done=done)
             policy = (
                 SupervisorPolicy(point_timeout_s=self.point_timeout)

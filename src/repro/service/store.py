@@ -7,30 +7,27 @@ points they were built from.  That split makes eviction cheap to be
 aggressive about — evicting a store entry only discards the assembly,
 and recomputing it against a warm sweep cache is all cache hits.
 
-Writes are atomic (tmp + rename, like every other on-disk artifact in
-this repo) and each entry embeds its own sha256 so a torn or tampered
-file is detected on load and treated as a miss, never served.
+On disk it is a :class:`repro.store.Store` (``store_format`` envelopes):
+atomic writes, and a torn or tampered artifact is quarantined on load and
+treated as a miss, never served.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 import threading
 from collections import OrderedDict
 from pathlib import Path
 
 from ..observability import ensure_telemetry
+from ..store import Format, Store
 
 #: bumped on any incompatible artifact change; foreign entries are misses
 STORE_FORMAT_VERSION = 1
 
+#: the result store's envelope: ``store_format`` 1 over a response payload
+STORE_FORMAT = Format("store_format", STORE_FORMAT_VERSION)
+
 _KEY_LEN = 64  # sha256 hex
-
-
-def _entry_path(root: Path, key: str) -> Path:
-    return root / f"{key}.json"
 
 
 class ResultStore:
@@ -46,8 +43,7 @@ class ResultStore:
     def __init__(self, root: str | Path, *, max_entries: int = 1024, telemetry=None):
         if max_entries < 1:
             raise ValueError("result store needs max_entries >= 1")
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+        self.disk = Store(root, STORE_FORMAT)
         self.max_entries = int(max_entries)
         self._tel = ensure_telemetry(telemetry)
         self._lock = threading.Lock()
@@ -57,11 +53,6 @@ class ResultStore:
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
-
-    def keys(self) -> list[str]:
-        """Resident keys, least-recently-used first."""
-        with self._lock:
-            return list(self._entries)
 
     def get(self, key: str) -> dict | None:
         """The stored response for ``key``, refreshing its recency."""
@@ -75,52 +66,27 @@ class ResultStore:
 
     def put(self, key: str, payload: dict) -> None:
         """Store (and persist) a finished response, evicting beyond cap."""
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        entry = {
-            "store_format": STORE_FORMAT_VERSION,
-            "sha256": hashlib.sha256(blob.encode()).hexdigest(),
-            "payload": payload,
-        }
         with self._lock:
-            path = _entry_path(self.root, key)
-            tmp = path.with_suffix(".tmp")
-            tmp.write_text(json.dumps(entry, sort_keys=True))
-            os.replace(tmp, path)
+            self.disk.save(key, payload)
             self._entries[key] = payload
             self._entries.move_to_end(key)
             self._tel.count("service.store.puts")
             while len(self._entries) > self.max_entries:
                 victim, _ = self._entries.popitem(last=False)
-                _entry_path(self.root, victim).unlink(missing_ok=True)
+                self.disk.path(victim).unlink(missing_ok=True)
                 self.evictions += 1
                 self._tel.count("service.store.evictions")
-
-    def _load_entry(self, path: Path) -> dict | None:
-        """One artifact off disk, or None if torn/tampered/foreign."""
-        try:
-            entry = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            return None
-        if not isinstance(entry, dict):
-            return None
-        if entry.get("store_format") != STORE_FORMAT_VERSION:
-            return None
-        payload = entry.get("payload")
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        if hashlib.sha256(blob.encode()).hexdigest() != entry.get("sha256"):
-            return None
-        return payload
 
     def warm_start(self) -> int:
         """Preload up to ``max_entries`` artifacts from disk, newest first.
 
         Returns the number of entries resurrected.  Corrupt artifacts are
-        skipped (a warm start must never serve a torn write); artifacts
-        beyond the cap are deleted so disk usage tracks the configured
-        bound across restarts.
+        quarantined and stale-format ones deleted (a warm start must never
+        serve a torn write); artifacts beyond the cap are deleted so disk
+        usage tracks the configured bound across restarts.
         """
         candidates = sorted(
-            (p for p in self.root.glob("*.json") if len(p.stem) == _KEY_LEN),
+            (p for p in self.disk.root.glob("*.json") if len(p.stem) == _KEY_LEN),
             key=lambda p: p.stat().st_mtime,
             reverse=True,
         )
@@ -130,9 +96,9 @@ class ResultStore:
                 if loaded >= self.max_entries:
                     path.unlink(missing_ok=True)
                     continue
-                payload = self._load_entry(path)
+                payload = self.disk.load(path.stem)
                 if payload is None:
-                    path.unlink(missing_ok=True)
+                    path.unlink(missing_ok=True)  # stale format (corrupt: quarantined)
                     continue
                 # newest-first scan, but the OrderedDict wants oldest
                 # first so move_to_end keeps mtime order: insert at front

@@ -25,7 +25,6 @@ the same sizes (under test in ``tests/test_surrogate_engine.py``).
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
@@ -36,7 +35,6 @@ from ..core.parallel import (
     SweepPoint,
     SweepSpec,
     SweepStats,
-    _canonical_json,
     run_sweep,
     spec_token,
     sweep_points,
@@ -46,6 +44,7 @@ from ..errors import MeasurementError
 from ..hardware.counters import CounterSample
 from ..observability import ensure_telemetry
 from ..rng import stable_seed
+from ..store import checksum
 from ..tracing import capture_trace
 from ..units import LINE_SIZE
 from .model import DEFAULT_SURROGATE_BOUND, SurrogateModel
@@ -101,7 +100,7 @@ def surrogate_point_key(
     token = spec_token(spec)
     token["engine"] = {"name": "surrogate", "policy": policy.token()}
     token["point"] = {"stolen_bytes": point.stolen_bytes, "seed": point.seed}
-    return hashlib.sha256(_canonical_json(token).encode()).hexdigest()
+    return checksum(token)
 
 
 def build_surrogate_model(

@@ -23,8 +23,6 @@ from repro.core.journal import (
     JOURNAL_FORMAT_VERSION,
     JournalState,
     RunJournal,
-    TaskJournal,
-    TaskJournalState,
     journal_path,
     new_run_id,
     read_journal_records,
@@ -74,7 +72,7 @@ def test_new_run_id_short_and_unique():
     assert all(len(i) == 12 and i.isalnum() for i in ids)
 
 
-@pytest.mark.parametrize("bad", ["", "a/b", " pad ", "x/../y"])
+@pytest.mark.parametrize("bad", ["", "a/b", " pad ", "x/../y", "nul\0byte", 5, None])
 def test_journal_path_rejects_unsafe_run_ids(tmp_path, bad):
     with pytest.raises(MeasurementError, match="run id"):
         journal_path(tmp_path, bad)
@@ -169,6 +167,62 @@ def test_last_writer_wins_and_torn_done_ignored(tmp_path):
     assert state.states == {0: "done"}
     assert 0 not in state.quarantined
     assert state.remaining(2) == [1]
+
+
+# -- journals older releases wrote --------------------------------------------------
+
+#: a sweep-point journal byte for byte as ``journal_format`` 1 writers left it
+PARENT_RUN_JOURNAL = (
+    '{"journal_format": 1, "meta": {"k": "v"}, "run_id": "run1", "sizes_mb": [8.0, 4.0], '
+    '"spec_sha": "abc", "type": "run_start"}\n'
+    '{"attempt": 1, "index": 0, "state": "running", "type": "point"}\n'
+    '{"index": 0, "payload": {"index": 0}, "state": "done", "type": "point"}\n'
+    '{"attempt": 1, "index": 1, "state": "running", "type": "point"}\n'
+    '{"attempts": 2, "index": 1, "reasons": ["worker crash"], "state": "quarantined", '
+    '"type": "point"}\n'
+    '{"run_id": "run1", "type": "run_resume"}\n'
+)
+
+#: a ``runall`` task journal byte for byte as ``journal_format`` 1 writers left it
+PARENT_TASK_JOURNAL = (
+    '{"journal_format": 1, "meta": {"scale": "quick"}, "run_id": "tasks", "spec_sha": "", '
+    '"type": "run_start"}\n'
+    '{"id": "fig1", "state": "running", "type": "task"}\n'
+    '{"id": "fig1", "state": "done", "type": "task"}\n'
+    '{"id": "fig2", "state": "running", "type": "task"}\n'
+)
+
+
+def test_run_journal_records_keep_their_bytes(tmp_path):
+    with RunJournal.start(
+        tmp_path, "run1", spec_sha="abc", sizes_mb=[8.0, 4.0], meta={"k": "v"}
+    ) as journal:
+        journal.mark_running(0, 1)
+        journal.mark_done(0, {"index": 0})
+        journal.mark_running(1, 1)
+        journal.mark_quarantined(1, attempts=2, reasons=["worker crash"])
+    RunJournal.resume(tmp_path, "run1").close()
+    with RunJournal.start(tmp_path, "tasks", meta={"scale": "quick"}) as journal:
+        journal.mark("fig1", "running")
+        journal.mark("fig1", "done")
+        journal.mark("fig2", "running")
+    assert journal_path(tmp_path, "run1").read_text() == PARENT_RUN_JOURNAL
+    assert journal_path(tmp_path, "tasks").read_text() == PARENT_TASK_JOURNAL
+
+
+def test_parent_journals_resume(tmp_path):
+    journal_path(tmp_path, "run1").write_text(PARENT_RUN_JOURNAL)
+    journal_path(tmp_path, "tasks").write_text(PARENT_TASK_JOURNAL)
+    RunJournal.resume(tmp_path, "run1").close()
+    RunJournal.resume(tmp_path, "tasks").close()
+    run = JournalState.load(tmp_path, "run1")
+    assert run.states == {0: "done", 1: "quarantined"}
+    assert run.payloads == {0: {"index": 0}}
+    assert run.quarantined == {1: {"attempts": 2, "reasons": ["worker crash"]}}
+    assert run.generations == 3
+    tasks = JournalState.load(tmp_path, "tasks")
+    assert tasks.tasks == {"fig1": "done", "fig2": "running"}
+    assert tasks.done_ids() == {"fig1"} and tasks.generations == 2
 
 
 # -- resume semantics (the satellite's property) -----------------------------------
@@ -312,22 +366,23 @@ def test_sigkill_mid_sweep_then_resume_completes(tmp_path, serial_baseline):
     assert rows(results) == rows(serial_baseline)
 
 
-# -- TaskJournal (runall) ----------------------------------------------------------
+# -- task records (runall) ---------------------------------------------------------
 
 
 def test_task_journal_round_trip(tmp_path):
-    with TaskJournal.start(tmp_path, "tasks", meta={"scale": "quick"}) as journal:
+    with RunJournal.start(tmp_path, "tasks", meta={"scale": "quick"}) as journal:
         journal.mark("fig1", "running")
         journal.mark("fig1", "done")
         journal.mark("fig2", "running")
-    state = TaskJournalState.load(tmp_path, "tasks")
+    state = JournalState.load(tmp_path, "tasks")
     assert state.meta == {"scale": "quick"}
-    assert state.states == {"fig1": "done", "fig2": "running"}
+    assert state.tasks == {"fig1": "done", "fig2": "running"}
+    assert state.states == {}
     assert state.done_ids() == {"fig1"}
 
 
 def test_task_journal_rejects_unknown_state(tmp_path):
-    with TaskJournal.start(tmp_path, "bad") as journal:
+    with RunJournal.start(tmp_path, "bad") as journal:
         with pytest.raises(MeasurementError, match="unknown journal state"):
             journal.mark("fig1", "exploded")
 
@@ -338,7 +393,7 @@ def test_runall_resume_skips_done_experiments(tmp_path):
     lines: list[str] = []
     run_all(only=["table1", "fig3"], echo=lines.append,
             journal_dir=tmp_path, run_id="exp1")
-    assert TaskJournalState.load(tmp_path, "exp1").done_ids() == {"table1", "fig3"}
+    assert JournalState.load(tmp_path, "exp1").done_ids() == {"table1", "fig3"}
 
     resumed: list[str] = []
     run_all(only=["table1", "fig3"], echo=resumed.append,

@@ -271,21 +271,26 @@ def test_resume_skips_finished_cells(tmp_path):
         lambda p: {k: v for k, v in p.items() if k != "rows"},
         lambda p: {**p, "rows": [{**p["rows"][0], "foreign": 1}]},
         lambda p: {**p, "conformance": "pass"},
+        lambda p: {**p, "rows": [{**p["rows"][0], "l3_mb": 2 * p["rows"][0]["l3_mb"]}]},
     ],
-    ids=["list", "null", "no-rows", "foreign-column", "conformance"],
+    ids=["list", "null", "no-rows", "foreign-column", "conformance", "value-edit"],
 )
 def test_resume_reruns_torn_or_tampered_cell(tmp_path, tamper):
     """A cell artifact that is not a verified result is a miss, not a crash:
-    the cell re-runs, its artifact is rewritten, and emit and summary work."""
+    it is quarantined, the cell re-runs, its artifact is rewritten, and emit
+    and summary work.  An edited value fails the envelope checksum."""
     grid = compile_grid(small_config())
     out_dir = tmp_path / "out"
     first = run_grid(grid, out_dir=out_dir)
     (artifact,) = (out_dir / "cells").iterdir()
-    artifact.write_text(json.dumps(tamper(json.loads(artifact.read_text()))))
+    envelope = json.loads(artifact.read_text())
+    envelope["payload"] = tamper(envelope["payload"])
+    artifact.write_text(json.dumps(envelope))
     resumed = run_grid(grid, out_dir=out_dir, resume=True)
     assert resumed.resumed_cells == 0
     assert resumed.rows() == first.rows()
-    assert json.loads(artifact.read_text())["rows"] == first.rows()
+    assert json.loads(artifact.read_text())["payload"]["rows"] == first.rows()
+    assert artifact.with_suffix(".json.corrupt").exists()
     emit(resumed, out_dir)
     format_summary(resumed)
     assert run_grid(grid, out_dir=out_dir, resume=True).resumed_cells == 1
