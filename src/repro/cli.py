@@ -12,11 +12,13 @@ The tool a user of the real Cache Pirate would have been handed:
 * ``bandwidth BENCH`` — the Bandwidth Bandit extension: CPI vs available
   off-chip bandwidth,
 * ``reuse BENCH`` — reuse-distance profile and model-predicted miss curve,
-* ``sweep BENCH`` — the fixed-size baseline sweep through the parallel
-  executor: ``--workers N`` fans points over a process pool, ``--cache-dir``
-  makes re-runs skip completed points, ``--telemetry PATH`` leaves the run's
-  full span/metric stream behind as JSONL (plus a ``.summary.json`` sibling),
-  ``--supervise``/``--point-timeout`` add watchdogs + crash recovery, and
+* ``sweep BENCH`` — the fixed-size baseline sweep through the one sweep
+  executor (``repro.core.parallel.run_sweep``): ``--workers N`` fans points
+  over a process pool, ``--cache-dir`` makes re-runs skip completed points,
+  ``--telemetry PATH`` leaves the run's full span/metric stream behind as
+  JSONL (plus a ``.summary.json`` sibling), ``--supervise``/``--point-timeout``
+  hand the executor a ``SupervisorPolicy`` (watchdog, bounded retry and
+  quarantine instead of failing on a point's first fault), and
   ``--journal-dir`` + ``--resume RUN_ID`` continue a killed run from its
   write-ahead journal,
 * ``cache verify|repair|gc DIR`` — audit the entry checksums of any
@@ -61,9 +63,8 @@ from .config import KERNEL_MODES, check_kernel, nehalem_config
 from .core import choose_pirate_threads, measure_curve_dynamic, measure_curve_fixed
 from .core.bandit import measure_bandwidth_curve
 from .core.journal import new_run_id
-from .core.parallel import CACHE_FORMAT
+from .core.parallel import CACHE_FORMAT, SupervisorPolicy
 from .core.resilience import PartialCurve, RetryPolicy, measure_point_resilient
-from .core.supervisor import SupervisorPolicy
 from .errors import ConfigError
 from .faults.chaos import ChaosPlan
 from .observability import Telemetry, format_report, read_jsonl, summarize, write_jsonl
@@ -1020,8 +1021,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--telemetry", default="",
                    help="write the run's span/metric stream to this JSONL file")
     p.add_argument("--supervise", action="store_true",
-                   help="run under the supervisor: watchdogs, crash recovery, "
-                        "bounded retry with quarantine")
+                   help="run under a supervisor policy: bounded retry with "
+                        "quarantine instead of failing on a point's first fault")
     p.add_argument("--point-timeout", type=float, default=None, metavar="SECONDS",
                    help="wall-clock budget per point attempt (implies --supervise)")
     p.add_argument("--max-point-failures", type=int, default=2, metavar="N",

@@ -24,13 +24,12 @@ paper describes it, on top of the simulated machine:
   implausible intervals are re-measured with escalating warm-up, unmeasured
   settle co-runs and (last resort) degraded steal sizes, yielding a
   :class:`~repro.core.resilience.PartialCurve` with per-point quality,
-* :mod:`repro.core.parallel` — the parallel sweep executor: independent
+* :mod:`repro.core.parallel` — the one sweep executor: independent
   ``(target, cache_size)`` points fanned out over a process pool with
   deterministic per-point seeds and an on-disk result cache, bit-identical
-  to serial execution for any worker count,
-* :mod:`repro.core.supervisor` — the supervision layer around that executor:
-  per-point watchdogs, ``BrokenProcessPool`` recovery, bounded retry with
-  explicit quarantine, proven under injected chaos,
+  to serial execution for any worker count; a ``SupervisorPolicy`` adds
+  per-point watchdogs, bounded retry and explicit quarantine, proven under
+  injected chaos,
 * :mod:`repro.core.journal` — append-only JSONL write-ahead run journals, so
   ``--resume`` continues a SIGKILLed sweep without re-measuring finished
   points.
@@ -63,6 +62,7 @@ from .resilience import (
 )
 from .parallel import (
     PointResult,
+    SupervisorPolicy,
     SweepCache,
     SweepPoint,
     SweepSpec,
@@ -71,12 +71,12 @@ from .parallel import (
     measure_sweep_point,
     parallel_map,
     point_cache_key,
+    quarantined_result,
     result_from_payload,
     result_to_payload,
     run_sweep,
     sweep_spec_sha,
 )
-from .supervisor import SupervisorPolicy, quarantined_result, run_sweep_supervised
 from .journal import (
     JournalState,
     RunJournal,
@@ -132,7 +132,6 @@ __all__ = [
     "run_sweep",
     "parallel_map",
     "SupervisorPolicy",
-    "run_sweep_supervised",
     "quarantined_result",
     "RunJournal",
     "JournalState",

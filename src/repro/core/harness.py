@@ -234,14 +234,13 @@ def measure_curve_fixed(
     every point through the retry engine and returns a
     :class:`~repro.core.resilience.PartialCurve` with per-point quality.
 
-    ``supervise`` routes the sweep through
-    :func:`~repro.core.supervisor.run_sweep_supervised` — worker watchdogs,
-    crash recovery, bounded retry with quarantine.  Pass ``True`` for the
-    default :class:`~repro.core.supervisor.SupervisorPolicy` or a policy
-    instance for custom budgets.  ``journal_dir`` (which implies
-    supervision) write-ahead-journals every point under ``run_id`` so
-    ``resume=True`` continues a killed run without re-measuring journaled
-    points.
+    ``supervise`` hands :func:`~repro.core.parallel.run_sweep` a
+    :class:`~repro.core.parallel.SupervisorPolicy` — worker watchdogs,
+    bounded retry with quarantine instead of raising on a point's first
+    fault.  Pass ``True`` for the default policy or a policy instance for
+    custom budgets.  ``journal_dir`` (which implies supervision)
+    write-ahead-journals every point under ``run_id`` so ``resume=True``
+    continues a killed run without re-measuring journaled points.
 
     ``engine`` selects the tier (:data:`~repro.caches.hierarchy.ENGINE_TIERS`):
     ``measure`` (default) co-runs every point, ``surrogate`` predicts the
@@ -261,8 +260,7 @@ def measure_curve_fixed(
     """
     from ..analysis.merge import assemble_curve
     from ..caches.hierarchy import resolve_engine
-    from .parallel import SweepSpec, run_sweep
-    from .supervisor import SupervisorPolicy, run_sweep_supervised
+    from .parallel import SupervisorPolicy, SweepSpec, run_sweep
 
     engine = resolve_engine(engine)
 
@@ -312,9 +310,14 @@ def measure_curve_fixed(
                 cache_dir=cache_dir,
                 telemetry=tel,
             )
-    elif supervise or journal_dir is not None or resume:
-        policy = supervise if isinstance(supervise, SupervisorPolicy) else None
-        results, _ = run_sweep_supervised(
+    else:
+        if isinstance(supervise, SupervisorPolicy):
+            policy = supervise
+        elif supervise or journal_dir is not None or resume:
+            policy = SupervisorPolicy()
+        else:
+            policy = None
+        results, _ = run_sweep(
             spec,
             list(sizes_mb),
             workers=workers,
@@ -324,9 +327,5 @@ def measure_curve_fixed(
             run_id=run_id,
             resume=resume,
             telemetry=tel,
-        )
-    else:
-        results, _ = run_sweep(
-            spec, list(sizes_mb), workers=workers, cache_dir=cache_dir, telemetry=tel
         )
     return assemble_curve(name or "target", results, config.core.clock_hz, telemetry=tel)

@@ -129,6 +129,10 @@ class _JournalWriter:
         self._fh.flush()
         os.fsync(self._fh.fileno())
 
+    @property
+    def closed(self) -> bool:
+        return self._fh is None
+
     def close(self) -> None:
         if self._fh is not None:
             self._fh.close()

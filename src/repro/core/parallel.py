@@ -24,6 +24,35 @@ store keyed by a content hash of the *full* measurement configuration
 (machine spec, workload spec, schedule, fault plan, retry policy, point).
 Repeated sweeps and re-runs after a crash skip every point already on
 disk — the cache-hit path does zero measurements.
+
+:func:`run_sweep` is the one executor, and a :class:`SupervisorPolicy`
+makes it a supervisor for hosts that OOM-kill workers, hang points and
+rot caches.  Its invariant, proven under injected chaos in
+``tests/test_chaos.py``:
+
+    Under any schedule of worker kills, point hangs, in-worker errors and
+    cache corruption, a supervised sweep either returns curves
+    bit-identical to a clean serial run or explicitly quarantines the
+    affected points — never silently wrong data.
+
+* **Watchdog** — with ``point_timeout_s`` set, a point running past its
+  wall-clock budget is killed (the pool's processes are terminated),
+  charged one failure, and retried; co-resident points are requeued free.
+* **Crash recovery** — a :class:`BrokenProcessPool` cannot say *which*
+  in-flight point killed the worker, so nobody is blamed: the pool is
+  respawned and every in-flight point becomes a *suspect*, re-run solo so
+  a repeat crash is unambiguous.  Only proven faults (a solo crash, a
+  timeout, an in-worker exception) count against a point.
+* **Quarantine** — a point reaching ``max_point_failures`` proven faults
+  is recorded as an explicit :func:`quarantined_result` instead of
+  sinking the sweep.  Without a policy, the first proven fault raises.
+* **Durability** — with a journal directory, every point transition is
+  written ahead to a :class:`~repro.core.journal.RunJournal`; ``resume``
+  replays finished and quarantined points and executes exactly the
+  remainder, even after SIGKILL.
+
+Chaos (:mod:`repro.faults.chaos`) reaches workers through the environment,
+never through the spec — enabling it cannot change a cache key.
 """
 
 from __future__ import annotations
@@ -31,14 +60,17 @@ from __future__ import annotations
 import os
 import pickle
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, fields, replace
 from multiprocessing import get_all_start_methods, get_context
 from pathlib import Path
 from typing import Callable, Sequence
 
 from ..config import MachineConfig, machine_content_token
-from ..errors import MeasurementError
+from ..errors import ConfigError, MeasurementError
+from ..faults.chaos import apply_chaos, chaos_from_env
 from ..faults.plan import FaultPlan
 from ..hardware.counters import CounterSample
 from ..observability import NULL_TELEMETRY, Telemetry, TelemetryFragment, ensure_telemetry
@@ -46,6 +78,7 @@ from ..rng import stable_seed
 from ..store import Format, Store, checksum, unseal
 from ..units import MB
 from .curves import IntervalSample
+from .journal import JournalState, RunJournal, new_run_id
 from .monitor import DEFAULT_FETCH_RATIO_THRESHOLD
 from .resilience import PointQuality, RetryPolicy
 
@@ -59,21 +92,10 @@ def derive_point_seed(run_seed: int, stolen_bytes: int) -> int:
 
     Keyed by the point's content (its stolen size), never its position in
     the size list or any global RNG state, so the same point gets the same
-    seed no matter how the sweep is ordered, chunked, or sharded across
+    seed no matter how the sweep is ordered or sharded across
     workers — and no matter whether workers are forked or spawned.
     """
     return stable_seed(run_seed, "sweep-point", int(stolen_bytes))
-
-
-def default_chunksize(n_points: int, workers: int) -> int:
-    """Points per pool task: ~4 chunks per worker, at least one point each.
-
-    Small enough to keep all workers busy through the sweep's tail, large
-    enough that task dispatch is not the bottleneck on big grids.
-    """
-    if n_points <= 0 or workers <= 1:
-        return max(n_points, 1)
-    return max(1, -(-n_points // (workers * 4)))
 
 
 def default_mp_context():
@@ -147,7 +169,7 @@ class PointResult:
     quality: PointQuality | None = None
     from_cache: bool = False
     #: True when the point was replayed from a run journal instead of
-    #: measured (supervised --resume path); never persisted
+    #: measured (the --resume path); never persisted
     from_journal: bool = False
     #: the worker-side telemetry stream (None when telemetry is off or the
     #: point came from the cache); not persisted in the result cache
@@ -161,20 +183,19 @@ class SweepStats:
     measured: int = 0
     cache_hits: int = 0
     workers: int = 0
-    chunks: int = 0
     #: cache entries found corrupt (and quarantined) while loading
     cache_corrupt: int = 0
     #: points replayed from a run journal on --resume
     journal_hits: int = 0
     #: points the supervisor gave up on after its failure budget
     quarantined: int = 0
-    #: extra point submissions beyond each point's first (supervised runs)
+    #: extra point attempts beyond each point's first (retries, solo re-runs)
     retries: int = 0
     #: pool respawns after worker crashes or watchdog kills
     respawns: int = 0
     #: wall-clock point timeouts the watchdog fired
     timeouts: int = 0
-    #: journal run id of a supervised run (None when unjournaled)
+    #: journal run id of a journaled run (None when unjournaled)
     run_id: str | None = None
 
 
@@ -264,11 +285,6 @@ def measure_sweep_point(spec: SweepSpec, point: SweepPoint) -> PointResult:
     )
 
 
-def _measure_chunk(spec: SweepSpec, chunk: list[SweepPoint]) -> list[PointResult]:
-    """One pool task: a batch of points (the chunking policy's unit)."""
-    return [measure_sweep_point(spec, p) for p in chunk]
-
-
 # -- deterministic result cache ----------------------------------------------------
 
 
@@ -312,11 +328,16 @@ def spec_token(spec: SweepSpec) -> dict:
     }
 
 
-def point_cache_key(spec: SweepSpec, point: SweepPoint) -> str:
-    """Content hash naming one point's cache entry."""
-    token = spec_token(spec)
-    token["point"] = {"stolen_bytes": point.stolen_bytes, "seed": point.seed}
-    return checksum(token)
+def point_cache_key(spec: SweepSpec, point: SweepPoint, token: dict | None = None) -> str:
+    """Content hash naming one point's cache entry.
+
+    ``token`` is ``spec_token(spec)`` (or an engine's extension of it)
+    built once per sweep by the caller; it is read, never modified.
+    """
+    if token is None:
+        token = spec_token(spec)
+    point_token = {"stolen_bytes": point.stolen_bytes, "seed": point.seed}
+    return checksum({**token, "point": point_token})
 
 
 def sweep_spec_sha(spec: SweepSpec, sizes_mb: Sequence[float]) -> str:
@@ -432,6 +453,84 @@ class SweepCache:
         self.disk.save(key, result_to_payload(result))
 
 
+# -- supervision policy and the per-point pool task --------------------------------
+
+
+@dataclass(frozen=True)
+class SupervisorPolicy:
+    """The failure budget and cadence of a supervised sweep.
+
+    ``point_timeout_s`` is wall-clock per point *attempt* (None disables
+    the watchdog); ``max_point_failures`` is how many *proven* faults —
+    solo crashes, timeouts, in-worker exceptions; never ambiguous pool
+    breaks — a point may accumulate before quarantine;
+    ``heartbeat_interval_s`` is how often the pool loop wakes to check
+    watchdogs and count a liveness heartbeat.
+    """
+
+    point_timeout_s: float | None = None
+    max_point_failures: int = 2
+    heartbeat_interval_s: float = 0.2
+
+    def __post_init__(self) -> None:
+        if self.point_timeout_s is not None and self.point_timeout_s <= 0:
+            raise ConfigError(
+                f"point_timeout_s must be positive or None, got {self.point_timeout_s}"
+            )
+        if self.max_point_failures < 1:
+            raise ConfigError(
+                f"max_point_failures must be >= 1, got {self.max_point_failures}"
+            )
+        if self.heartbeat_interval_s <= 0:
+            raise ConfigError(
+                f"heartbeat_interval_s must be positive, got {self.heartbeat_interval_s}"
+            )
+
+
+def _point_task(spec: SweepSpec, point: SweepPoint, attempt: int) -> PointResult:
+    """One pool task: the chaos hook, then the pure point.
+
+    Module-level so it pickles by reference; the chaos plan arrives through
+    the worker's environment (:func:`~repro.faults.chaos.chaos_from_env`),
+    so the measurement arguments — and hence cache keys — are identical
+    with and without chaos.
+    """
+    apply_chaos(chaos_from_env(), point.index, attempt)
+    return measure_sweep_point(spec, point)
+
+
+def quarantined_result(
+    spec: SweepSpec, point: SweepPoint, *, attempts: int, reasons: Sequence[str]
+) -> PointResult:
+    """The explicit tombstone a quarantined point leaves in the results.
+
+    Empty samples plus a ``valid=False`` quality record whose reasons end
+    in ``"quarantined"`` — downstream merging yields a quality entry with
+    no curve point, so consumers see *that* the point is missing and *why*,
+    instead of silently wrong data.
+    """
+    reason_list = [str(r) for r in reasons]
+    if "quarantined" not in reason_list:
+        reason_list.append("quarantined")
+    quality = PointQuality(
+        requested_mb=point.size_mb,
+        measured_mb=point.size_mb,
+        attempts=max(int(attempts), 1),
+        pirate_fetch_ratio=0.0,
+        valid=False,
+        reasons=reason_list,
+    )
+    return PointResult(
+        index=point.index,
+        size_mb=point.size_mb,
+        stolen_bytes=point.stolen_bytes,
+        target_cache_bytes=spec.config.l3.size - point.stolen_bytes,
+        seed=point.seed,
+        samples=[],
+        quality=quality,
+    )
+
+
 # -- the executor ------------------------------------------------------------------
 
 
@@ -460,133 +559,434 @@ def _worker_busy_seconds(fragments: dict[int, TelemetryFragment]) -> dict[int, f
     return busy
 
 
+def _kill_pool_processes(pool: ProcessPoolExecutor) -> None:
+    """Terminate a pool's workers (the watchdog's only lever on a running task).
+
+    ``concurrent.futures`` cannot cancel a running future, so a wall-clock
+    timeout is enforced the only way possible: kill the processes and let
+    the resulting :class:`BrokenProcessPool` funnel into the unified
+    respawn path.  Reaches into ``pool._processes`` (guarded — a stdlib
+    that renames it degrades to waiting the point out).
+    """
+    processes = getattr(pool, "_processes", None)
+    if not processes:
+        return
+    for proc in list(processes.values()):
+        try:
+            proc.terminate()
+        except Exception:
+            pass
+
+
+class _Sweep:
+    """One sweep's execution state: results, stats, journal and fault budget."""
+
+    def __init__(
+        self,
+        spec: SweepSpec,
+        policy: SupervisorPolicy | None,
+        stats: SweepStats,
+        tel: Telemetry,
+        cache: SweepCache | None,
+    ):
+        self.spec = spec
+        self.policy = policy
+        self.stats = stats
+        self.tel = tel
+        self.cache = cache
+        self.journal: RunJournal | None = None
+        self.results: list[PointResult] = []
+        #: point indexes replayed from the journal (never re-executed)
+        self.settled: set[int] = set()
+        self.keys: dict[int, str] = {}
+        self.fragments: dict[int, TelemetryFragment] = {}
+        self.attempts: dict[int, int] = {}
+        self.fail_reasons: dict[int, list[str]] = {}
+
+    def record(self, result: PointResult) -> None:
+        self.results.append(result)
+        self.stats.measured += 1
+        if result.telemetry is not None:
+            self.fragments[result.index] = result.telemetry
+        if self.cache is not None:
+            self.cache.store(self.keys[result.index], result)
+        if self.journal is not None:
+            self.journal.mark_done(result.index, result_to_payload(result))
+
+    def fail(self, point: SweepPoint, reason: str, error: Exception) -> bool:
+        """Charge one proven fault; True when the point is now quarantined.
+
+        Unsupervised (no policy), the first proven fault raises ``error``.
+        """
+        if self.policy is None:
+            raise error
+        reasons = self.fail_reasons.setdefault(point.index, [])
+        reasons.append(reason)
+        self.tel.event(
+            "supervisor_point_failure",
+            index=point.index,
+            reason=reason,
+            failures=len(reasons),
+        )
+        if len(reasons) < self.policy.max_point_failures:
+            return False
+        attempts = self.attempts.get(point.index, 0)
+        result = quarantined_result(self.spec, point, attempts=attempts, reasons=reasons)
+        self.results.append(result)
+        self.stats.quarantined += 1
+        self.tel.count("quarantined_points_total")
+        self.tel.event(
+            "point_quarantined",
+            index=point.index,
+            attempts=attempts,
+            reasons=result.quality.reasons,
+        )
+        if self.journal is not None:
+            self.journal.mark_quarantined(
+                point.index, attempts=attempts, reasons=result.quality.reasons
+            )
+        return True
+
+    def open_journal(
+        self, points, sizes_mb, journal_dir, run_id, resume: bool, workers: int
+    ) -> str:
+        """Start (or resume, replaying settled points) the run journal."""
+        spec_sha = sweep_spec_sha(self.spec, sizes_mb)
+        if not resume:
+            run_id = run_id or new_run_id()
+            self.journal = RunJournal.start(
+                journal_dir,
+                run_id,
+                spec_sha=spec_sha,
+                sizes_mb=[float(s) for s in sizes_mb],
+                meta={"benchmark": self.spec.benchmark, "workers": workers},
+            )
+            return run_id
+        state = JournalState.load(journal_dir, run_id)
+        if state.spec_sha != spec_sha:
+            raise MeasurementError(
+                f"journal {run_id!r} was written by a different sweep "
+                f"(spec {state.spec_sha[:12]}.. != {spec_sha[:12]}..); "
+                f"refusing to resume across configurations"
+            )
+        replays = [(i, "done", p) for i, p in sorted(state.payloads.items())]
+        replays += [(i, "quarantined", q) for i, q in sorted(state.quarantined.items())]
+        for index, kind, data in replays:
+            if not 0 <= index < len(points) or index in self.settled:
+                continue
+            if kind == "done":
+                self.results.append(result_from_payload(data, from_journal=True))
+            else:
+                self.results.append(
+                    quarantined_result(
+                        self.spec,
+                        points[index],
+                        attempts=data.get("attempts", 1),
+                        reasons=data.get("reasons", []),
+                    )
+                )
+                self.stats.quarantined += 1
+            self.settled.add(index)
+            self.stats.journal_hits += 1
+            self.tel.count("journal_replays_total")
+            self.tel.event("journal_replay", index=index, state=kind)
+        self.journal = RunJournal.resume(journal_dir, run_id)
+        return run_id
+
+
 def run_sweep(
     spec: SweepSpec,
     sizes_mb: Sequence[float],
     *,
     workers: int = 0,
     cache_dir: str | Path | None = None,
-    chunksize: int | None = None,
+    policy: SupervisorPolicy | None = None,
+    journal_dir: str | Path | None = None,
+    run_id: str | None = None,
+    resume: bool = False,
     mp_context=None,
     telemetry=None,
 ) -> tuple[list[PointResult], SweepStats]:
     """Execute a sweep's points; returns (results, stats).
 
     ``workers=0`` (or 1) runs the points in-process, in order; ``workers>=2``
-    fans them out over a process pool in chunks (``chunksize`` overrides the
-    default policy), harvesting completions out of order.  Either way each
-    point's result is identical — same spec, same derived seed, same pure
-    task function.  Results are returned in completion order; use
+    fans them out over a process pool, one point per task, harvesting
+    completions out of order.  Either way each point's result is identical —
+    same spec, same derived seed, same pure task function.  Results are
+    returned in completion order; use
     :func:`repro.analysis.merge.assemble_curve` (or sort by ``index``) to
     order them.
 
     With ``cache_dir`` set, points whose key is already on disk are loaded
     instead of measured, and newly measured points are persisted — a
-    re-run after a crash resumes where it stopped.
+    re-run after a crash resumes where it stopped.  ``journal_dir`` adds a
+    write-ahead :class:`~repro.core.journal.RunJournal` under ``run_id``
+    (``stats.run_id``); ``resume=True`` replays its finished and
+    quarantined points and executes exactly the remainder.
+
+    Faults.  A pool break cannot say which in-flight point killed the
+    worker, so the pool is respawned and every in-flight point re-runs
+    solo, where a repeat crash is unambiguous.  Without a ``policy`` a
+    point's first proven fault — its own exception (type kept) or a crash
+    while it ran alone — raises.  A :class:`SupervisorPolicy` instead
+    retries it, quarantines it as an explicit :func:`quarantined_result`
+    after ``max_point_failures``, and (with ``point_timeout_s``) kills
+    attempts that outlive their wall-clock budget.  In-process execution
+    applies only the chaos ``error`` fault: killing or hanging the caller's
+    own process is what the worker boundary exists to prevent.
 
     A live :class:`~repro.observability.Telemetry` passed as ``telemetry``
     wraps the sweep in a span, accounts cache hits/misses, and absorbs each
     measured point's worker-side fragment *in point order* (so the merged
     stream is independent of completion order).  Pool bookkeeping lands
     under ``exec_``-prefixed names: one ``exec_pool`` span, an
-    ``exec_pool_spawns_total`` counter, and per-worker
-    ``exec_worker_utilization`` gauges.
+    ``exec_pool_spawns_total`` counter, per-worker
+    ``exec_worker_utilization`` gauges and the supervisor's
+    ``exec_supervisor_*`` counters.
     """
     if workers < 0:
         raise MeasurementError(f"workers must be >= 0, got {workers}")
+    if resume and journal_dir is None:
+        raise ConfigError("resume needs a journal directory (journal_dir)")
+    if resume and run_id is None:
+        raise ConfigError("resume needs the run id of the journal to continue")
     tel = ensure_telemetry(telemetry)
     if tel.enabled and not spec.telemetry:
         spec = replace(spec, telemetry=True)
     points = sweep_points(spec, sizes_mb)
     cache = SweepCache(cache_dir, telemetry=tel) if cache_dir is not None else None
-    stats = SweepStats(workers=workers)
+    sweep = _Sweep(spec, policy, SweepStats(workers=workers), tel, cache)
+    if journal_dir is not None:
+        sweep.stats.run_id = sweep.open_journal(
+            points, sizes_mb, journal_dir, run_id, resume, workers
+        )
 
-    with tel.span("sweep", benchmark=spec.benchmark, n_points=len(points)):
-        results: list[PointResult] = []
-        pending: list[SweepPoint] = []
-        keys: dict[int, str] = {}
-        for p in points:
-            if cache is not None:
-                keys[p.index] = point_cache_key(spec, p)
-                hit = cache.load(keys[p.index])
-                if hit is not None:
-                    results.append(hit)
-                    stats.cache_hits += 1
-                    tel.count("cache_hits_total")
-                    tel.event("cache_hit", index=p.index, size_mb=p.size_mb)
+    try:
+        with tel.span(
+            "sweep",
+            benchmark=spec.benchmark,
+            n_points=len(points),
+            supervised=policy is not None,
+        ):
+            # one spec token per sweep; each point's key only adds the point
+            token = spec_token(spec) if cache is not None else None
+            pending: list[SweepPoint] = []
+            for p in points:
+                if p.index in sweep.settled:
                     continue
-                tel.count("cache_misses_total")
-            pending.append(p)
+                if cache is not None:
+                    key = sweep.keys[p.index] = point_cache_key(spec, p, token)
+                    hit = cache.load(key)
+                    if hit is not None:
+                        sweep.results.append(hit)
+                        sweep.stats.cache_hits += 1
+                        tel.count("cache_hits_total")
+                        tel.event("cache_hit", index=p.index, size_mb=p.size_mb)
+                        if sweep.journal is not None:
+                            sweep.journal.mark_done(p.index, result_to_payload(hit))
+                        continue
+                    tel.count("cache_misses_total")
+                pending.append(p)
 
-        fragments: dict[int, TelemetryFragment] = {}
-
-        def record(result: PointResult) -> None:
-            results.append(result)
-            stats.measured += 1
-            if result.telemetry is not None:
-                fragments[result.index] = result.telemetry
-            if cache is not None:
-                cache.store(keys[result.index], result)
-
-        pool_wall = 0.0
-        n_workers = 0
-        if workers >= 2 and len(pending) >= 2:
-            _check_picklable(spec)
-            if chunksize is not None:
-                chunk = chunksize
+            # a watchdog needs a process to kill, even for a single point
+            watchdog = policy is not None and policy.point_timeout_s is not None
+            if workers >= 2 and (len(pending) >= 2 or (pending and watchdog)):
+                _run_pool(sweep, pending, workers, mp_context)
             else:
-                chunk = default_chunksize(len(pending), workers)
-            chunks = [pending[i : i + chunk] for i in range(0, len(pending), chunk)]
-            stats.chunks = len(chunks)
-            ctx = mp_context if mp_context is not None else default_mp_context()
-            n_workers = min(workers, len(chunks))
-            tel.count("exec_pool_spawns_total")
-            with tel.span("exec_pool", workers=n_workers, chunks=len(chunks)):
-                t0 = time.perf_counter()
-                with ProcessPoolExecutor(
-                    max_workers=n_workers, mp_context=ctx
-                ) as pool:
-                    not_done = {pool.submit(_measure_chunk, spec, c) for c in chunks}
-                    try:
-                        while not_done:
-                            done, not_done = wait(not_done, return_when=FIRST_COMPLETED)
-                            for fut in done:
-                                for result in fut.result():
-                                    record(result)
-                    except BaseException:
-                        # Ctrl-C (or any abort) must not be eaten by the
-                        # harvest loop, and must not hang in the pool's
-                        # __exit__ waiting for undispatched chunks: drop
-                        # everything not yet running, then re-raise.
-                        for fut in not_done:
-                            fut.cancel()
-                        pool.shutdown(wait=False, cancel_futures=True)
-                        raise
-                pool_wall = time.perf_counter() - t0
-        else:
-            stats.chunks = 1 if pending else 0
-            for p in pending:
-                record(measure_sweep_point(spec, p))
+                _run_serial(sweep, pending)
 
-        # absorb worker streams in point-index order: the parent's merged
-        # stream (and hence the aggregated summary) no longer depends on
-        # which worker finished first
-        for index in sorted(fragments):
-            tel.absorb(fragments[index])
+            # absorb worker streams in point-index order: the parent's merged
+            # stream (and hence the aggregated summary) no longer depends on
+            # which worker finished first
+            for index in sorted(sweep.fragments):
+                tel.absorb(sweep.fragments[index])
+            if cache is not None:
+                sweep.stats.cache_corrupt = cache.corruption_count
+    finally:
+        if sweep.journal is not None:
+            sweep.journal.close()
+    return sweep.results, sweep.stats
 
-        if cache is not None:
-            stats.cache_corrupt = cache.corruption_count
-        if tel.enabled and pool_wall > 0.0 and n_workers > 0:
-            busy = _worker_busy_seconds(fragments)
-            tel.gauge(
-                "exec_worker_utilization",
-                min(sum(busy.values()) / (n_workers * pool_wall), 1.0),
-            )
-            for pid, seconds in sorted(busy.items()):
-                tel.gauge(
-                    "exec_worker_utilization", min(seconds / pool_wall, 1.0), pid=pid
+
+def _run_serial(sweep: _Sweep, pending: list[SweepPoint]) -> None:
+    """In-process execution (errors are survivable, kills are not)."""
+    plan = chaos_from_env()
+    for point in pending:
+        while True:
+            attempt = sweep.attempts.get(point.index, 0) + 1
+            sweep.attempts[point.index] = attempt
+            if attempt > 1:
+                sweep.stats.retries += 1
+            if sweep.journal is not None:
+                sweep.journal.mark_running(point.index, attempt)
+            try:
+                apply_chaos(plan, point.index, attempt, fatal_ok=False)
+                result = measure_sweep_point(sweep.spec, point)
+            except Exception as e:
+                if sweep.fail(point, f"error: {e.__class__.__name__}: {e}", e):
+                    break
+                continue
+            sweep.record(result)
+            break
+
+
+def _run_pool(
+    sweep: _Sweep, pending: list[SweepPoint], workers: int, mp_context
+) -> None:
+    """Pooled execution: one point per task, watchdog, respawn, solo suspects."""
+    spec, policy, stats, tel = sweep.spec, sweep.policy, sweep.stats, sweep.tel
+    _check_picklable(spec)
+    ctx = mp_context if mp_context is not None else default_mp_context()
+    n_workers = min(workers, len(pending))
+    timeout_s = policy.point_timeout_s if policy is not None else None
+    heartbeat_s = policy.heartbeat_interval_s if policy is not None else None
+
+    queue: deque[SweepPoint] = deque(pending)
+    #: points whose worker died with others inflight — guilt ambiguous, so
+    #: they re-run solo, where a repeat crash is unambiguous
+    suspects: deque[SweepPoint] = deque()
+    inflight: dict[Future, tuple[SweepPoint, float]] = {}
+
+    tel.count("exec_pool_spawns_total")
+    pool = ProcessPoolExecutor(max_workers=n_workers, mp_context=ctx)
+
+    def submit(point: SweepPoint) -> bool:
+        """Journal, then dispatch; False when the pool is already broken."""
+        attempt = sweep.attempts.get(point.index, 0) + 1
+        if sweep.journal is not None:
+            sweep.journal.mark_running(point.index, attempt)
+        try:
+            fut = pool.submit(_point_task, spec, point, attempt)
+        except BrokenProcessPool:
+            # never started, so no chaos fault fired: the attempt does not
+            # count and the schedule stays deterministic
+            return False
+        sweep.attempts[point.index] = attempt
+        if attempt > 1:
+            stats.retries += 1
+            tel.count("exec_supervisor_retries_total")
+        inflight[fut] = (point, time.perf_counter())
+        return True
+
+    def respawn() -> None:
+        nonlocal pool
+        stats.respawns += 1
+        tel.count("exec_supervisor_respawns_total")
+        tel.event("supervisor_pool_respawn", respawns=stats.respawns)
+        pool.shutdown(wait=False, cancel_futures=True)
+        tel.count("exec_pool_spawns_total")
+        pool = ProcessPoolExecutor(max_workers=n_workers, mp_context=ctx)
+
+    t0 = time.perf_counter()
+    try:
+        with tel.span("exec_pool", workers=n_workers):
+            while queue or suspects or inflight:
+                # -- top up -------------------------------------------------
+                submit_ok = True
+                if suspects:
+                    if not inflight:  # drain mode: one suspect at a time
+                        submit_ok = submit(suspects[0])
+                        if submit_ok:
+                            suspects.popleft()
+                else:
+                    while queue and len(inflight) < n_workers:
+                        if not submit(queue[0]):
+                            submit_ok = False
+                            break
+                        queue.popleft()
+                if not inflight:
+                    if not submit_ok:
+                        respawn()
+                    continue
+
+                # -- wait one heartbeat ------------------------------------
+                done, _ = wait(
+                    set(inflight), timeout=heartbeat_s, return_when=FIRST_COMPLETED
                 )
-    return results, stats
+                if policy is not None:
+                    tel.count("exec_supervisor_heartbeats_total")
+
+                # -- harvest -----------------------------------------------
+                broken_points: list[SweepPoint] = []
+                for fut in done:
+                    point, _t0 = inflight.pop(fut)
+                    try:
+                        result = fut.result()
+                    except BrokenProcessPool:
+                        broken_points.append(point)
+                    except Exception as e:
+                        # the worker survived to raise: unambiguous fault
+                        reason = f"worker error: {e.__class__.__name__}: {e}"
+                        if not sweep.fail(point, reason, e):
+                            queue.append(point)
+                    else:
+                        sweep.record(result)
+
+                if broken_points:
+                    victims = broken_points + [p for p, _ in inflight.values()]
+                    inflight.clear()
+                    respawn()
+                    if len(victims) == 1:
+                        # a lone inflight point that killed its worker is
+                        # unambiguously guilty (this is how solo re-runs of
+                        # suspects convict or acquit)
+                        victim = victims[0]
+                        crash = MeasurementError(
+                            f"sweep point {victim.index} ({victim.size_mb:g}MB) "
+                            "crashed its worker process"
+                        )
+                        if not sweep.fail(victim, "worker crash", crash):
+                            suspects.append(victim)
+                    else:
+                        tel.event(
+                            "supervisor_pool_broken",
+                            suspects=sorted(p.index for p in victims),
+                        )
+                        suspects.extend(sorted(victims, key=lambda p: p.index))
+                    continue
+
+                # -- watchdog ----------------------------------------------
+                if timeout_s is None or not inflight:
+                    continue
+                now = time.perf_counter()
+                expired = [
+                    fut for fut, (_p, started) in inflight.items()
+                    if now - started >= timeout_s
+                ]
+                if not expired:
+                    continue
+                guilty = [inflight[fut][0] for fut in expired]
+                innocents = [p for fut, (p, _t0) in inflight.items() if fut not in expired]
+                inflight.clear()
+                stats.timeouts += len(guilty)
+                for point in guilty:
+                    tel.count("exec_supervisor_timeouts_total")
+                    tel.event(
+                        "supervisor_point_timeout", index=point.index, timeout_s=timeout_s
+                    )
+                _kill_pool_processes(pool)
+                respawn()
+                for point in guilty:
+                    reason = f"timeout after {timeout_s:g}s"
+                    if not sweep.fail(point, reason, MeasurementError(reason)):
+                        suspects.append(point)  # solo, so a repeat is attributable
+                queue.extend(innocents)  # victims of the kill, requeued free
+    except BaseException:
+        # Ctrl-C (or any abort) must neither be eaten nor hang in shutdown
+        for fut in inflight:
+            fut.cancel()
+        pool.shutdown(wait=False, cancel_futures=True)
+        raise
+    pool.shutdown()
+    pool_wall = time.perf_counter() - t0
+    if tel.enabled and pool_wall > 0.0:
+        busy = _worker_busy_seconds(sweep.fragments)
+        tel.gauge(
+            "exec_worker_utilization",
+            min(sum(busy.values()) / (n_workers * pool_wall), 1.0),
+        )
+        for pid, seconds in sorted(busy.items()):
+            tel.gauge("exec_worker_utilization", min(seconds / pool_wall, 1.0), pid=pid)
 
 
 def parallel_map(fn: Callable, items: Sequence, *, workers: int = 0, mp_context=None) -> list:

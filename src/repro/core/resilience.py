@@ -193,7 +193,7 @@ class PointQuality:
 
     @property
     def quarantined(self) -> bool:
-        """True when the supervisor gave up on this point (see core.supervisor)."""
+        """True when the supervisor gave up on this point (see ``repro.core.parallel``)."""
         return "quarantined" in self.reasons
 
     @property

@@ -6,9 +6,9 @@ the pool workers and the on-disk result cache — the way real multi-tenant
 hosts do: workers get OOM-killed mid-point, points hang on a wedged NFS
 mount, cached entries rot on disk.  A :class:`ChaosPlan` is a seedable,
 pure-data schedule of those process-level faults, so every failure it
-provokes is bit-reproducible and the supervision layer
-(:mod:`repro.core.supervisor`) can be *proven* to uphold its headline
-invariant: under any chaos schedule, a supervised sweep either returns
+provokes is bit-reproducible and the sweep executor under a
+:class:`~repro.core.parallel.SupervisorPolicy` can be *proven* to uphold
+its headline invariant: under any chaos schedule, a supervised sweep either returns
 curves bit-identical to a clean serial run or explicitly quarantines the
 affected points — never silently wrong data
 (``tests/test_chaos.py``).
@@ -200,7 +200,7 @@ def apply_chaos(
 ) -> None:
     """Fire whatever fault ``plan`` schedules for ``(index, attempt)``.
 
-    Called by the supervised point task before measuring.  ``fatal_ok=False``
+    Called by every sweep point attempt before measuring.  ``fatal_ok=False``
     (the in-process serial path) applies only the ``error`` fault — killing
     or hanging the caller's own process would take the supervisor down with
     it, which is exactly what the worker boundary exists to prevent.

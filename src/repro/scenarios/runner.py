@@ -1,4 +1,4 @@
-"""Execute a compiled grid through the parallel/supervised sweep engine.
+"""Execute a compiled grid through the sweep executor.
 
 Each :class:`~repro.scenarios.grid.GridCell` becomes one
 :class:`~repro.core.parallel.SweepSpec` dispatched by its engine tier —

@@ -3,9 +3,10 @@
 Architecture (DESIGN.md §10): requests arrive over stdlib-only HTTP/1.1
 (TCP or a unix socket), land in a bounded job queue, and are drained by
 a small pool of job workers, each of which pushes the sweep through the
-same engines the batch CLI uses — :func:`run_sweep_supervised` for
-``measure`` (journaled, resumable), :func:`run_surrogate_sweep` /
-:func:`run_auto_sweep` for the analytic tiers.  Identical submissions
+same engines the batch CLI uses — :func:`run_sweep` under a
+:class:`SupervisorPolicy` for ``measure`` (journaled, resumable),
+:func:`run_surrogate_sweep` / :func:`run_auto_sweep` for the analytic
+tiers.  Identical submissions
 coalesce on their content key *before* the queue, so N clients asking
 for the same curve cost one execution; finished curves live in a
 :class:`~repro.service.store.ResultStore` (LRU, warm-started) and every
@@ -39,8 +40,7 @@ from ..core.journal import (
     last_records,
     read_journal_records,
 )
-from ..core.parallel import SweepCache, sweep_spec_sha
-from ..core.supervisor import SupervisorPolicy, run_sweep_supervised
+from ..core.parallel import SupervisorPolicy, SweepCache, run_sweep, sweep_spec_sha
 from ..errors import MeasurementError, ReproError
 from ..faults.chaos import ServiceChaosPlan, service_chaos_from_env
 from ..observability import ensure_telemetry
@@ -177,7 +177,10 @@ class SweepServer:
 
     def _journal_job(self, key: str, state: str) -> None:
         with self._lock:
-            self._journal.append(_job_record(key, state))
+            # a job thread that outlived stop() finds the journal closed: its
+            # job stays ``submitted`` and the next start re-runs it
+            if not self._journal.closed:
+                self._journal.append(_job_record(key, state))
 
     def _recover_jobs(self) -> list[JobSpec]:
         """Jobs the last process accepted but never finished.
@@ -349,28 +352,17 @@ class SweepServer:
                     journal_path(self.journal_dir, run_id).unlink(missing_ok=True)
                     resume = False
                 else:
-                    # a foreign journal under this run id is a hard error
-                    # (only reachable with a user-supplied run_id) — the
-                    # supervisor refuses it anyway, so fail loudly here
-                    # instead of deleting someone else's journal
-                    if state.spec_sha != sweep_spec_sha(spec, sizes):
-                        raise MeasurementError(
-                            f"run id {run_id!r} pins a different sweep; "
-                            "refusing to resume across configurations"
-                        )
+                    # a foreign journal under this run id (only reachable
+                    # with a user-supplied run_id) is kept: the executor
+                    # refuses to resume it and the job fails loudly
                     done = len(state.done_indices())
                     self._emit(job, "resumed", run_id=run_id, done=done)
-            policy = (
-                SupervisorPolicy(point_timeout_s=self.point_timeout)
-                if self.point_timeout is not None
-                else None
-            )
-            results, stats = run_sweep_supervised(
+            results, stats = run_sweep(
                 spec,
                 sizes,
                 workers=self.sweep_workers,
                 cache_dir=self.cache_dir,
-                policy=policy,
+                policy=SupervisorPolicy(point_timeout_s=self.point_timeout),
                 journal_dir=self.journal_dir,
                 run_id=run_id,
                 resume=resume,
@@ -536,7 +528,7 @@ class SweepServer:
                 self._queue.task_done()
 
     async def stop(self) -> None:
-        """Stop accepting, cancel workers, release the sockets."""
+        """Stop accepting, cancel workers, release the sockets and the journal."""
         for server in self._servers:
             server.close()
             await server.wait_closed()
@@ -549,6 +541,8 @@ class SweepServer:
             except asyncio.CancelledError:
                 pass
         self._workers.clear()
+        with self._lock:
+            self._journal.close()
         if self.chaos is not None and self.chaos.worker is not None:
             # un-publish what __init__ installed; chaos must not outlive us
             self.chaos.worker.clear_env()

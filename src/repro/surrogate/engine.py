@@ -35,6 +35,7 @@ from ..core.parallel import (
     SweepPoint,
     SweepSpec,
     SweepStats,
+    point_cache_key,
     run_sweep,
     spec_token,
     sweep_points,
@@ -44,7 +45,6 @@ from ..errors import MeasurementError
 from ..hardware.counters import CounterSample
 from ..observability import ensure_telemetry
 from ..rng import stable_seed
-from ..store import checksum
 from ..tracing import capture_trace
 from ..units import LINE_SIZE
 from .model import DEFAULT_SURROGATE_BOUND, SurrogateModel
@@ -97,10 +97,13 @@ def surrogate_point_key(
     policy, so surrogate and measured entries for the same point are
     distinct keys in the same cache directory.
     """
+    return point_cache_key(spec, point, _surrogate_token(spec, policy))
+
+
+def _surrogate_token(spec: SweepSpec, policy: SurrogatePolicy) -> dict:
     token = spec_token(spec)
     token["engine"] = {"name": "surrogate", "policy": policy.token()}
-    token["point"] = {"stolen_bytes": point.stolen_bytes, "seed": point.seed}
-    return checksum(token)
+    return token
 
 
 def build_surrogate_model(
@@ -244,10 +247,11 @@ def run_surrogate_sweep(
     results: list[PointResult] = []
     pending: list[SweepPoint] = []
     keys: dict[int, str] = {}
+    token = _surrogate_token(spec, policy) if cache is not None else None
     with tel.span("surrogate_sweep", benchmark=spec.benchmark, n_points=len(points)):
         for p in points:
             if cache is not None:
-                keys[p.index] = surrogate_point_key(spec, p, policy)
+                keys[p.index] = point_cache_key(spec, p, token)
                 hit = cache.load(keys[p.index])
                 if hit is not None:
                     results.append(hit)
@@ -266,7 +270,6 @@ def run_surrogate_sweep(
                 stats.measured += 1
                 if cache is not None:
                     cache.store(keys[p.index], result)
-        stats.chunks = 1 if pending else 0
         if cache is not None:
             stats.cache_corrupt = cache.corruption_count
     return results, stats
@@ -320,6 +323,5 @@ def run_auto_sweep(
     stats.measured += mstats.measured
     stats.cache_hits += mstats.cache_hits
     stats.cache_corrupt += mstats.cache_corrupt
-    stats.chunks += mstats.chunks
     stats.workers = max(stats.workers, mstats.workers)
     return merged, stats

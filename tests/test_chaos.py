@@ -22,8 +22,7 @@ import pytest
 
 from repro.analysis.merge import assemble_curve
 from repro.config import nehalem_config
-from repro.core.parallel import SweepSpec, run_sweep
-from repro.core.supervisor import SupervisorPolicy, run_sweep_supervised
+from repro.core.parallel import SupervisorPolicy, SweepSpec, run_sweep
 from repro.errors import ConfigError
 from repro.faults.chaos import (
     CHAOS_ENV,
@@ -35,6 +34,9 @@ from repro.faults.chaos import (
 from repro.workloads import TargetSpec
 
 SIZES = [8.0, 4.0, 1.0]
+
+#: the default failure budget: a supervised sweep
+SUPERVISED = SupervisorPolicy()
 
 #: CI widens the chaos seed matrix without touching the code.
 CHAOS_SEEDS = [
@@ -174,7 +176,7 @@ def test_worker_kill_recovers_bit_identical(serial_baseline):
     """A single worker kill: respawn + solo re-verify, no quarantine."""
     plan = ChaosPlan(kills={0: (1,)})
     with plan:
-        results, stats = run_sweep_supervised(small_spec(), SIZES, workers=2)
+        results, stats = run_sweep(small_spec(), SIZES, workers=2, policy=SUPERVISED)
     assert stats.respawns >= 1
     assert assert_invariant(results, serial_baseline) == set()
 
@@ -183,7 +185,7 @@ def test_repeated_kills_quarantine_the_point(serial_baseline):
     """A point that kills its worker on every attempt is quarantined."""
     plan = ChaosPlan(kills={1: tuple(range(1, 10))})
     with plan:
-        results, stats = run_sweep_supervised(small_spec(), SIZES, workers=2)
+        results, stats = run_sweep(small_spec(), SIZES, workers=2, policy=SUPERVISED)
     assert stats.quarantined == 1
     assert assert_invariant(results, serial_baseline) == {1}
     victim = next(r for r in results if r.index == 1)
@@ -195,7 +197,7 @@ def test_hang_trips_the_watchdog_then_recovers(serial_baseline):
     plan = ChaosPlan(hangs={0: (1,)}, hang_seconds=30.0)
     policy = SupervisorPolicy(point_timeout_s=3.0, heartbeat_interval_s=0.05)
     with plan:
-        results, stats = run_sweep_supervised(
+        results, stats = run_sweep(
             small_spec(), SIZES, workers=2, policy=policy
         )
     assert stats.timeouts >= 1
@@ -209,7 +211,7 @@ def test_persistent_hang_quarantines(serial_baseline):
         point_timeout_s=3.0, max_point_failures=2, heartbeat_interval_s=0.05
     )
     with plan:
-        results, stats = run_sweep_supervised(
+        results, stats = run_sweep(
             small_spec(), SIZES, workers=2, policy=policy
         )
     assert stats.timeouts >= 2
@@ -228,7 +230,7 @@ def test_mixed_chaos_across_points(serial_baseline):
     )
     policy = SupervisorPolicy(point_timeout_s=3.0, heartbeat_interval_s=0.05)
     with plan:
-        results, stats = run_sweep_supervised(
+        results, stats = run_sweep(
             small_spec(), SIZES, workers=2, policy=policy
         )
     # one fault each, budget is 2: everything recovers, nothing quarantined
@@ -245,8 +247,8 @@ def test_chaos_with_cache_and_corruption(tmp_path, serial_baseline):
     corrupt_cache_entries(cache_dir, seed=5, count=2, mode="tamper")
     plan = ChaosPlan(kills={0: (1,)})
     with plan:
-        results, stats = run_sweep_supervised(
-            small_spec(), SIZES, workers=2, cache_dir=cache_dir
+        results, stats = run_sweep(
+            small_spec(), SIZES, workers=2, cache_dir=cache_dir, policy=SUPERVISED
         )
     assert stats.cache_corrupt == 2
     assert stats.cache_hits == 1
@@ -259,7 +261,7 @@ def test_quarantine_is_deterministic(serial_baseline):
     outcomes = []
     for _ in range(2):
         with plan:
-            results, _stats = run_sweep_supervised(
+            results, _stats = run_sweep(
                 small_spec(), SIZES, workers=0,
                 policy=SupervisorPolicy(max_point_failures=2),
             )
@@ -277,7 +279,7 @@ def test_random_chaos_schedule_upholds_invariant(serial_baseline, seed):
         len(SIZES), seed=seed, kill_rate=0.5, error_rate=0.4, repeats=1
     )
     with plan:
-        results, stats = run_sweep_supervised(small_spec(), SIZES, workers=2)
+        results, stats = run_sweep(small_spec(), SIZES, workers=2, policy=SUPERVISED)
     # single-shot faults always sit inside the default failure budget of 2
     assert assert_invariant(results, serial_baseline) == set()
     assert stats.quarantined == 0
@@ -292,7 +294,7 @@ def test_random_persistent_chaos_quarantines_exactly_the_faulted(
         len(SIZES), seed=seed, kill_rate=0.5, error_rate=0.4, repeats=9
     )
     with plan:
-        results, stats = run_sweep_supervised(small_spec(), SIZES, workers=2)
+        results, stats = run_sweep(small_spec(), SIZES, workers=2, policy=SUPERVISED)
     quarantined = assert_invariant(results, serial_baseline)
     scheduled = set(plan.kills) | set(plan.errors)
     assert quarantined == scheduled

@@ -28,16 +28,19 @@ from repro.core.journal import (
     read_journal_records,
 )
 from repro.core.parallel import (
+    SupervisorPolicy,
     SweepSpec,
     result_to_payload,
     run_sweep,
     sweep_spec_sha,
 )
-from repro.core.supervisor import run_sweep_supervised
 from repro.errors import MeasurementError
 from repro.workloads import TargetSpec
 
 SIZES = [8.0, 4.0, 1.0]
+
+#: the default failure budget: a supervised sweep
+SUPERVISED = SupervisorPolicy()
 
 
 def small_spec(**overrides) -> SweepSpec:
@@ -246,13 +249,14 @@ def test_resume_executes_exactly_the_remaining_points(
             journal.mark_running(result.index, 1)
             journal.mark_done(result.index, result_to_payload(result))
 
-    results, stats = run_sweep_supervised(
+    results, stats = run_sweep(
         spec,
         SIZES,
         workers=workers,
         journal_dir=tmp_path,
         run_id=run_id,
         resume=True,
+        policy=SUPERVISED,
     )
     assert stats.journal_hits == n_done
     assert stats.measured == len(SIZES) - n_done
@@ -272,8 +276,8 @@ def test_resume_refuses_spec_mismatch(tmp_path):
     ).close()
     other = small_spec(seed=99)
     with pytest.raises(MeasurementError, match="different sweep"):
-        run_sweep_supervised(
-            other, SIZES, journal_dir=tmp_path, run_id=run_id, resume=True
+        run_sweep(
+            other, SIZES, journal_dir=tmp_path, run_id=run_id, resume=True, policy=SUPERVISED
         )
 
 
@@ -284,8 +288,8 @@ def test_resume_replays_quarantined_points(tmp_path, serial_baseline):
         tmp_path, run_id, spec_sha=sweep_spec_sha(spec, SIZES), sizes_mb=SIZES
     ) as journal:
         journal.mark_quarantined(0, attempts=2, reasons=["worker crash"])
-    results, stats = run_sweep_supervised(
-        spec, SIZES, journal_dir=tmp_path, run_id=run_id, resume=True
+    results, stats = run_sweep(
+        spec, SIZES, journal_dir=tmp_path, run_id=run_id, resume=True, policy=SUPERVISED
     )
     assert stats.quarantined == 1
     assert stats.measured == len(SIZES) - 1
@@ -299,8 +303,7 @@ _SIGKILL_SCRIPT = """
 import sys
 sys.path.insert(0, {src!r})
 from repro.config import nehalem_config
-from repro.core.supervisor import run_sweep_supervised
-from repro.core.parallel import SweepSpec
+from repro.core.parallel import SupervisorPolicy, SweepSpec, run_sweep
 from repro.workloads import TargetSpec
 
 spec = SweepSpec(
@@ -312,8 +315,9 @@ spec = SweepSpec(
     seed=11,
 )
 print("READY", flush=True)
-run_sweep_supervised(
-    spec, {sizes!r}, workers=0, journal_dir={journal!r}, run_id={run_id!r}
+run_sweep(
+    spec, {sizes!r}, workers=0, journal_dir={journal!r}, run_id={run_id!r},
+    policy=SupervisorPolicy(),
 )
 print("FINISHED", flush=True)
 """
@@ -353,13 +357,14 @@ def test_sigkill_mid_sweep_then_resume_completes(tmp_path, serial_baseline):
     done_at_kill = JournalState.load(tmp_path, run_id).done_indices()
     assert done_at_kill, "the child never journaled a point"
 
-    results, stats = run_sweep_supervised(
+    results, stats = run_sweep(
         small_spec(),
         SIZES,
         workers=0,
         journal_dir=tmp_path,
         run_id=run_id,
         resume=True,
+        policy=SUPERVISED,
     )
     assert stats.journal_hits == len(done_at_kill)
     assert stats.measured == len(SIZES) - len(done_at_kill)

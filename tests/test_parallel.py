@@ -1,9 +1,11 @@
 """Parallel sweep executor: equivalence, caching, seeds, picklability.
 
 The engine's contract is that parallelism is *invisible* in the results:
-for any worker count, chunking, point order, or cache state, a sweep
-produces bit-identical curves.  These tests pin that contract down, plus
-the pickling guarantees the pool depends on.
+for any worker count, point order, or cache state, a sweep produces
+bit-identical curves.  These tests pin that contract down, plus the
+pickling guarantees the pool depends on, and the unsupervised fault
+contract: without a ``SupervisorPolicy`` a point's first proven fault
+raises instead of being retried or quarantined.
 
 Pool-backed tests use ``workers=2`` — enough to cross a process boundary
 without assuming multiple cores (CI containers may have one).
@@ -25,7 +27,6 @@ from repro.core.parallel import (
     PointResult,
     SweepCache,
     SweepSpec,
-    default_chunksize,
     derive_point_seed,
     parallel_map,
     point_cache_key,
@@ -35,6 +36,7 @@ from repro.core.parallel import (
 )
 from repro.core.resilience import PointQuality, RetryPolicy
 from repro.errors import ConfigError, MeasurementError
+from repro.faults.chaos import ChaosError, ChaosPlan
 from repro.faults.injectors import (
     CounterGlitchInjector,
     DramBrownoutInjector,
@@ -84,12 +86,6 @@ def test_worker_count_never_changes_results(serial_baseline, workers):
     assert stats.measured == len(SIZES)
 
 
-def test_chunksize_never_changes_results(serial_baseline):
-    for chunksize in (1, 2, len(SIZES)):
-        results, _ = run_sweep(small_spec(), SIZES, workers=2, chunksize=chunksize)
-        assert rows(results) == rows(serial_baseline)
-
-
 def test_measure_curve_fixed_parallel_equals_serial():
     kwargs = dict(
         interval_instructions=40_000.0, n_intervals=1, seed=11, benchmark="m"
@@ -118,6 +114,39 @@ def test_fault_injected_sweep_parallel_equals_serial():
     serial, _ = run_sweep(spec, SIZES, workers=0)
     pooled, _ = run_sweep(spec, SIZES, workers=2)
     assert rows(pooled) == rows(serial)
+
+
+# -- the unsupervised fault contract -----------------------------------------------
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_unsupervised_error_raises_without_retry(workers):
+    """No policy: a point's own exception raises, typed, on its first attempt.
+
+    The chaos error fires on attempt 1 only, so a retry would succeed and a
+    quarantine would return results: raising proves neither happened.
+    """
+    with ChaosPlan(errors={0: (1,)}):
+        with pytest.raises(ChaosError, match="point 0 attempt 1"):
+            run_sweep(small_spec(), SIZES, workers=workers)
+
+
+def test_unsupervised_repeated_kill_is_a_one_line_typed_error():
+    """No policy: a point that kills its worker even when run solo raises."""
+    with ChaosPlan(kills={0: tuple(range(1, 10))}):
+        with pytest.raises(MeasurementError, match="point 0") as e:
+            run_sweep(small_spec(), SIZES, workers=2)
+    assert "\n" not in str(e.value)
+    assert "crashed its worker" in str(e.value)
+
+
+def test_unsupervised_kill_of_a_suspect_recovers(serial_baseline):
+    """A pool break with several points in flight blames nobody: without a
+    policy, a one-off kill still re-runs the suspects solo and completes."""
+    with ChaosPlan(kills={0: (1,)}):
+        results, stats = run_sweep(small_spec(), SIZES, workers=2)
+    assert stats.respawns >= 1
+    assert rows(results) == rows(serial_baseline)
 
 
 # -- seed derivation ---------------------------------------------------------------
@@ -360,16 +389,6 @@ def test_parallel_map_rejects_negative_workers():
         parallel_map(_double, [1], workers=-1)
     with pytest.raises(MeasurementError):
         run_sweep(small_spec(), SIZES, workers=-1)
-
-
-@given(n=st.integers(0, 500), workers=st.integers(1, 32))
-@settings(max_examples=40, deadline=None)
-def test_default_chunksize_covers_all_points(n, workers):
-    chunk = default_chunksize(n, workers)
-    assert chunk >= 1
-    if n and workers > 1:
-        n_chunks = -(-n // chunk)
-        assert n_chunks <= workers * 4 + workers  # ~4 chunks per worker
 
 
 # -- merge -------------------------------------------------------------------------

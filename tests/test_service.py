@@ -9,6 +9,7 @@ live in their own ``test_service_*`` files; this one pins the protocol
 and the happy paths.
 """
 
+import asyncio
 import json
 import threading
 
@@ -390,7 +391,23 @@ def test_parent_service_journal_recovers_only_unfinished_jobs(tmp_path):
         assert server._recover_jobs() == [tiny_job()]
         assert server.stats["jobs_unrecoverable"] == 0
     finally:
-        server._journal.close()
+        asyncio.run(server.stop())
+
+
+def test_stop_closes_the_service_journal(tmp_path):
+    from repro.service.server import SERVICE_JOURNAL
+
+    with ServerThread(tmp_path / "state", tmp_path / "svc.sock") as srv:
+        writer = srv.server._journal
+        handle = writer._fh
+        assert not handle.closed
+    assert handle.closed and writer.closed
+    # a job thread that outlives stop() finds the writer closed: it neither
+    # raises nor appends, so its job stays ``submitted`` for the next start
+    path = tmp_path / "state" / "journals" / SERVICE_JOURNAL
+    before = path.read_text()
+    srv.server._journal_job("a" * 64, "done")
+    assert path.read_text() == before
 
 
 def test_warm_start_after_restart_serves_without_executing(tmp_path):

@@ -13,7 +13,6 @@ import pytest
 from repro.cli import main
 from repro.service import ServerThread, job_key
 from repro.service.protocol import JobSpec
-from repro.workloads import TargetSpec
 
 
 class Sink:

@@ -28,13 +28,14 @@ import pytest
 from repro.config import KERNEL_MODES, machine_content_token, machine_from_dict, nehalem_config
 from repro.core.journal import JournalState, journal_path, read_journal_records
 from repro.core.parallel import (
+    SupervisorPolicy,
     SweepSpec,
     point_cache_key,
+    run_sweep,
     spec_token,
     sweep_points,
     sweep_spec_sha,
 )
-from repro.core.supervisor import run_sweep_supervised
 from repro.errors import ConfigError
 from repro.scenarios.grid import _machine_token, compile_grid
 from repro.service import JobSpec, ServiceClient, job_key, job_run_id
@@ -44,6 +45,9 @@ from repro.workloads import TargetSpec
 
 WS = TargetSpec(kind="micro.random", working_set_mb=1.0, seed=7)
 SIZES = [8.0, 2.0]
+
+#: the default failure budget: what ``repro sweep --journal-dir`` runs under
+SUPERVISED = SupervisorPolicy()
 
 
 def tiny_job(**overrides) -> JobSpec:
@@ -156,8 +160,8 @@ def test_pre_removal_journaled_job_resumes(tmp_path):
     key = job_key(job_from_wire(wire))
     assert key == job_key(job)
     journals = tmp_path / "state" / "journals"
-    run_sweep_supervised(
-        batch_spec(job), SIZES, journal_dir=journals, run_id=job_run_id(key)
+    run_sweep(
+        batch_spec(job), SIZES, journal_dir=journals, run_id=job_run_id(key), policy=SUPERVISED
     )
     (journals / SERVICE_JOURNAL).write_text(
         json.dumps(
@@ -205,12 +209,12 @@ def test_journal_written_under_auto_resumes_under_scalar(tmp_path):
     job = tiny_job()
     auto = replace(batch_spec(job), config=nehalem_config(kernel="auto"))
     scalar = replace(batch_spec(job), config=nehalem_config(kernel="scalar"))
-    results_v, stats_v = run_sweep_supervised(
-        auto, SIZES, journal_dir=tmp_path, run_id="xkernel"
+    results_v, stats_v = run_sweep(
+        auto, SIZES, journal_dir=tmp_path, run_id="xkernel", policy=SUPERVISED
     )
     assert stats_v.measured == len(SIZES)
-    results_s, stats_s = run_sweep_supervised(
-        scalar, SIZES, journal_dir=tmp_path, run_id="xkernel", resume=True
+    results_s, stats_s = run_sweep(
+        scalar, SIZES, journal_dir=tmp_path, run_id="xkernel", resume=True, policy=SUPERVISED
     )
     assert stats_s.measured == 0
     assert stats_s.journal_hits == len(SIZES)
@@ -230,11 +234,12 @@ def test_cli_journal_resumes_under_server(tmp_path):
     state = tmp_path / "state"
     journals = state / "journals"
     # the batch path: exactly what cmd_sweep does with --journal-dir
-    results, stats = run_sweep_supervised(
+    results, stats = run_sweep(
         batch_spec(job),
         SIZES,
         journal_dir=journals,
         run_id="handoff",
+        policy=SUPERVISED,
     )
     assert stats.measured == len(SIZES)
     with ServerThread(state, tmp_path / "svc.sock") as srv:
@@ -259,12 +264,13 @@ def test_server_journal_resumes_under_cli(tmp_path):
     run_id = job_run_id(key)
     assert journal_path(state / "journals", run_id).exists()
     # what cmd_sweep --resume does with the same spec
-    results, stats = run_sweep_supervised(
+    results, stats = run_sweep(
         batch_spec(job),
         SIZES,
         journal_dir=state / "journals",
         run_id=run_id,
         resume=True,
+        policy=SUPERVISED,
     )
     assert stats.measured == 0
     assert stats.journal_hits == len(SIZES)
@@ -282,8 +288,8 @@ def test_server_refuses_foreign_journal_under_user_run_id(tmp_path):
 
     other = tiny_job(seed=99)
     state = tmp_path / "state"
-    run_sweep_supervised(
-        batch_spec(other), SIZES, journal_dir=state / "journals", run_id="stolen"
+    run_sweep(
+        batch_spec(other), SIZES, journal_dir=state / "journals", run_id="stolen", policy=SUPERVISED
     )
     with ServerThread(state, tmp_path / "svc.sock") as srv:
         client = srv.client()

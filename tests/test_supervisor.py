@@ -1,8 +1,8 @@
 """Supervised sweep execution: policy, equivalence, quarantine, watchdog.
 
-The supervisor's contract extends the parallel engine's: supervision is
-*invisible* in the results — a supervised sweep returns curves
-bit-identical to ``run_sweep`` for any worker count — until a point
+A :class:`SupervisorPolicy` extends the executor's contract: supervision
+is *invisible* in the results — a supervised ``run_sweep`` returns curves
+bit-identical to an unsupervised one for any worker count — until a point
 actually misbehaves, at which point the misbehavior becomes an explicit
 quarantined entry instead of an exception or silent data loss.  The full
 chaos-driven proof of that invariant lives in ``tests/test_chaos.py``;
@@ -15,19 +15,23 @@ from repro.analysis.merge import assemble_curve, merge_point_results
 from repro.config import nehalem_config
 from repro.core import measure_curve_fixed
 from repro.core.journal import JournalState
-from repro.core.parallel import SweepSpec, run_sweep, sweep_points
-from repro.core.resilience import PartialCurve
-from repro.core.supervisor import (
+from repro.core.parallel import (
     SupervisorPolicy,
+    SweepSpec,
     quarantined_result,
-    run_sweep_supervised,
+    run_sweep,
+    sweep_points,
 )
+from repro.core.resilience import PartialCurve
 from repro.errors import ConfigError, MeasurementError
 from repro.faults.chaos import ChaosPlan
 from repro.observability import Telemetry
 from repro.workloads import TargetSpec
 
 SIZES = [8.0, 4.0, 1.0]
+
+#: the default failure budget: a supervised sweep
+SUPERVISED = SupervisorPolicy()
 
 
 def small_spec(**overrides) -> SweepSpec:
@@ -80,18 +84,18 @@ def test_policy_rejects_bad_budgets(kwargs):
 
 def test_supervised_rejects_negative_workers():
     with pytest.raises(MeasurementError, match="workers"):
-        run_sweep_supervised(small_spec(), SIZES, workers=-1)
+        run_sweep(small_spec(), SIZES, workers=-1, policy=SUPERVISED)
 
 
 def test_resume_requires_journal_dir():
     with pytest.raises(ConfigError, match="journal"):
-        run_sweep_supervised(small_spec(), SIZES, resume=True)
+        run_sweep(small_spec(), SIZES, resume=True, policy=SUPERVISED)
 
 
 def test_resume_requires_run_id(tmp_path):
     with pytest.raises(ConfigError, match="run id"):
-        run_sweep_supervised(
-            small_spec(), SIZES, journal_dir=tmp_path, resume=True
+        run_sweep(
+            small_spec(), SIZES, journal_dir=tmp_path, resume=True, policy=SUPERVISED
         )
 
 
@@ -100,7 +104,7 @@ def test_resume_requires_run_id(tmp_path):
 
 @pytest.mark.parametrize("workers", [0, 1, 2])
 def test_supervised_matches_run_sweep(serial_baseline, workers):
-    results, stats = run_sweep_supervised(small_spec(), SIZES, workers=workers)
+    results, stats = run_sweep(small_spec(), SIZES, workers=workers, policy=SUPERVISED)
     assert rows(results) == rows(serial_baseline)
     assert stats.measured == len(SIZES)
     assert stats.quarantined == 0
@@ -122,8 +126,8 @@ def test_supervised_measure_curve_fixed_matches_plain():
 
 def test_supervised_uses_cache(tmp_path, serial_baseline):
     cache_dir = tmp_path / "cache"
-    first, s1 = run_sweep_supervised(small_spec(), SIZES, cache_dir=cache_dir)
-    second, s2 = run_sweep_supervised(small_spec(), SIZES, cache_dir=cache_dir)
+    first, s1 = run_sweep(small_spec(), SIZES, cache_dir=cache_dir, policy=SUPERVISED)
+    second, s2 = run_sweep(small_spec(), SIZES, cache_dir=cache_dir, policy=SUPERVISED)
     assert s1.measured == len(SIZES) and s1.cache_hits == 0
     assert s2.measured == 0 and s2.cache_hits == len(SIZES)
     assert rows(second) == rows(serial_baseline)
@@ -179,7 +183,7 @@ def test_serial_error_chaos_quarantines_at_budget(serial_baseline):
     plan = ChaosPlan(errors={0: tuple(range(1, 10))})
     policy = SupervisorPolicy(max_point_failures=2)
     with plan:
-        results, stats = run_sweep_supervised(
+        results, stats = run_sweep(
             small_spec(), SIZES, workers=0, policy=policy
         )
     assert stats.quarantined == 1
@@ -195,7 +199,7 @@ def test_serial_error_chaos_retry_recovers_bit_identical(serial_baseline):
     # one error on the first attempt: retry succeeds, results identical
     plan = ChaosPlan(errors={1: (1,)})
     with plan:
-        results, stats = run_sweep_supervised(small_spec(), SIZES, workers=0)
+        results, stats = run_sweep(small_spec(), SIZES, workers=0, policy=SUPERVISED)
     assert stats.quarantined == 0
     assert stats.retries == 1
     assert rows(results) == rows(serial_baseline)
@@ -205,8 +209,8 @@ def test_serial_error_chaos_retry_recovers_bit_identical(serial_baseline):
 
 
 def test_supervised_journals_every_point(tmp_path, serial_baseline):
-    results, stats = run_sweep_supervised(
-        small_spec(), SIZES, journal_dir=tmp_path, run_id="sup1"
+    results, stats = run_sweep(
+        small_spec(), SIZES, journal_dir=tmp_path, run_id="sup1", policy=SUPERVISED
     )
     assert stats.run_id == "sup1"
     state = JournalState.load(tmp_path, "sup1")
@@ -219,7 +223,7 @@ def test_supervised_telemetry_metrics(tmp_path):
     tel = Telemetry()
     plan = ChaosPlan(errors={0: tuple(range(1, 10))})
     with plan:
-        run_sweep_supervised(
+        run_sweep(
             small_spec(),
             SIZES,
             workers=2,
@@ -234,8 +238,8 @@ def test_supervised_telemetry_metrics(tmp_path):
 
 def test_supervised_pool_fragments_absorbed_deterministically():
     tel_a, tel_b = Telemetry(), Telemetry()
-    run_sweep_supervised(small_spec(), SIZES, workers=2, telemetry=tel_a)
-    run_sweep_supervised(small_spec(), SIZES, workers=0, telemetry=tel_b)
+    run_sweep(small_spec(), SIZES, workers=2, telemetry=tel_a, policy=SUPERVISED)
+    run_sweep(small_spec(), SIZES, workers=0, telemetry=tel_b, policy=SUPERVISED)
     assert (
         tel_a.summary()["measurement"]["counters"]
         == tel_b.summary()["measurement"]["counters"]
