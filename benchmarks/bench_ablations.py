@@ -91,10 +91,10 @@ def test_ablation_owner_based_back_invalidation(run_once, scale):
 
         cfg = replace(nehalem_config(), private_data=private)
         m = Machine(cfg, seed=5)
-        a = m.add_thread(make_benchmark("mcf", instance=0, seed=7), core=0,
-                         instruction_limit=600_000)
-        b = m.add_thread(make_benchmark("sphinx3", instance=1, seed=8), core=1,
-                         instruction_limit=600_000)
+        m.add_thread(make_benchmark("mcf", instance=0, seed=7), core=0,
+                     instruction_limit=600_000)
+        m.add_thread(make_benchmark("sphinx3", instance=1, seed=8), core=1,
+                     instruction_limit=600_000)
         t0 = time.perf_counter()
         m.run()
         host = time.perf_counter() - t0

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.experiments import fig5_schedule
-from repro.units import MB
 
 
 @pytest.mark.experiment

@@ -36,17 +36,16 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 if __name__ == "__main__":  # script mode: make src/ importable from anywhere
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-import pytest
-
-from repro.caches.hierarchy import CacheHierarchy
-from repro.config import KERNEL_MODES, nehalem_config
-from repro.kernels import cext
-from repro.units import MB
-from repro.workloads import make_benchmark
+from repro.caches.hierarchy import CacheHierarchy  # noqa: E402
+from repro.config import KERNEL_MODES, nehalem_config  # noqa: E402
+from repro.kernels import cext  # noqa: E402
+from repro.units import MB  # noqa: E402
+from repro.workloads import make_benchmark  # noqa: E402
 
 #: Pirate working-set sizes (lines) chosen so the sweep spans most of the
 #: 8MB / 131072-line L3 — large enough that back-invalidation pressure on

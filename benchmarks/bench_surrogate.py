@@ -34,16 +34,15 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 if __name__ == "__main__":  # script mode: make src/ importable from anywhere
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-import pytest
-
-from repro.config import nehalem_config
-from repro.core import measure_curve_fixed
-from repro.units import MB
-from repro.workloads import benchmark_target
+from repro.config import nehalem_config  # noqa: E402
+from repro.core import measure_curve_fixed  # noqa: E402
+from repro.units import MB  # noqa: E402
+from repro.workloads import benchmark_target  # noqa: E402
 
 #: the measured sweep's cost scales with sizes x intervals; the surrogate
 #: profiles once and answers every size from the histogram, so a denser

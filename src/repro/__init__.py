@@ -23,7 +23,7 @@ Packages: ``repro.caches`` (cache models), ``repro.hardware`` (the machine),
 ``repro.workloads`` (synthetic SPEC-like suite), ``repro.core`` (the
 pirating technique and its retry/recovery engine), ``repro.observability``
 (run telemetry: spans, metrics, JSONL export), ``repro.faults``
-(deterministic fault injection for robustness testing), ``repro.tracing``
+(process-level chaos for testing sweep execution), ``repro.tracing``
 (Pin/Gprof stand-ins), ``repro.reference`` (trace-driven validation
 simulator), ``repro.analysis`` (scaling prediction, error metrics),
 ``repro.experiments`` (one module per paper table/figure).
@@ -81,15 +81,6 @@ from .observability import (
     summarize,
     write_jsonl,
 )
-from .faults import (
-    CounterGlitchInjector,
-    DramBrownoutInjector,
-    FaultController,
-    FaultEvent,
-    FaultPlan,
-    NoisyNeighborInjector,
-    SchedulerJitterInjector,
-)
 from .tracing import AddressTrace, capture_trace, profile_workload
 from .reference import apply_offset, reference_curve, simulate_trace
 from .analysis import (
@@ -145,7 +136,7 @@ __all__ = [
     "derive_point_seed",
     "run_sweep",
     "parallel_map",
-    # resilience & fault injection
+    # resilience
     "RetryPolicy",
     "PartialCurve",
     "PointQuality",
@@ -159,13 +150,6 @@ __all__ = [
     "read_jsonl",
     "summarize",
     "format_report",
-    "FaultPlan",
-    "FaultEvent",
-    "FaultController",
-    "CounterGlitchInjector",
-    "NoisyNeighborInjector",
-    "SchedulerJitterInjector",
-    "DramBrownoutInjector",
     # tracing & reference
     "AddressTrace",
     "capture_trace",

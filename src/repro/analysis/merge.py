@@ -23,6 +23,7 @@ from typing import Iterable, Sequence
 from ..core.curves import IntervalSample, PerformanceCurve
 from ..core.parallel import PointResult
 from ..core.resilience import PartialCurve, PointQuality
+from ..errors import MeasurementError
 from ..observability import ensure_telemetry
 
 
@@ -80,6 +81,11 @@ def assemble_curve(
     tel = ensure_telemetry(telemetry)
     with tel.span("merge", benchmark=benchmark, n_results=len(results)):
         samples, quality = merge_point_results(results)
+        if not samples and quality and all(q.quarantined for q in quality.values()):
+            raise MeasurementError(
+                f"{benchmark}: all {len(quality)} points were quarantined; "
+                "no curve to assemble"
+            )
         if quality:
             curve = PartialCurve.from_samples(benchmark, samples, clock_hz)
             curve.quality = quality

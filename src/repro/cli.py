@@ -65,7 +65,7 @@ from .core.bandit import measure_bandwidth_curve
 from .core.journal import new_run_id
 from .core.parallel import CACHE_FORMAT, SupervisorPolicy
 from .core.resilience import PartialCurve, RetryPolicy, measure_point_resilient
-from .errors import ConfigError
+from .errors import ConfigError, MeasurementError
 from .faults.chaos import ChaosPlan
 from .observability import Telemetry, format_report, read_jsonl, summarize, write_jsonl
 from .store import Store
@@ -486,6 +486,10 @@ def cmd_sweep(args, out=print) -> int:
             surrogate=surrogate,
             telemetry=telemetry,
         )
+    except MeasurementError as e:
+        # e.g. supervision quarantined every point: no curve to print
+        out(f"error: {e}")
+        return 1
     finally:
         if chaos is not None:
             chaos.clear_env()

@@ -32,12 +32,10 @@ import numpy as np
 
 from ..config import MachineConfig, nehalem_config
 from ..errors import ConfigError, MeasurementError
-from ..faults.controller import as_controller
 from ..hardware.counters import CounterSample
 from ..hardware.machine import Machine
 from ..hardware.thread import SimThread, WorkloadLike
 from ..observability import ensure_telemetry
-from .resilience import RetryPolicy, interval_sanity
 
 #: Bandit line-address base — far from workloads and from the Pirate.
 BANDIT_BASE = 1 << 44
@@ -153,8 +151,6 @@ class BanditPoint:
     target_cpi: float
     target_bandwidth_gbps: float
     target: CounterSample
-    #: measurement attempts the retry engine spent on this point
-    attempts: int = 1
 
 
 @dataclass
@@ -205,8 +201,6 @@ def measure_bandwidth_curve(
     benchmark: str | None = None,
     sets_used: int = DEFAULT_SETS_USED,
     seed: int = 0,
-    retry_policy: RetryPolicy | None = None,
-    fault_plan=None,
     telemetry=None,
 ) -> BanditCurve:
     """Sweep the Bandit's intensity and record the Target's response.
@@ -215,12 +209,6 @@ def measure_bandwidth_curve(
     warm-up, one interval is measured and the Bandit's achieved bandwidth is
     subtracted from the system capacity to give the bandwidth *available* to
     the Target.
-
-    ``retry_policy`` routes each point through the retry engine: an interval
-    whose Target counters are implausible (dropped or corrupted reads under
-    an injected fault) is re-measured after an extended warm-up, up to the
-    policy's attempt budget.  ``fault_plan`` installs a :mod:`repro.faults`
-    plan on each per-gap machine.
     """
     config = config or nehalem_config()
     tel = ensure_telemetry(telemetry)
@@ -234,10 +222,6 @@ def measure_bandwidth_curve(
         with tel.span("bandit_point", gap_cycles=gap) as point_sp:
             machine = Machine(config, seed=seed)
             point_t0 = machine.frontier
-            if fault_plan is not None:
-                controller = as_controller(fault_plan)
-                controller.telemetry = tel
-                machine.install_faults(controller)
             if callable(target_factory):
                 wl = target_factory()
             else:
@@ -253,37 +237,13 @@ def measure_bandwidth_curve(
             warm_goal = warmup_instructions
             machine.run(until=lambda: target.instructions >= warm_goal)
 
-            def _measure() -> tuple[CounterSample, float, float]:
-                before_t = machine.counters.sample(0)
-                before_b = bandit.sample()
-                t0 = machine.frontier
-                goal = target.instructions + interval_instructions
-                machine.run(until=lambda: target.instructions >= goal)
-                d = machine.counters.sample(0).delta(before_t)
-                tel.count("intervals_total")
-                return d, bandit.achieved_bandwidth_gbps(before_b), machine.frontier - t0
-
-            d, bandit_bw, wall = _measure()
-            attempts = 1
-            while retry_policy is not None:
-                reason = interval_sanity(d, interval_instructions, wall, retry_policy)
-                if reason is None or attempts >= retry_policy.max_attempts:
-                    break
-                attempts += 1
-                # escalate: extended co-run warm-up pushes the next interval
-                # past a transient fault window, then re-measure
-                extra = retry_policy.warmup_for(warmup_instructions, attempts)
-                tel.count("retries_total")
-                tel.event(
-                    "retry_escalation",
-                    attempt=attempts - 1,
-                    reasons=[reason],
-                    next_warmup_instructions=extra,
-                    degraded_next=False,
-                )
-                goal = target.instructions + extra
-                machine.run(until=lambda: target.instructions >= goal)
-                d, bandit_bw, wall = _measure()
+            before_t = machine.counters.sample(0)
+            before_b = bandit.sample()
+            goal = target.instructions + interval_instructions
+            machine.run(until=lambda: target.instructions >= goal)
+            d = machine.counters.sample(0).delta(before_t)
+            bandit_bw = bandit.achieved_bandwidth_gbps(before_b)
+            tel.count("intervals_total")
             point_sp.add_cycles(machine.frontier - point_t0)
         points.append(
             BanditPoint(
@@ -295,7 +255,6 @@ def measure_bandwidth_curve(
                 target_cpi=d.cpi,
                 target_bandwidth_gbps=d.bandwidth_gbps(config.core.clock_hz),
                 target=d,
-                attempts=attempts,
             )
         )
     return BanditCurve(

@@ -20,7 +20,6 @@ from typing import Callable
 
 from ..config import MachineConfig, nehalem_config
 from ..errors import MeasurementError
-from ..faults.controller import as_controller
 from ..hardware.machine import Machine
 from ..hardware.thread import WorkloadLike
 from ..observability import ensure_telemetry
@@ -97,7 +96,6 @@ def measure_curve_dynamic(
     quantum: float | None = None,
     compute_baseline: bool = True,
     retry_policy: RetryPolicy | None = None,
-    fault_plan=None,
     telemetry=None,
 ) -> DynamicRunResult:
     """Measure every size in ``sizes_mb`` from one Target execution (Fig. 5).
@@ -127,8 +125,7 @@ def measure_curve_dynamic(
     re-warms (with exponential backoff), re-settles and re-measures the same
     size up to the policy's attempt budget, and the result's curve becomes a
     :class:`~repro.core.resilience.PartialCurve` with per-point quality
-    metadata.  ``fault_plan`` installs a :mod:`repro.faults` plan on the
-    machine (the baseline run stays unfaulted).
+    metadata.
     """
     config = config or nehalem_config()
     tel = ensure_telemetry(telemetry)
@@ -148,10 +145,6 @@ def measure_curve_dynamic(
     machine, target, pirate = _setup(
         target_factory, config, num_pirate_threads, seed, quantum
     )
-    if fault_plan is not None:
-        controller = as_controller(fault_plan)
-        controller.telemetry = tel
-        machine.install_faults(controller)
     name = benchmark or target.workload.name
     target.instruction_limit = total_instructions
     monitor = PirateMonitor(pirate, threshold)

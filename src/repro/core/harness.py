@@ -15,7 +15,6 @@ from typing import Callable
 
 from ..config import MachineConfig, nehalem_config
 from ..errors import MeasurementError
-from ..faults.controller import as_controller
 from ..hardware.machine import Machine
 from ..hardware.thread import SimThread, WorkloadLike
 from ..observability import ensure_telemetry
@@ -100,7 +99,6 @@ def measure_fixed_size(
     threshold: float = DEFAULT_FETCH_RATIO_THRESHOLD,
     seed: int = 0,
     quantum: float | None = None,
-    fault_plan=None,
     telemetry=None,
 ) -> FixedSizeResult:
     """Co-run Target and Pirate with a fixed stolen size; measure intervals.
@@ -111,10 +109,9 @@ def measure_fixed_size(
 
     ``settle_instructions`` inserts an unmeasured co-run between warm-up and
     the first interval (the retry engine's escalation uses this to let the
-    Pirate re-claim lines lost to a transient perturbation).  ``fault_plan``
-    installs a :mod:`repro.faults` plan (or ready controller) on the machine.
-    ``telemetry`` records warm-up/settle/interval spans and interval-validity
-    metrics; it observes only — no measured value depends on it.
+    Pirate re-claim lines its co-runner evicted).  ``telemetry`` records
+    warm-up/settle/interval spans and interval-validity metrics; it observes
+    only — no measured value depends on it.
     """
     config = config or nehalem_config()
     tel = ensure_telemetry(telemetry)
@@ -123,10 +120,6 @@ def measure_fixed_size(
     machine, target, pirate = _setup(
         target_factory, config, num_pirate_threads, seed, quantum
     )
-    if fault_plan is not None:
-        controller = as_controller(fault_plan)
-        controller.telemetry = tel
-        machine.install_faults(controller)
     start = machine.frontier
 
     pirate.set_working_set(stolen_bytes)
@@ -205,7 +198,6 @@ def measure_curve_fixed(
     seed: int = 0,
     quantum: float | None = None,
     retry=None,
-    fault_plan=None,
     workers: int = 0,
     cache_dir=None,
     supervise=None,
@@ -250,8 +242,7 @@ def measure_curve_fixed(
     predicts first, escalating the model's grey (low-confidence) sizes to
     bit-exact measurement.  Analytic tiers are incompatible with
     supervision/journaling (there is nothing long-running to supervise)
-    and ignore ``retry``/``fault_plan`` — no measurement runs that could
-    fail or be perturbed.
+    and ignore ``retry`` — no measurement runs that could fail.
 
     A :class:`~repro.observability.Telemetry` passed as ``telemetry``
     collects per-point spans and engine metrics (cache hits, retries,
@@ -282,7 +273,6 @@ def measure_curve_fixed(
         quantum=quantum,
         seed=seed,
         retry=retry,
-        fault_plan=fault_plan,
         telemetry=tel.enabled,
     )
     if engine != "measure":

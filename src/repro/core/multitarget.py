@@ -25,7 +25,6 @@ from ..errors import MeasurementError
 from ..hardware.counters import CounterSample
 from ..hardware.machine import Machine
 from ..hardware.thread import SimThread, WorkloadLike
-from ..faults.controller import as_controller
 from ..observability import ensure_telemetry
 from ..rng import stable_seed
 from ..units import MB
@@ -100,7 +99,6 @@ def measure_multithreaded(
     threshold: float = DEFAULT_FETCH_RATIO_THRESHOLD,
     seed: int = 0,
     retry_policy: RetryPolicy | None = None,
-    fault_plan=None,
     telemetry=None,
 ) -> MultiTargetResult:
     """Co-run a multithreaded Target with the Pirate for one interval.
@@ -125,10 +123,6 @@ def measure_multithreaded(
             f"{config.num_cores} cores"
         )
     machine = Machine(config, seed=seed)
-    if fault_plan is not None:
-        controller = as_controller(fault_plan)
-        controller.telemetry = tel
-        machine.install_faults(controller)
     threads: list[SimThread] = []
     for i, factory in enumerate(target_factories):
         wl = factory() if callable(factory) else factory

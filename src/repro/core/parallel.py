@@ -21,7 +21,7 @@ a serial run:
 
 Completed points can be persisted in a :class:`SweepCache`: an on-disk
 store keyed by a content hash of the *full* measurement configuration
-(machine spec, workload spec, schedule, fault plan, retry policy, point).
+(machine spec, workload spec, schedule, retry policy, point).
 Repeated sweeps and re-runs after a crash skip every point already on
 disk — the cache-hit path does zero measurements.
 
@@ -71,7 +71,6 @@ from typing import Callable, Sequence
 from ..config import MachineConfig, machine_content_token
 from ..errors import ConfigError, MeasurementError
 from ..faults.chaos import apply_chaos, chaos_from_env
-from ..faults.plan import FaultPlan
 from ..hardware.counters import CounterSample
 from ..observability import NULL_TELEMETRY, Telemetry, TelemetryFragment, ensure_telemetry
 from ..rng import stable_seed
@@ -133,7 +132,6 @@ class SweepSpec:
     quantum: float | None = None
     seed: int = 0
     retry: RetryPolicy | None = None
-    fault_plan: FaultPlan | None = None
     #: collect per-point telemetry in the worker and ship it back on the
     #: result.  Deliberately *excluded* from :func:`spec_token`: telemetry
     #: observes a measurement, it never changes one, so flipping it must not
@@ -246,7 +244,6 @@ def measure_sweep_point(spec: SweepSpec, point: SweepPoint) -> PointResult:
                 point.stolen_bytes,
                 config=spec.config,
                 policy=spec.retry,
-                fault_plan=spec.fault_plan,
                 num_pirate_threads=spec.num_pirate_threads,
                 interval_instructions=spec.interval_instructions,
                 n_intervals=spec.n_intervals,
@@ -269,7 +266,6 @@ def measure_sweep_point(spec: SweepSpec, point: SweepPoint) -> PointResult:
                 threshold=spec.threshold,
                 seed=point.seed,
                 quantum=spec.quantum,
-                fault_plan=spec.fault_plan,
                 telemetry=tel,
             )
         sp.add_cycles(result.wall_cycles)
@@ -286,12 +282,6 @@ def measure_sweep_point(spec: SweepSpec, point: SweepPoint) -> PointResult:
 
 
 # -- deterministic result cache ----------------------------------------------------
-
-
-def _fault_plan_token(plan: FaultPlan | None) -> object:
-    if plan is None:
-        return None
-    return {"seed": plan.seed, "events": [asdict(e) for e in plan.events]}
 
 
 def spec_token(spec: SweepSpec) -> dict:
@@ -324,7 +314,10 @@ def spec_token(spec: SweepSpec) -> dict:
             "quantum": spec.quantum,
         },
         "retry": asdict(spec.retry) if spec.retry is not None else None,
-        "fault_plan": _fault_plan_token(spec.fault_plan),
+        # the retired in-simulation fault plan, fixed at None: keys written
+        # before its removal (sweep cache, journals, grid cells, service
+        # store) stay valid
+        "fault_plan": None,
     }
 
 

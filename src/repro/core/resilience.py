@@ -1,9 +1,9 @@
 """Retry, recovery and graceful degradation for pirating measurements.
 
 The paper's methodology *discards* measurement intervals whose Pirate fetch
-ratio exceeds the 3% threshold (§III-B2).  On shared hardware that is not a
-corner case: co-resident bursts, glitched counter reads and DRAM brownouts
-all poison intervals routinely, and a harness that merely flags them
+ratio exceeds the 3% threshold (§III-B2).  That is not a corner case: a
+deep steal (libquantum's >5MB, Table II) leaves the Pirate hot interval
+after interval, and a harness that merely flags such intervals
 (``IntervalSample.valid=False``) silently poisons the curve.  This module
 makes every harness recover instead:
 
@@ -11,8 +11,9 @@ makes every harness recover instead:
   warm-up backoff, and a staged escalation ladder (extend warm-up → add a
   settle co-run → substitute the nearest achievable steal size),
 * :func:`interval_sanity` / :func:`classify_sample` — plausibility checks
-  that catch what the Pirate monitor cannot: dropped or corrupted counter
-  reads (negative deltas, impossible cycle counts, instruction miscounts),
+  that catch what the Pirate monitor cannot: counter deltas that disagree
+  with the interval the harness ran (cut short, or cycle counts beyond its
+  wall time),
 * :class:`RetryEngine` — the shared recovery loop every harness routes
   invalid intervals through (:func:`measure_point_resilient` for the
   fixed-size path; :mod:`~repro.core.dynamic`, :mod:`~repro.core.multitarget`
@@ -118,10 +119,12 @@ def interval_sanity(
 ) -> str | None:
     """Why a counter delta is implausible, or None if it passes.
 
-    Catches the fault modes the Pirate monitor cannot see: dropped counter
-    reads (zero/negative deltas), corrupted reads (cycle counts exceeding the
-    interval's wall time, instruction counts far from the amount the harness
-    ran), and non-finite derived metrics.
+    Catches what the Pirate monitor cannot see: deltas that disagree with
+    the run (``counters_corrupted``), such as an instruction count far from
+    the amount the harness ran (a final dynamic interval cut short when the
+    Target finishes) or cycle counts exceeding the interval's wall time.
+    Empty (``counters_dropped``), negative and non-finite deltas are guards:
+    the machine's counter banks only grow, so no simulated run reaches them.
     """
     if delta.instructions <= 0.0 or delta.cycles <= 0.0:
         return "counters_dropped"
@@ -390,7 +393,6 @@ def measure_point_resilient(
     *,
     config: MachineConfig | None = None,
     policy: RetryPolicy | None = None,
-    fault_plan=None,
     num_pirate_threads: int = 1,
     interval_instructions: float | None = None,
     n_intervals: int = 2,
@@ -403,8 +405,8 @@ def measure_point_resilient(
     """One fixed-size point, re-measured until trustworthy or degraded.
 
     Returns ``(FixedSizeResult, PointQuality)``.  Each attempt is a fresh
-    co-run with escalated warm-up (the retries land later on the machine's
-    clock, past transient fault windows); from the policy's degradation stage
+    co-run with escalated warm-up and, later, an unmeasured settle co-run
+    that lets the Pirate re-claim its lines; from the policy's degradation stage
     the steal size steps toward the nearest achievable one.  Strict policies
     raise :class:`RetryExhaustedError` / :class:`DegradedMeasurement`.
     """
@@ -435,7 +437,6 @@ def measure_point_resilient(
             threshold=threshold,
             seed=seed,
             quantum=quantum,
-            fault_plan=fault_plan,
             telemetry=tel,
         )
         return res.samples, res
@@ -492,7 +493,6 @@ def measure_curve_resilient(
     benchmark: str | None = None,
     config: MachineConfig | None = None,
     policy: RetryPolicy | None = None,
-    fault_plan=None,
     num_pirate_threads: int = 1,
     interval_instructions: float | None = None,
     n_intervals: int = 2,
@@ -510,8 +510,8 @@ def measure_curve_resilient(
 ) -> PartialCurve:
     """A full fixed-size curve through the retry engine.
 
-    Never raises on a bad point (unless the policy is strict): transiently
-    poisoned intervals are re-measured, unachievable sizes land at the
+    Never raises on a bad point (unless the policy is strict): untrusted
+    intervals are re-measured, unachievable sizes land at the
     nearest achievable size, and whatever could not be recovered survives as
     a ``valid=False`` point — all of it recorded per point in the returned
     :class:`PartialCurve`'s quality map.
@@ -543,7 +543,6 @@ def measure_curve_resilient(
         seed=seed,
         quantum=quantum,
         retry=policy or RetryPolicy(),
-        fault_plan=fault_plan,
         workers=workers,
         cache_dir=cache_dir,
         supervise=supervise,

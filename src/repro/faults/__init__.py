@@ -1,26 +1,13 @@
-"""Fault injection for the simulated machine.
+"""Process-level chaos for the sweep executor and the curve service.
 
-Real pirating runs on shared hardware face co-resident activity the paper's
-methodology can only discard intervals around: counter reads glitch,
-schedulers jitter, neighbors burst through the shared cache, DRAM browns
-out.  This package perturbs the simulated machine the same way — under a
-deterministic, seedable :class:`FaultPlan` — so the retry/recovery engine in
-:mod:`repro.core.resilience` can be proven to recover clean curves under
-fire.
-
-* :mod:`repro.faults.plan` — :class:`FaultPlan` / :class:`FaultEvent`: the
-  pre-compiled, reproducible schedule of fault windows,
-* :mod:`repro.faults.injectors` — composable generators of those windows
-  (counter glitches, noisy neighbor bursts, scheduler jitter, DRAM
-  brownouts),
-* :mod:`repro.faults.controller` — :class:`FaultController`: applies a plan
-  to a live machine through the quantum tick and counter-tamper hooks,
-* :mod:`repro.faults.chaos` — process-level chaos for the execution layer:
-  seedable worker kills, point hangs, injected errors and cache corruption,
-  driving the supervision proofs in ``tests/test_chaos.py``.
+The simulated machine is never perturbed: the only reason the method
+distrusts an interval is a hot Pirate (§III-B2), which real runs produce on
+their own.  What this package perturbs is the execution layer around the
+simulation — :mod:`repro.faults.chaos` schedules seedable worker kills,
+point hangs, injected errors and cache corruption, driving the supervision
+proofs in ``tests/test_chaos.py`` and the service's ``tests/test_service_chaos.py``.
 """
 
-from .plan import KNOWN_KINDS, FaultEvent, FaultPlan
 from .chaos import (
     CHAOS_ENV,
     CHAOS_KILL_EXIT,
@@ -34,27 +21,8 @@ from .chaos import (
     corrupt_cache_entries,
     service_chaos_from_env,
 )
-from .injectors import (
-    CounterGlitchInjector,
-    DramBrownoutInjector,
-    FaultInjector,
-    NoisyNeighborInjector,
-    SchedulerJitterInjector,
-)
-from .controller import FaultController, NoisyNeighborWorkload, as_controller
 
 __all__ = [
-    "KNOWN_KINDS",
-    "FaultEvent",
-    "FaultPlan",
-    "FaultInjector",
-    "CounterGlitchInjector",
-    "NoisyNeighborInjector",
-    "SchedulerJitterInjector",
-    "DramBrownoutInjector",
-    "FaultController",
-    "NoisyNeighborWorkload",
-    "as_controller",
     "CHAOS_ENV",
     "SERVICE_CHAOS_ENV",
     "CHAOS_KILL_EXIT",

@@ -1,10 +1,9 @@
 """Process-level chaos injection for supervised sweeps.
 
-:mod:`repro.faults` perturbs the *simulated machine* (counter glitches,
-noisy neighbors); this module perturbs the *execution layer around it* —
-the pool workers and the on-disk result cache — the way real multi-tenant
-hosts do: workers get OOM-killed mid-point, points hang on a wedged NFS
-mount, cached entries rot on disk.  A :class:`ChaosPlan` is a seedable,
+The simulated machine itself is never perturbed; this module perturbs the
+*execution layer around it* — the pool workers and the on-disk result
+cache — the way real multi-tenant hosts do: workers get OOM-killed
+mid-point, points hang on a wedged NFS mount, cached entries rot on disk.  A :class:`ChaosPlan` is a seedable,
 pure-data schedule of those process-level faults, so every failure it
 provokes is bit-reproducible and the sweep executor under a
 :class:`~repro.core.parallel.SupervisorPolicy` can be *proven* to uphold

@@ -87,22 +87,15 @@ class PerfCounters:
 
     def __init__(self, num_cores: int):
         self._banks = [CounterSample() for _ in range(num_cores)]
-        #: optional read-tamper hook ``(core, sample) -> sample`` — fault
-        #: injection perturbs *reads* here, never the banks themselves, just
-        #: as a glitched PMU read leaves the hardware counters intact
-        self.tamper = None
 
     def bank(self, core: int) -> CounterSample:
         """Mutable cumulative bank for ``core`` (the machine updates this)."""
         return self._banks[core]
 
     def sample(self, core: int) -> CounterSample:
-        """Snapshot of a core's cumulative counters (through the tamper hook)."""
+        """Snapshot of a core's cumulative counters."""
         b = self._banks[core]
-        s = CounterSample(**{f.name: getattr(b, f.name) for f in fields(CounterSample)})
-        if self.tamper is not None:
-            s = self.tamper(core, s)
-        return s
+        return CounterSample(**{f.name: getattr(b, f.name) for f in fields(CounterSample)})
 
     def sample_all(self) -> list[CounterSample]:
         """Snapshot every core."""

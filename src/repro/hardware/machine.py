@@ -67,11 +67,6 @@ class Machine:
         self.counters = PerfCounters(config.num_cores)
         self.threads: list[SimThread] = []
         self.quantum_cycles = quantum_cycles
-        #: multiplier applied to the next quantum's length (fault injection:
-        #: scheduler jitter); 1.0 on an unfaulted machine
-        self.quantum_scale = 1.0
-        #: installed fault controller (see :meth:`install_faults`), or None
-        self.fault_controller = None
 
     # -- thread management -----------------------------------------------------
 
@@ -108,24 +103,6 @@ class Machine:
         """Halt a thread (Fig. 5 warm-up gaps)."""
         thread.suspend()
 
-    # -- fault injection ---------------------------------------------------------
-
-    def install_faults(self, controller) -> None:
-        """Attach a fault controller (see :mod:`repro.faults`).
-
-        Duck-typed so the hardware layer stays independent of the faults
-        package: ``controller`` needs ``attach(machine)`` (called here, may
-        install counter-tamper hooks) and ``tick(now_cycles)`` (called once
-        per scheduler quantum with the current frontier).
-        """
-        if not (hasattr(controller, "attach") and hasattr(controller, "tick")):
-            raise SimulationError(
-                "fault controller needs attach()/tick(); wrap a FaultPlan in "
-                "repro.faults.FaultController"
-            )
-        self.fault_controller = controller
-        controller.attach(self)
-
     def resume(self, thread: SimThread) -> None:
         """Wake a thread at the current global time."""
         thread.resume(self.now)
@@ -151,8 +128,6 @@ class Machine:
         while True:
             if until is not None and until():
                 break
-            if self.fault_controller is not None:
-                self.fault_controller.tick(self.frontier)
             runnable = [t for t in self.threads if t.runnable]
             if not runnable:
                 break
@@ -199,7 +174,7 @@ class Machine:
         self.run_only(thread, max_cycles=cycles)
 
     def _step(self, thread: SimThread) -> None:
-        instr, n_lines = thread.plan_quantum(self.quantum_cycles * self.quantum_scale)
+        instr, n_lines = thread.plan_quantum(self.quantum_cycles)
         if instr <= 0.0:
             thread.finished = True
             return

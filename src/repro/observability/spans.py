@@ -15,7 +15,7 @@ The :class:`SpanRecorder` keeps the open-span stack (nesting is positional:
 a span started while another is open becomes its child) and appends plain
 JSON-ready dict records to an event list: a ``span_start`` record when a
 span opens, a ``span_end`` record when it closes, and ``event`` records for
-point annotations (a retry escalation, a cache hit, an injected fault).
+point annotations (a retry escalation, a cache hit, a quarantined point).
 Every start is guaranteed one end — spans are context managers, and even an
 exception unwinds through ``__exit__`` — which is the balance invariant
 ``tests/test_observability_props.py`` pins.

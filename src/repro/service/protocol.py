@@ -145,7 +145,6 @@ class JobSpec:
             quantum=None,
             seed=self.seed,
             retry=None,
-            fault_plan=None,
             telemetry=telemetry_enabled,
         )
 

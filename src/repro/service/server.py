@@ -354,9 +354,11 @@ class SweepServer:
                 else:
                     # a foreign journal under this run id (only reachable
                     # with a user-supplied run_id) is kept: the executor
-                    # refuses to resume it and the job fails loudly
-                    done = len(state.done_indices())
-                    self._emit(job, "resumed", run_id=run_id, done=done)
+                    # refuses to resume it and the job fails loudly, so the
+                    # event follows the executor's own acceptance test
+                    if state.spec_sha == sweep_spec_sha(spec, sizes):
+                        done = len(state.done_indices())
+                        self._emit(job, "resumed", run_id=run_id, done=done)
             results, stats = run_sweep(
                 spec,
                 sizes,

@@ -241,6 +241,17 @@ def test_sweep_chaos_flag_echoes_plan_and_recovers(tmp_path):
     assert "errors" in out.text
 
 
+def test_sweep_with_every_point_quarantined_prints_one_error_line():
+    out = Sink()
+    argv = ["sweep", "mcf", "--sizes", "2,4,8", "--interval", "60000",
+            "--intervals", "1", "--workers", "2",
+            "--chaos", "kill=1.0,repeats=9,seed=1"]
+    assert main(argv, out=out) == 1
+    errors = [l for l in out.lines if l.startswith("error:")]
+    assert errors == ["error: mcf: all 3 points were quarantined; no curve to assemble"]
+    assert "Traceback" not in out.text
+
+
 def test_cache_cli_verify_repair_gc_cycle(tmp_path):
     from repro.faults.chaos import corrupt_cache_entries
 

@@ -37,13 +37,6 @@ from repro.core.parallel import (
 from repro.core.resilience import PointQuality, RetryPolicy
 from repro.errors import ConfigError, MeasurementError
 from repro.faults.chaos import ChaosError, ChaosPlan
-from repro.faults.injectors import (
-    CounterGlitchInjector,
-    DramBrownoutInjector,
-    NoisyNeighborInjector,
-    SchedulerJitterInjector,
-)
-from repro.faults.plan import FaultPlan
 from repro.hardware.counters import CounterSample
 from repro.workloads import TargetSpec, benchmark_target
 
@@ -102,18 +95,6 @@ def test_retry_sweep_parallel_equals_serial():
     pooled, _ = run_sweep(spec, SIZES, workers=2)
     assert rows(pooled) == rows(serial)
     assert all(r.quality is not None for r in ordered_results(pooled))
-
-
-def test_fault_injected_sweep_parallel_equals_serial():
-    plan = FaultPlan.compile(
-        [NoisyNeighborInjector(), CounterGlitchInjector()],
-        horizon_cycles=5e6,
-        seed=5,
-    )
-    spec = small_spec(fault_plan=plan)
-    serial, _ = run_sweep(spec, SIZES, workers=0)
-    pooled, _ = run_sweep(spec, SIZES, workers=2)
-    assert rows(pooled) == rows(serial)
 
 
 # -- the unsupervised fault contract -----------------------------------------------
@@ -205,8 +186,6 @@ def test_cache_key_depends_on_measurement_config():
         small_spec(interval_instructions=50_000.0),
         small_spec(retry=RetryPolicy()),
         small_spec(target=TargetSpec(kind="micro.random", working_set_mb=2.0, seed=8)),
-        small_spec(fault_plan=FaultPlan.compile(
-            [NoisyNeighborInjector()], horizon_cycles=1e6, seed=1)),
     ):
         other = sweep_points(changed, SIZES)[0]
         assert point_cache_key(changed, other) != base
@@ -302,45 +281,8 @@ def test_retry_policy_unpickle_revalidates():
         RetryPolicy.__new__(RetryPolicy).__setstate__(state)
 
 
-def test_fault_plan_pickle_round_trip():
-    plan = FaultPlan.compile(
-        [
-            NoisyNeighborInjector(),
-            CounterGlitchInjector(),
-            SchedulerJitterInjector(),
-            DramBrownoutInjector(),
-        ],
-        horizon_cycles=8e6,
-        seed=13,
-    )
-    clone = pickle.loads(pickle.dumps(plan))
-    assert clone.seed == plan.seed
-    assert clone.events == plan.events
-
-
-@pytest.mark.parametrize(
-    "injector_cls",
-    [
-        CounterGlitchInjector,
-        NoisyNeighborInjector,
-        SchedulerJitterInjector,
-        DramBrownoutInjector,
-    ],
-)
-def test_injector_pickle_round_trip(injector_cls):
-    inj = injector_cls(at=[(100.0, 50.0)], salt=3)
-    clone = pickle.loads(pickle.dumps(inj))
-    assert clone.__dict__ == inj.__dict__
-    assert clone.kind == inj.kind
-
-
 def test_sweep_spec_with_everything_pickles():
-    spec = small_spec(
-        retry=RetryPolicy(),
-        fault_plan=FaultPlan.compile(
-            [NoisyNeighborInjector()], horizon_cycles=1e6, seed=2
-        ),
-    )
+    spec = small_spec(retry=RetryPolicy())
     clone = pickle.loads(pickle.dumps(spec))
     assert clone.target == spec.target
     assert clone.retry == spec.retry

@@ -298,6 +298,8 @@ def test_server_refuses_foreign_journal_under_user_run_id(tmp_path):
         events = list(client.watch(key))
         assert events[-1]["type"] == "failed"
         assert "refusing to resume" in events[-1]["error"]
+        # the executor refused the journal, so no resume is claimed
+        assert "resumed" not in [e["type"] for e in events]
     # the foreign journal was not deleted
     assert journal_path(state / "journals", "stolen").exists()
 

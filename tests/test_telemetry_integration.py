@@ -1,8 +1,9 @@
 """Telemetry threaded through the measurement engine: end-to-end contracts.
 
-* **Differential**: a seeded fault plan poisons a resilient sweep; serial
-  and 4-worker runs must recover the *same* curve with the *same* retry and
-  degradation accounting — events, counters, per-point quality, all of it.
+* **Differential**: deep steals leave the Pirate hot in a resilient sweep;
+  serial and 4-worker runs must recover the *same* curve with the *same*
+  retry and degradation accounting — events, counters, per-point quality,
+  all of it.
 * **Regression**: ``workers=1`` stays on the in-process path (zero pool
   spawns in the telemetry), produces the serial curve bit-for-bit, and
   still matches the checked-in ``fixed_curve`` golden.
@@ -17,7 +18,6 @@ import json
 from repro.cli import main
 from repro.core import measure_curve_fixed
 from repro.core.resilience import PartialCurve, RetryPolicy, measure_curve_resilient
-from repro.faults.plan import FaultEvent, FaultPlan
 from repro.observability import Telemetry, read_jsonl, summarize
 from repro.workloads import TargetSpec
 from tests.golden_scenarios import fixed_curve_scenario
@@ -26,26 +26,20 @@ from tests.test_golden import assert_matches_golden
 TARGET = TargetSpec(kind="micro.random", working_set_mb=0.75, seed=7)
 SIZES = [1.0, 1.8, 2.6, 3.4]
 
-#: windows covering the sweep's first-attempt intervals (~2.3M cycles on),
-#: so several points must go through the retry engine
-FAULTS = FaultPlan(
-    seed=0,
-    events=[
-        FaultEvent("noisy_neighbor", 2.0e6, 1.2e6, magnitude=1.0),
-        FaultEvent("counter_glitch", 3.2e6, 1.4e6, magnitude=25.0, core=0),
-    ],
-)
+#: a 3MB random working set leaves the Pirate hot at the 2.0 and 2.5MB
+#: points (6 and 5.5MB steals) until the retry engine's settle co-run
+HOT_TARGET = TargetSpec(kind="micro.random", working_set_mb=3.0, seed=7)
+HOT_SIZES = [2.0, 2.5, 3.0, 4.0]
 
 
 def _resilient_sweep(workers):
     tel = Telemetry()
     curve = measure_curve_resilient(
-        TARGET, SIZES,
+        HOT_TARGET, HOT_SIZES,
         benchmark="tel.faulted",
         interval_instructions=60_000.0, n_intervals=1,
         warmup_instructions=200_000.0, seed=3,
         policy=RetryPolicy(max_attempts=5, degrade_after_attempt=10 ** 6),
-        fault_plan=FAULTS,
         workers=workers,
         telemetry=tel,
     )
@@ -67,7 +61,7 @@ def test_faulted_sweep_serial_vs_parallel_accounting_matches():
             q.attempts, q.reasons, q.measured_mb, q.valid
         )
 
-    # the faults actually bit: the retry engine ran and said so
+    # the hot Pirate actually bit: the retry engine ran and said so
     meas = serial["measurement"]
     assert meas["counters"]["retries_total"] >= 1.0
     assert meas["events"]["retry_escalation"] == meas["counters"]["retries_total"]
