@@ -32,10 +32,8 @@ simulator), ``repro.analysis`` (scaling prediction, error metrics),
 from .config import CacheConfig, CoreConfig, MachineConfig, nehalem_config, tiny_config
 from .errors import (
     ConfigError,
-    DegradedMeasurement,
     MeasurementError,
     ReproError,
-    RetryExhaustedError,
     SimulationError,
     TraceError,
 )
@@ -66,7 +64,6 @@ from .core import (
     measure_between_markers,
     measure_curve_dynamic,
     measure_curve_fixed,
-    measure_curve_resilient,
     measure_fixed_size,
     measure_point_resilient,
     parallel_map,
@@ -105,8 +102,6 @@ __all__ = [
     "SimulationError",
     "MeasurementError",
     "TraceError",
-    "RetryExhaustedError",
-    "DegradedMeasurement",
     # machine
     "Machine",
     "CounterSample",
@@ -141,7 +136,6 @@ __all__ = [
     "PartialCurve",
     "PointQuality",
     "measure_point_resilient",
-    "measure_curve_resilient",
     # observability
     "Telemetry",
     "TelemetryFragment",

@@ -57,7 +57,6 @@ from .resilience import (
     RetryPolicy,
     classify_sample,
     interval_sanity,
-    measure_curve_resilient,
     measure_point_resilient,
 )
 from .parallel import (
@@ -117,7 +116,6 @@ __all__ = [
     "classify_sample",
     "interval_sanity",
     "measure_point_resilient",
-    "measure_curve_resilient",
     "SweepSpec",
     "SweepPoint",
     "SweepStats",

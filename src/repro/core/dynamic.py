@@ -27,7 +27,14 @@ from ..units import MB
 from .curves import IntervalSample, PerformanceCurve
 from .harness import DEFAULT_INTERVAL_INSTRUCTIONS, _make_target, _setup
 from .monitor import DEFAULT_FETCH_RATIO_THRESHOLD, PirateMonitor
-from .resilience import PartialCurve, PointQuality, RetryPolicy, classify_sample
+from .resilience import (
+    AttemptResult,
+    AttemptSpec,
+    PartialCurve,
+    PointQuality,
+    RetryEngine,
+    RetryPolicy,
+)
 
 
 @dataclass
@@ -122,10 +129,11 @@ def measure_curve_dynamic(
 
     ``retry_policy`` routes invalid intervals through the retry engine:
     instead of flagging a poisoned interval and moving on, the harness
-    re-warms (with exponential backoff), re-settles and re-measures the same
-    size up to the policy's attempt budget, and the result's curve becomes a
-    :class:`~repro.core.resilience.PartialCurve` with per-point quality
-    metadata.
+    re-warms the Target alone (with exponential backoff), re-settles and
+    re-measures the same size up to the policy's attempt budget, and the
+    result's curve becomes a :class:`~repro.core.resilience.PartialCurve`
+    with per-point quality metadata.  Sizes never degrade here: the grid is
+    the caller's contract.
     """
     config = config or nehalem_config()
     tel = ensure_telemetry(telemetry)
@@ -191,6 +199,55 @@ def measure_curve_dynamic(
             wall_cycles=machine.frontier - t0,
         )
 
+    engine = None if retry_policy is None else RetryEngine(retry_policy, telemetry=tel)
+
+    def _recover(stolen: int, size_mb: float) -> IntervalSample:
+        """Measure one interval through the retry engine; merge its quality."""
+
+        def attempt(spec: AttemptSpec) -> AttemptResult | None:
+            if spec.attempt > 1:
+                if target.finished:
+                    return None
+                goal = min(target.instructions + spec.warmup_instructions, total_instructions)
+                machine.run_only(
+                    target, until=lambda: target.instructions >= goal or target.finished
+                )
+                settle = max(spec.settle_instructions, settle_fraction * interval_instructions)
+                tel.count("fetch_ratio_settle_ticks", settle)
+                goal = target.instructions + settle
+                machine.run(until=lambda: target.instructions >= goal or target.finished)
+                if target.finished:
+                    return None
+            # a final interval is judged on what the Target had left to retire
+            could_retire = min(interval_instructions, total_instructions - target.instructions)
+            sample = _measure_interval(stolen)
+            return [sample], sample, could_retire
+
+        outcome = engine.run(
+            attempt,
+            base_warmup_instructions=max(warm_instr, 0.25 * interval_instructions),
+            interval_instructions=interval_instructions,
+        )
+        sample = outcome.payload
+        q = quality.get(sample.target_cache_bytes)
+        if q is None:
+            quality[sample.target_cache_bytes] = PointQuality(
+                requested_mb=size_mb,
+                measured_mb=size_mb,
+                attempts=outcome.attempts,
+                pirate_fetch_ratio=sample.pirate_fetch_ratio,
+                valid=outcome.succeeded,
+                reasons=outcome.reasons,
+            )
+        else:
+            # a zigzag revisit is a fresh interval, not a retry: only the
+            # extra attempts beyond its first count toward the total
+            q.attempts += outcome.attempts - 1
+            q.reasons.extend(outcome.reasons)
+            q.valid = q.valid and outcome.succeeded
+            q.pirate_fetch_ratio = max(q.pirate_fetch_ratio, sample.pirate_fetch_ratio)
+        return sample
+
     run_sp = tel.span("dynamic_run", benchmark=name, schedule=schedule)
     with run_sp:
         with tel.span("warmup", instructions=initial_warmup_instructions) as sp:
@@ -231,63 +288,10 @@ def measure_curve_dynamic(
                 if target.finished:
                     break
 
-            sample = _measure_interval(stolen)
-            attempts = 1
-            if retry_policy is not None:
-                # route the interval through the retry engine: re-warm with
-                # backoff, re-settle, re-measure the same size until clean or
-                # out of budget (no size substitution on the dynamic schedule —
-                # the grid is the caller's contract)
-                reasons: list[str] = []
-                while not target.finished:
-                    reason = classify_sample(sample, interval_instructions, retry_policy)
-                    if reason is None or attempts >= retry_policy.max_attempts:
-                        break
-                    reasons.append(reason)
-                    attempts += 1
-                    rewarm = retry_policy.warmup_for(
-                        max(warm_instr, 0.25 * interval_instructions), attempts
-                    )
-                    tel.count("retries_total")
-                    tel.event(
-                        "retry_escalation",
-                        attempt=attempts - 1,
-                        reasons=[reason],
-                        next_warmup_instructions=rewarm,
-                        degraded_next=False,
-                    )
-                    goal = min(target.instructions + rewarm, total_instructions)
-                    machine.run_only(
-                        target, until=lambda: target.instructions >= goal or target.finished
-                    )
-                    settle = max(
-                        retry_policy.settle_for(interval_instructions, attempts),
-                        settle_fraction * interval_instructions,
-                    )
-                    tel.count("fetch_ratio_settle_ticks", settle)
-                    goal = target.instructions + settle
-                    machine.run(until=lambda: target.instructions >= goal or target.finished)
-                    if target.finished:
-                        break
-                    sample = _measure_interval(stolen)
-                q = quality.get(sample.target_cache_bytes)
-                ok = classify_sample(sample, interval_instructions, retry_policy) is None
-                if q is None:
-                    quality[sample.target_cache_bytes] = PointQuality(
-                        requested_mb=size_mb,
-                        measured_mb=size_mb,
-                        attempts=attempts,
-                        pirate_fetch_ratio=sample.pirate_fetch_ratio,
-                        valid=ok,
-                        reasons=reasons,
-                    )
-                else:
-                    # a zigzag revisit is a fresh interval, not a retry: only the
-                    # extra attempts beyond its first count toward the total
-                    q.attempts += attempts - 1
-                    q.reasons.extend(reasons)
-                    q.valid = q.valid and ok
-                    q.pirate_fetch_ratio = max(q.pirate_fetch_ratio, sample.pirate_fetch_ratio)
+            if engine is None:
+                sample = _measure_interval(stolen)
+            else:
+                sample = _recover(stolen, size_mb)
             if sample.target.instructions > 0:
                 samples.append(sample)
             idx += 1

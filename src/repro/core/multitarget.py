@@ -32,7 +32,7 @@ from ..workloads import make_benchmark
 from .curves import IntervalSample
 from .monitor import DEFAULT_FETCH_RATIO_THRESHOLD, PirateMonitor
 from .pirate import Pirate
-from .resilience import RetryPolicy, classify_sample
+from .resilience import AttemptResult, AttemptSpec, RetryEngine, RetryPolicy
 
 
 def make_parallel_target(
@@ -108,9 +108,9 @@ def measure_multithreaded(
     retired its share of instructions.
 
     ``retry_policy`` routes the interval through the retry engine: if the
-    Pirate ran hot or the aggregate counters are implausible, the co-run
-    warms up further (with backoff) and the interval is re-measured, up to
-    the policy's attempt budget.
+    Pirate ran hot or any Target thread's counters are implausible for one
+    thread's interval, the co-run warms up further (with backoff) and the
+    interval is re-measured, up to the policy's attempt budget.
     """
     config = config or nehalem_config()
     tel = ensure_telemetry(telemetry)
@@ -134,30 +134,31 @@ def measure_multithreaded(
         pirate.warm()
         sp.add_cycles(machine.frontier - t0)
 
+    def _corun(instructions: float) -> None:
+        goals = [t.instructions + instructions for t in threads]
+        machine.run(until=lambda: all(t.instructions >= g for t, g in zip(threads, goals)))
+
     if warmup_instructions is None:
         warmup_instructions = interval_instructions
     with tel.span("warmup", instructions=warmup_instructions) as sp:
         t0 = machine.frontier
-        goals = [t.instructions + warmup_instructions for t in threads]
-        machine.run(
-            until=lambda: all(t.instructions >= g for t, g in zip(threads, goals))
-        )
+        _corun(warmup_instructions)
         sp.add_cycles(machine.frontier - t0)
 
     monitor = PirateMonitor(pirate, threshold)
 
-    def _measure() -> tuple[list[CounterSample], float, float]:
+    def attempt(spec: AttemptSpec) -> AttemptResult:
+        """One interval: a sample per Target thread, each its own counters."""
+        if spec.attempt > 1:
+            _corun(spec.warmup_instructions)  # escalate: extended co-run warm-up
         with tel.span("interval", target_threads=k) as sp:
             befores = [machine.counters.sample(i) for i in range(k)]
             t0 = machine.frontier
             monitor.begin()
-            goals = [t.instructions + interval_instructions for t in threads]
-            machine.run(
-                until=lambda: all(t.instructions >= g for t, g in zip(threads, goals))
-            )
+            _corun(interval_instructions)
             verdict = monitor.end()
-            deltas = [machine.counters.sample(i).delta(befores[i]) for i in range(k)]
-            sp.add_cycles(machine.frontier - t0)
+            wall = machine.frontier - t0
+            sp.add_cycles(wall)
         tel.count("intervals_total")
         if not verdict.trustworthy:
             tel.count("invalid_intervals_total")
@@ -166,45 +167,36 @@ def measure_multithreaded(
                 reason="pirate_hot",
                 fetch_ratio=verdict.fetch_ratio,
             )
-        return deltas, verdict.fetch_ratio, machine.frontier - t0
+        samples = [
+            IntervalSample(
+                target_cache_bytes=config.l3.size - stolen_bytes,
+                target=machine.counters.sample(i).delta(befores[i]),
+                pirate_fetch_ratio=verdict.fetch_ratio,
+                valid=verdict.trustworthy,
+                wall_cycles=wall,
+            )
+            for i in range(k)
+        ]
+        return samples, None, interval_instructions
 
-    deltas, fetch_ratio, wall = _measure()
-    attempts = 1
-    while retry_policy is not None:
-        probe = IntervalSample(
-            target_cache_bytes=config.l3.size - stolen_bytes,
-            target=_aggregate(deltas),
-            pirate_fetch_ratio=fetch_ratio,
-            valid=fetch_ratio <= threshold,
-            wall_cycles=wall,
+    if retry_policy is None:
+        samples, attempts = attempt(AttemptSpec(1, warmup_instructions, 0.0))[0], 1
+    else:
+        outcome = RetryEngine(retry_policy, telemetry=tel).run(
+            attempt,
+            base_warmup_instructions=warmup_instructions,
+            interval_instructions=interval_instructions,
         )
-        reason = classify_sample(probe, k * interval_instructions, retry_policy)
-        if reason is None or attempts >= retry_policy.max_attempts:
-            break
-        attempts += 1
-        # escalate: extended co-run warm-up, then re-measure
-        extra = retry_policy.warmup_for(warmup_instructions, attempts)
-        tel.count("retries_total")
-        tel.event(
-            "retry_escalation",
-            attempt=attempts - 1,
-            reasons=[reason],
-            next_warmup_instructions=extra,
-            degraded_next=False,
-        )
-        goals = [t.instructions + extra for t in threads]
-        machine.run(
-            until=lambda: all(t.instructions >= g for t, g in zip(threads, goals))
-        )
-        deltas, fetch_ratio, wall = _measure()
+        samples, attempts = outcome.samples, outcome.attempts
+    deltas = [s.target for s in samples]
     return MultiTargetResult(
         target_threads=k,
         pirate_threads=num_pirate_threads,
         target_cache_bytes=config.l3.size - stolen_bytes,
         aggregate=_aggregate(deltas),
         per_thread=deltas,
-        pirate_fetch_ratio=fetch_ratio,
-        valid=fetch_ratio <= threshold,
+        pirate_fetch_ratio=samples[0].pirate_fetch_ratio,
+        valid=samples[0].valid,
         attempts=attempts,
     )
 

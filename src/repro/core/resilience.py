@@ -7,26 +7,26 @@ after interval, and a harness that merely flags such intervals
 (``IntervalSample.valid=False``) silently poisons the curve.  This module
 makes every harness recover instead:
 
-* :class:`RetryPolicy` — the knobs: a bounded attempt budget, exponential
-  warm-up backoff, and a staged escalation ladder (extend warm-up → add a
-  settle co-run → substitute the nearest achievable steal size),
+* :class:`RetryPolicy` — the knobs a caller sets: the attempt budget and the
+  attempt from which a fixed-size point may degrade; the escalation ladder
+  itself (exponential warm-up backoff → a settle co-run → a stepped steal
+  size) is fixed by this module's constants,
 * :func:`interval_sanity` / :func:`classify_sample` — plausibility checks
   that catch what the Pirate monitor cannot: counter deltas that disagree
-  with the interval the harness ran (cut short, or cycle counts beyond its
-  wall time),
-* :class:`RetryEngine` — the shared recovery loop every harness routes
-  invalid intervals through (:func:`measure_point_resilient` for the
-  fixed-size path; :mod:`~repro.core.dynamic`, :mod:`~repro.core.multitarget`
-  and :mod:`~repro.core.bandit` embed the same classification/escalation),
+  with the interval the harness ran (short of what it could retire, or
+  cycle counts beyond its wall time),
+* :class:`RetryEngine` — the one recovery loop every harness routes invalid
+  intervals through (:func:`measure_point_resilient` for the fixed-size
+  path, :func:`~repro.core.dynamic.measure_curve_dynamic` and
+  :func:`~repro.core.multitarget.measure_multithreaded`),
 * :class:`PartialCurve` — a :class:`~repro.core.curves.PerformanceCurve`
   carrying per-point quality metadata (attempts, failure reasons, degraded
   size substitutions) so downstream consumers get per-point confidence
   instead of all-or-nothing curves.
 
 Unachievable steal sizes (e.g. libquantum's >5MB ceiling, Table II) degrade
-gracefully: the engine substitutes the nearest size the Pirate *can* hold
-and records the substitution, rather than raising.  Strict policies raise
-:class:`~repro.errors.RetryExhaustedError` / ``DegradedMeasurement`` instead.
+gracefully: the fixed-size harness substitutes the nearest size the Pirate
+*can* hold and records the substitution, rather than raising.
 """
 
 from __future__ import annotations
@@ -36,46 +36,44 @@ from dataclasses import dataclass, field, fields
 from typing import Callable
 
 from ..config import MachineConfig, nehalem_config
-from ..errors import DegradedMeasurement, MeasurementError, RetryExhaustedError
+from ..errors import MeasurementError
 from ..hardware.counters import CounterSample
 from ..observability import ensure_telemetry
 from ..units import MB
 from .curves import IntervalSample, PerformanceCurve
 from .monitor import DEFAULT_FETCH_RATIO_THRESHOLD
 
+#: attempt ``k`` (1-based) warms up for ``base * WARMUP_BACKOFF**(k-1)``
+WARMUP_BACKOFF = 2.0
+#: from this attempt an unmeasured settle co-run precedes the interval ...
+SETTLE_AFTER_ATTEMPT = 2
+#: ... lasting this fraction of the interval
+SETTLE_FRACTION = 0.3
+#: a degrading point's steal shrinks by this much per attempt ...
+DEGRADE_STEP_MB = 0.5
+#: ... and by no more than this in all
+MAX_DEGRADE_MB = 3.0
+#: allowed relative shortfall of an interval's retired-instruction count
+INSTRUCTION_TOLERANCE = 0.5
+#: allowed counter-cycles overshoot relative to the interval's wall time
+CYCLE_SLACK = 0.75
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Bounded-budget retry and escalation parameters.
+    """The attempt budget and when a fixed-size point may degrade.
 
-    Attempt ``k`` (1-based) warms up for ``warmup * warmup_backoff**(k-1)``
-    instructions; from ``settle_after_attempt`` an unmeasured settle co-run
-    precedes the interval; from ``degrade_after_attempt`` the steal size is
-    reduced by ``degrade_step_mb`` per further attempt (up to
-    ``max_degrade_mb``) toward the nearest achievable size.  ``strict``
-    raises instead of degrading or returning failed points.
+    From attempt ``degrade_after_attempt`` (1-based) the fixed-size harness
+    shrinks the steal size by :data:`DEGRADE_STEP_MB` per further attempt
+    (up to :data:`MAX_DEGRADE_MB`) toward the nearest achievable size.
     """
 
     max_attempts: int = 4
-    warmup_backoff: float = 2.0
-    settle_after_attempt: int = 2
-    settle_fraction: float = 0.3
     degrade_after_attempt: int = 3
-    degrade_step_mb: float = 0.5
-    max_degrade_mb: float = 3.0
-    #: allowed relative deviation of an interval's retired-instruction count
-    instruction_tolerance: float = 0.5
-    #: allowed counter-cycles overshoot relative to the interval's wall time
-    cycle_slack: float = 0.75
-    strict: bool = False
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise MeasurementError("retry budget must allow at least one attempt")
-        if self.warmup_backoff < 1.0:
-            raise MeasurementError("warm-up backoff must be >= 1")
-        if self.degrade_step_mb < 0 or self.max_degrade_mb < 0:
-            raise MeasurementError("degradation steps must be non-negative")
 
     # Policies cross process boundaries when resilient sweeps fan out to
     # pool workers; the pickled form is pinned to plain field data, and the
@@ -89,23 +87,25 @@ class RetryPolicy:
             object.__setattr__(self, name, value)
         self.__post_init__()
 
-    def warmup_for(self, base_instructions: float, attempt: int) -> float:
-        """Warm-up length for ``attempt`` (exponential backoff)."""
-        return base_instructions * self.warmup_backoff ** (attempt - 1)
-
-    def settle_for(self, interval_instructions: float, attempt: int) -> float:
-        """Unmeasured settle co-run length for ``attempt`` (0 early on)."""
-        if attempt < self.settle_after_attempt:
-            return 0.0
-        return self.settle_fraction * interval_instructions
-
     def degraded_steal(self, requested_stolen_bytes: int, attempt: int) -> int:
         """Steal size for ``attempt``: stepped toward achievable, floored at 0."""
         if attempt < self.degrade_after_attempt:
             return requested_stolen_bytes
         steps = attempt - self.degrade_after_attempt + 1
-        shrink_mb = min(steps * self.degrade_step_mb, self.max_degrade_mb)
+        shrink_mb = min(steps * DEGRADE_STEP_MB, MAX_DEGRADE_MB)
         return max(int(requested_stolen_bytes - shrink_mb * MB), 0)
+
+
+def _warmup_for(base_instructions: float, attempt: int) -> float:
+    """Warm-up length for ``attempt`` (exponential backoff)."""
+    return base_instructions * WARMUP_BACKOFF ** (attempt - 1)
+
+
+def _settle_for(interval_instructions: float, attempt: int) -> float:
+    """Unmeasured settle co-run length for ``attempt`` (0 early on)."""
+    if attempt < SETTLE_AFTER_ATTEMPT:
+        return 0.0
+    return SETTLE_FRACTION * interval_instructions
 
 
 # -- interval plausibility ---------------------------------------------------------
@@ -115,16 +115,17 @@ def interval_sanity(
     delta: CounterSample,
     expected_instructions: float | None,
     wall_cycles: float | None,
-    policy: RetryPolicy,
 ) -> str | None:
     """Why a counter delta is implausible, or None if it passes.
 
     Catches what the Pirate monitor cannot see: deltas that disagree with
-    the run (``counters_corrupted``), such as an instruction count far from
-    the amount the harness ran (a final dynamic interval cut short when the
-    Target finishes) or cycle counts exceeding the interval's wall time.
-    Empty (``counters_dropped``), negative and non-finite deltas are guards:
-    the machine's counter banks only grow, so no simulated run reaches them.
+    the run (``counters_corrupted``), such as an instruction count far short
+    of ``expected_instructions`` — what the interval could retire — or cycle
+    counts exceeding the interval's wall time.  Retiring *more* than asked
+    is plausible: the machine checks an interval's goal only between
+    scheduler quanta, so a short interval overshoots it.  Empty
+    (``counters_dropped``), negative and non-finite deltas are guards: the
+    machine's counter banks only grow, so no simulated run reaches them.
     """
     if delta.instructions <= 0.0 or delta.cycles <= 0.0:
         return "counters_dropped"
@@ -138,21 +139,16 @@ def interval_sanity(
     if not math.isfinite(delta.cpi):
         return "counters_corrupted"
     if expected_instructions and expected_instructions > 0:
-        if (
-            abs(delta.instructions - expected_instructions)
-            > policy.instruction_tolerance * expected_instructions
-        ):
+        if delta.instructions < (1.0 - INSTRUCTION_TOLERANCE) * expected_instructions:
             return "counters_corrupted"
     if wall_cycles and wall_cycles > 0:
-        if delta.cycles > wall_cycles * (1.0 + policy.cycle_slack) + 100_000.0:
+        if delta.cycles > wall_cycles * (1.0 + CYCLE_SLACK) + 100_000.0:
             return "counters_corrupted"
     return None
 
 
 def classify_sample(
-    sample: IntervalSample,
-    expected_instructions: float | None,
-    policy: RetryPolicy,
+    sample: IntervalSample, expected_instructions: float | None
 ) -> str | None:
     """Why an interval must be re-measured, or None if it is trustworthy.
 
@@ -160,7 +156,7 @@ def classify_sample(
     Pirate monitor), then the §III-B2 fetch-ratio verdict.
     """
     reason = interval_sanity(
-        sample.target, expected_instructions, sample.wall_cycles or None, policy
+        sample.target, expected_instructions, sample.wall_cycles or None
     )
     if reason is not None:
         return reason
@@ -294,7 +290,11 @@ class AttemptSpec:
     attempt: int
     warmup_instructions: float
     settle_instructions: float
-    stolen_bytes: int
+
+
+#: what a harness's attempt returns: the samples to judge, the harness's own
+#: result, and the instructions each sample's interval could retire
+AttemptResult = tuple[list[IntervalSample], object, float]
 
 
 @dataclass
@@ -305,17 +305,18 @@ class RecoveryOutcome:
     payload: object
     attempts: int
     reasons: list[str]
-    stolen_bytes: int
     succeeded: bool
 
 
 class RetryEngine:
-    """The shared invalid-interval recovery loop.
+    """The invalid-interval recovery loop every harness routes through.
 
     A harness supplies an ``attempt`` callable mapping an
-    :class:`AttemptSpec` to ``(samples, payload)``; the engine classifies
-    every sample, and either accepts the attempt or escalates per the policy
-    until the budget is spent.
+    :class:`AttemptSpec` to an :data:`AttemptResult`; the engine classifies
+    every sample, and either accepts the attempt or escalates until the
+    policy's budget is spent.  An attempt after the first may decline by
+    returning None (say, the Target finished during its re-warm): the engine
+    then ends with the previous attempt and the reasons recorded so far.
     """
 
     def __init__(self, policy: RetryPolicy | None = None, telemetry=None):
@@ -324,64 +325,50 @@ class RetryEngine:
 
     def run(
         self,
-        attempt: Callable[[AttemptSpec], tuple[list[IntervalSample], object]],
+        attempt: Callable[[AttemptSpec], AttemptResult | None],
         *,
         base_warmup_instructions: float,
         interval_instructions: float,
-        requested_stolen_bytes: int,
-        l3_size: int,
-        expected_instructions: float | None = None,
     ) -> RecoveryOutcome:
         """Measure one point, escalating until clean or out of budget."""
-        policy = self.policy
         tel = self.telemetry
-        expected = (
-            expected_instructions
-            if expected_instructions is not None
-            else interval_instructions
-        )
         reasons: list[str] = []
-        last: tuple[list[IntervalSample], object, AttemptSpec] | None = None
-        for k in range(1, policy.max_attempts + 1):
-            stolen = min(max(policy.degraded_steal(requested_stolen_bytes, k), 0), l3_size)
+        last: RecoveryOutcome | None = None
+        for k in range(1, self.policy.max_attempts + 1):
             spec = AttemptSpec(
                 attempt=k,
-                warmup_instructions=policy.warmup_for(base_warmup_instructions, k),
-                settle_instructions=policy.settle_for(interval_instructions, k),
-                stolen_bytes=stolen,
+                warmup_instructions=_warmup_for(base_warmup_instructions, k),
+                settle_instructions=_settle_for(interval_instructions, k),
             )
-            with tel.span("attempt", attempt=k, stolen_mb=stolen / MB):
-                samples, payload = attempt(spec)
+            with tel.span("attempt", attempt=k):
+                result = attempt(spec)
+            if result is None:
+                break
+            samples, payload, expected = result
             bad = sorted({
                 r for s in samples
-                if (r := classify_sample(s, expected, policy)) is not None
+                if (r := classify_sample(s, expected)) is not None
             })
-            last = (samples, payload, spec)
-            if samples and not bad:
+            last = RecoveryOutcome(samples, payload, k, reasons, bool(samples) and not bad)
+            if last.succeeded:
                 tel.gauge("retry_attempts_max", float(k))
-                return RecoveryOutcome(samples, payload, k, reasons, stolen, True)
+                return last
             reasons.extend(bad or ["no_samples"])
-            if k < policy.max_attempts:
+            if k < self.policy.max_attempts:
                 # one event per escalation: attempt k failed, attempt k+1
-                # runs with longer warm-up / settle / degraded steal size
+                # runs with a longer warm-up and, later, a settle co-run
                 tel.count("retries_total")
                 tel.event(
                     "retry_escalation",
                     attempt=k,
                     reasons=bad or ["no_samples"],
-                    next_warmup_instructions=policy.warmup_for(
-                        base_warmup_instructions, k + 1
-                    ),
-                    degraded_next=policy.degraded_steal(requested_stolen_bytes, k + 1)
-                    != requested_stolen_bytes,
+                    next_warmup_instructions=_warmup_for(base_warmup_instructions, k + 1),
                 )
-        tel.gauge("retry_attempts_max", float(policy.max_attempts))
+        assert last is not None, "the first attempt may not decline"
+        tel.gauge("retry_attempts_max", float(last.attempts))
         tel.count("retries_exhausted_total")
         tel.event("retries_exhausted", reasons=reasons)
-        samples, payload, spec = last  # type: ignore[misc]
-        return RecoveryOutcome(
-            samples, payload, self.policy.max_attempts, reasons, spec.stolen_bytes, False
-        )
+        return last
 
 
 # -- resilient harness entry points ------------------------------------------------
@@ -406,9 +393,8 @@ def measure_point_resilient(
 
     Returns ``(FixedSizeResult, PointQuality)``.  Each attempt is a fresh
     co-run with escalated warm-up and, later, an unmeasured settle co-run
-    that lets the Pirate re-claim its lines; from the policy's degradation stage
-    the steal size steps toward the nearest achievable one.  Strict policies
-    raise :class:`RetryExhaustedError` / :class:`DegradedMeasurement`.
+    that lets the Pirate re-claim its lines; from the policy's degradation
+    stage the steal size steps toward the nearest achievable one.
     """
     from .harness import DEFAULT_INTERVAL_INSTRUCTIONS, measure_fixed_size
 
@@ -424,10 +410,10 @@ def measure_point_resilient(
         warmup_instructions if warmup_instructions is not None else interval_instructions
     )
 
-    def attempt(spec: AttemptSpec):
+    def attempt(spec: AttemptSpec) -> AttemptResult:
         res = measure_fixed_size(
             target_factory,
-            spec.stolen_bytes,
+            policy.degraded_steal(requested, spec.attempt),
             config=config,
             num_pirate_threads=num_pirate_threads,
             interval_instructions=interval_instructions,
@@ -439,18 +425,17 @@ def measure_point_resilient(
             quantum=quantum,
             telemetry=tel,
         )
-        return res.samples, res
+        return res.samples, res, interval_instructions
 
     outcome = RetryEngine(policy, telemetry=tel).run(
         attempt,
         base_warmup_instructions=base_warm,
         interval_instructions=interval_instructions,
-        requested_stolen_bytes=requested,
-        l3_size=config.l3.size,
     )
+    result = outcome.payload
     quality = PointQuality(
         requested_mb=(config.l3.size - requested) / MB,
-        measured_mb=(config.l3.size - outcome.stolen_bytes) / MB,
+        measured_mb=(config.l3.size - result.stolen_bytes) / MB,
         attempts=outcome.attempts,
         pirate_fetch_ratio=max(
             (s.pirate_fetch_ratio for s in outcome.samples), default=0.0
@@ -468,86 +453,4 @@ def measure_point_resilient(
         )
     if not outcome.succeeded:
         tel.count("failed_points_total")
-    if policy.strict:
-        if not outcome.succeeded:
-            raise RetryExhaustedError(
-                f"no trustworthy interval after {outcome.attempts} attempts "
-                f"(requested {quality.requested_mb:.1f}MB target cache): "
-                f"{', '.join(outcome.reasons) or 'no samples'}",
-                attempts=outcome.attempts,
-                reasons=outcome.reasons,
-            )
-        if quality.degraded:
-            raise DegradedMeasurement(
-                f"steal of {requested / MB:.1f}MB unachievable; nearest achievable "
-                f"leaves the Target {quality.measured_mb:.1f}MB "
-                f"(requested {quality.requested_mb:.1f}MB)"
-            )
-    return outcome.payload, quality
-
-
-def measure_curve_resilient(
-    target_factory,
-    sizes_mb: list[float],
-    *,
-    benchmark: str | None = None,
-    config: MachineConfig | None = None,
-    policy: RetryPolicy | None = None,
-    num_pirate_threads: int = 1,
-    interval_instructions: float | None = None,
-    n_intervals: int = 2,
-    warmup_instructions: float | None = None,
-    threshold: float = DEFAULT_FETCH_RATIO_THRESHOLD,
-    seed: int = 0,
-    quantum: float | None = None,
-    workers: int = 0,
-    cache_dir=None,
-    supervise=None,
-    journal_dir=None,
-    run_id: str | None = None,
-    resume: bool = False,
-    telemetry=None,
-) -> PartialCurve:
-    """A full fixed-size curve through the retry engine.
-
-    Never raises on a bad point (unless the policy is strict): untrusted
-    intervals are re-measured, unachievable sizes land at the
-    nearest achievable size, and whatever could not be recovered survives as
-    a ``valid=False`` point — all of it recorded per point in the returned
-    :class:`PartialCurve`'s quality map.
-
-    Delegates to :func:`~repro.core.harness.measure_curve_fixed` with the
-    policy installed, so resilient sweeps get the same parallel fan-out
-    (``workers``), deterministic per-point seeds, and result caching
-    (``cache_dir``) as plain ones — with quality metadata merged back in
-    point order even when workers complete out of order.
-    """
-    from .harness import DEFAULT_INTERVAL_INSTRUCTIONS, measure_curve_fixed
-
-    if not callable(target_factory):
-        raise MeasurementError("measure_curve_resilient needs a factory for fresh targets")
-    return measure_curve_fixed(
-        target_factory,
-        list(sizes_mb),
-        benchmark=benchmark,
-        config=config,
-        num_pirate_threads=num_pirate_threads,
-        interval_instructions=(
-            interval_instructions
-            if interval_instructions is not None
-            else DEFAULT_INTERVAL_INSTRUCTIONS
-        ),
-        n_intervals=n_intervals,
-        warmup_instructions=warmup_instructions,
-        threshold=threshold,
-        seed=seed,
-        quantum=quantum,
-        retry=policy or RetryPolicy(),
-        workers=workers,
-        cache_dir=cache_dir,
-        supervise=supervise,
-        journal_dir=journal_dir,
-        run_id=run_id,
-        resume=resume,
-        telemetry=telemetry,
-    )
+    return result, quality

@@ -29,28 +29,3 @@ class MeasurementError(ReproError):
 
 class TraceError(ReproError):
     """Trace capture or replay failed (bad markers, empty trace, ...)."""
-
-
-class RetryExhaustedError(MeasurementError):
-    """The retry engine ran out of attempts without a trustworthy interval.
-
-    Raised only under a strict :class:`~repro.core.resilience.RetryPolicy`;
-    the default policy degrades gracefully instead (see
-    :class:`~repro.core.resilience.PartialCurve`).  Carries the attempt count
-    and the per-attempt failure reasons for post-mortems.
-    """
-
-    def __init__(self, message: str, *, attempts: int = 0, reasons: tuple | list = ()):
-        super().__init__(message)
-        self.attempts = attempts
-        self.reasons = list(reasons)
-
-
-class DegradedMeasurement(MeasurementError):
-    """Only a degraded (size-substituted) measurement was achievable.
-
-    Raised under a strict retry policy when the requested steal size is
-    unachievable (e.g. the paper's libquantum >5MB ceiling, Table II) and the
-    engine had to fall back to the nearest achievable size.  Non-strict
-    policies record the substitution in the point's quality metadata instead.
-    """

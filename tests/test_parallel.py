@@ -268,7 +268,7 @@ def test_unpicklable_factory_fails_fast_with_workers():
 
 
 def test_retry_policy_pickle_round_trip():
-    policy = RetryPolicy(max_attempts=3, degrade_step_mb=0.25, strict=True)
+    policy = RetryPolicy(max_attempts=3, degrade_after_attempt=2)
     clone = pickle.loads(pickle.dumps(policy))
     assert clone == policy
 

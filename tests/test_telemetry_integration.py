@@ -17,7 +17,7 @@ import json
 
 from repro.cli import main
 from repro.core import measure_curve_fixed
-from repro.core.resilience import PartialCurve, RetryPolicy, measure_curve_resilient
+from repro.core.resilience import PartialCurve, RetryPolicy
 from repro.observability import Telemetry, read_jsonl, summarize
 from repro.workloads import TargetSpec
 from tests.golden_scenarios import fixed_curve_scenario
@@ -34,12 +34,12 @@ HOT_SIZES = [2.0, 2.5, 3.0, 4.0]
 
 def _resilient_sweep(workers):
     tel = Telemetry()
-    curve = measure_curve_resilient(
+    curve = measure_curve_fixed(
         HOT_TARGET, HOT_SIZES,
         benchmark="tel.faulted",
         interval_instructions=60_000.0, n_intervals=1,
         warmup_instructions=200_000.0, seed=3,
-        policy=RetryPolicy(max_attempts=5, degrade_after_attempt=10 ** 6),
+        retry=RetryPolicy(max_attempts=5, degrade_after_attempt=10 ** 6),
         workers=workers,
         telemetry=tel,
     )
