@@ -12,8 +12,10 @@ as a cross-check on the trace-driven simulator:
 * :func:`miss_ratio_from_histogram` — the fully-associative-LRU miss ratio
   at any capacity is the tail mass of the histogram (accesses whose reuse
   distance is at least the capacity) plus the cold misses,
-* :class:`ReuseProfile` — bundles the histogram with capacity sweeps and a
-  working-set-size estimate (the knee the paper's Fig. 6 curves visualize).
+* :class:`ReuseProfile` — bundles the histogram with capacity sweeps, a
+  working-set-size estimate (the knee the paper's Fig. 6 curves visualize)
+  and the per-line access counts the surrogate engine's Che cross-check
+  reads (:mod:`repro.surrogate`).
 
 These predictions are an *upper bound* on set-associative LRU performance
 (Mattson's inclusion property); tests compare them against the reference
@@ -22,7 +24,7 @@ simulator on random-access traces where associativity effects are small.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -197,6 +199,8 @@ class ReuseProfile:
     total_accesses: int
     #: architectural accesses per traced line (for ratio scaling)
     accesses_per_line: float = 1.0
+    #: accesses per distinct line of the histogram's window (Che's input)
+    line_counts: np.ndarray | None = field(repr=False, default=None)
 
     @property
     def cold_fraction(self) -> float:
@@ -257,7 +261,8 @@ def reuse_profile(trace: AddressTrace, *, skip_fraction: float = 0.0) -> ReusePr
     """
     if not 0.0 <= skip_fraction < 1.0:
         raise TraceError("skip_fraction must be in [0, 1)")
-    dists = reuse_distances(trace.lines)
+    lines = np.asarray(trace.lines, dtype=np.int64)
+    dists = reuse_distances(lines)
     start = int(len(dists) * skip_fraction)
     tail = dists[start:]
     warm = np.sort(tail[tail >= 0])
@@ -268,4 +273,5 @@ def reuse_profile(trace: AddressTrace, *, skip_fraction: float = 0.0) -> ReusePr
         cold_accesses=cold,
         total_accesses=len(tail),
         accesses_per_line=trace.accesses_per_line,
+        line_counts=np.unique(lines[start:], return_counts=True)[1],
     )

@@ -39,12 +39,9 @@ engines run it, selected by ``MachineConfig.kernel``:
 levels — exact for streaming threads whose reuse distance exceeds the L2
 (the Pirate; see ``repro.core.pirate``) and used only there.
 
-Above the kernel modes sits a coarser dispatch: the harness layer's
-*engine tiers* (:data:`ENGINE_TIERS`).  ``measure`` runs the
-co-simulation through the engines above; ``surrogate`` skips simulation entirely and predicts the
-curve from a one-pass reuse-distance profile (:mod:`repro.surrogate`);
-``auto`` answers each point analytically and escalates the model's
-low-confidence sizes back to the measured tier.  See DESIGN.md §9.
+Above the kernel modes sits a coarser dispatch, the sweep executor's
+*engine tiers* (:data:`repro.core.parallel.ENGINE_TIERS`, DESIGN.md §9):
+only ``measure`` runs the hierarchy at all.
 """
 
 from __future__ import annotations
@@ -55,27 +52,9 @@ from itertools import repeat
 import numpy as np
 
 from ..config import MachineConfig
-from ..errors import ConfigError
 from .base import CoreMemStats
 from .prefetch import StreamPrefetcher
 from .setassoc import MISS_DIRTY, SetAssocCache, make_cache
-
-#: Engine tiers the harness layer dispatches between (DESIGN.md §9):
-#: ``measure`` co-runs Target and Pirate on the simulated machine,
-#: ``surrogate`` predicts curves from a reuse-distance profile, ``auto``
-#: predicts first and escalates low-confidence points to ``measure``.
-ENGINE_TIERS = ("measure", "surrogate", "auto")
-
-
-def resolve_engine(name: str) -> str:
-    """Validate an engine-tier name (:class:`~repro.errors.ConfigError` on
-    an unknown tier); returns the name unchanged."""
-    if name not in ENGINE_TIERS:
-        raise ConfigError(
-            f"unknown engine {name!r}: choose from {', '.join(ENGINE_TIERS)}"
-        )
-    return name
-
 
 _kernels_mod = None
 

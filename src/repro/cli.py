@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -63,7 +64,7 @@ from .config import KERNEL_MODES, check_kernel, nehalem_config
 from .core import choose_pirate_threads, measure_curve_dynamic, measure_curve_fixed
 from .core.bandit import measure_bandwidth_curve
 from .core.journal import new_run_id
-from .core.parallel import CACHE_FORMAT, SupervisorPolicy
+from .core.parallel import CACHE_FORMAT, ENGINE_TIERS, SupervisorPolicy, resolve_engine
 from .core.resilience import PartialCurve, RetryPolicy, measure_point_resilient
 from .errors import ConfigError, MeasurementError
 from .faults.chaos import ChaosPlan
@@ -142,7 +143,6 @@ def _add_tier_args(p: argparse.ArgumentParser) -> None:
 
 def _resolve_tier_args(args):
     """Validate the engine-tier flags; return ``(engine, policy-or-None)``."""
-    from .caches.hierarchy import resolve_engine
     from .surrogate import SurrogatePolicy
 
     try:
@@ -446,11 +446,6 @@ def cmd_sweep(args, out=print) -> int:
         or resume
         or bool(args.chaos)
     )
-    if engine != "measure" and supervised:
-        raise _CLIError(
-            f"--engine {engine} conflicts with supervision/journaling/chaos: "
-            "analytic sweeps have no long-running points to watch"
-        )
     supervise = None
     if supervised:
         supervise = SupervisorPolicy(
@@ -633,10 +628,7 @@ def cmd_grid(args, out=print) -> int:
     try:
         config = load_grid_config(args.config)
         if args.engine:
-            from .caches.hierarchy import resolve_engine
-
-            engine = resolve_engine(args.engine)
-            config.setdefault("axes", {})["engine"] = [engine]
+            config.setdefault("axes", {})["engine"] = [resolve_engine(args.engine)]
         grid = compile_grid(config)
     except ConfigError as e:
         raise _CLIError(str(e)) from None
@@ -913,35 +905,56 @@ def cmd_watch(args, out=print) -> int:
 
 
 def cmd_experiments(args, out=print) -> int:
-    from .experiments.runall import main as runall_main
+    from .experiments import FULL, QUICK
+    from .experiments.runall import EXPERIMENTS, run_all
 
     workers = _resolve_workers(args)
-    argv = ["--scale", args.scale]
-    if args.only:
-        argv += ["--only", args.only]
-    if args.kernel:
-        argv += ["--kernel", args.kernel]
+    only = [s for s in args.only.split(",") if s] or None
+    unknown = sorted(set(only or ()) - set(EXPERIMENTS))
+    if unknown:
+        raise _CLIError(
+            f"--only: unknown experiment id(s) {', '.join(unknown)}; "
+            f"known: {', '.join(EXPERIMENTS)}"
+        )
     if args.engine:
-        from .caches.hierarchy import resolve_engine
-
         try:
             resolve_engine(args.engine)
         except ConfigError as e:
             raise _CLIError(f"--engine: {e}") from None
-        argv += ["--engine", args.engine]
-    if workers is not None:
-        argv += ["--workers", str(workers)]
-    if args.cache_dir:
-        argv += ["--cache-dir", args.cache_dir]
-    if args.telemetry:
-        argv += ["--telemetry", args.telemetry]
-    if args.journal_dir:
-        argv += ["--journal-dir", args.journal_dir]
-    if args.run_id:
-        argv += ["--run-id", args.run_id]
-    if args.resume:
-        argv += ["--resume", args.resume]
-    return runall_main(argv)
+    if args.resume and not args.journal_dir:
+        raise _CLIError("--resume needs --journal-dir")
+    if args.resume and args.run_id and args.run_id != args.resume:
+        raise _CLIError(f"--resume {args.resume} conflicts with --run-id {args.run_id}")
+    if args.kernel:
+        # the experiments build their configs internally; the env default
+        # (see repro.config) is the one switch they all honor, and it is
+        # inherited by parallel_map's spawned workers
+        os.environ["REPRO_KERNEL"] = args.kernel
+    telemetry = Telemetry() if args.telemetry else None
+    chunks: list[str] = []
+
+    def echo(text: str = "") -> None:
+        out(text)
+        chunks.append(str(text))
+
+    run_all(
+        FULL if args.scale == "full" else QUICK,
+        args.seed,
+        only,
+        echo=echo,
+        workers=workers,
+        cache_dir=args.cache_dir or None,
+        telemetry=telemetry,
+        engine=args.engine or None,
+        journal_dir=args.journal_dir or None,
+        run_id=(args.resume or args.run_id) or None,
+        resume=bool(args.resume),
+    )
+    if args.out:
+        Path(args.out).write_text("\n".join(chunks) + "\n")
+    if telemetry is not None:
+        _export_telemetry(telemetry, args.telemetry, out)
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1120,7 +1133,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiments", help="regenerate the paper's tables/figures")
     p.add_argument("--scale", choices=("quick", "full"), default="quick")
-    p.add_argument("--only", default="")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--only", default="", help="comma-separated experiment ids")
+    p.add_argument("--out", default="", help="also write the report to this file")
     p.add_argument("--workers", type=int, default=None,
                    help="process fan-out for parallelizable experiments")
     p.add_argument("--serial", action="store_true",
@@ -1180,7 +1195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--intervals", type=int, default=2,
                    help="measurement intervals per sweep point")
     p.add_argument("--threads", type=int, default=1, help="pirate thread count")
-    p.add_argument("--engine", choices=("measure", "surrogate", "auto"),
+    p.add_argument("--engine", choices=ENGINE_TIERS,
                    default="measure", help="curve engine tier")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--run-id", default="",

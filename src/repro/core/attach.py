@@ -48,7 +48,6 @@ def measure_between_markers(
     num_pirate_threads: int = 1,
     threshold: float = DEFAULT_FETCH_RATIO_THRESHOLD,
     seed: int = 0,
-    quantum: float | None = None,
 ) -> AttachWindow:
     """Attach the Pirate at ``start_marker`` retired Target instructions,
     measure until ``stop_marker``, then detach.
@@ -59,9 +58,7 @@ def measure_between_markers(
     if not 0 <= start_marker < stop_marker:
         raise MeasurementError("markers must satisfy 0 <= start < stop")
     config = config or nehalem_config()
-    machine, target, pirate = _setup(
-        target_factory, config, num_pirate_threads, seed, quantum
-    )
+    machine, target, pirate = _setup(target_factory, config, num_pirate_threads, seed)
 
     # run to the start marker with the Pirate idle (stealing nothing); the
     # instruction limit clamps the last quantum so the attach point is

@@ -66,15 +66,13 @@ def run_target_alone(
     *,
     config: MachineConfig | None = None,
     seed: int = 0,
-    quantum: float | None = None,
 ) -> float:
     """Cycles for the Target to retire ``total_instructions`` with no Pirate.
 
     The Table III overhead baseline.
     """
     config = config or nehalem_config()
-    kwargs = {} if quantum is None else {"quantum_cycles": quantum}
-    machine = Machine(config, seed=seed, **kwargs)
+    machine = Machine(config, seed=seed)
     target = machine.add_thread(
         _make_target(target_factory), core=0, instruction_limit=total_instructions
     )
@@ -100,7 +98,6 @@ def measure_curve_dynamic(
     initial_warmup_instructions: float | None = None,
     schedule: str = "zigzag",
     seed: int = 0,
-    quantum: float | None = None,
     compute_baseline: bool = True,
     retry_policy: RetryPolicy | None = None,
     telemetry=None,
@@ -150,9 +147,7 @@ def measure_curve_dynamic(
         if not 0 < s * MB <= config.l3.size:
             raise MeasurementError(f"target size {s}MB out of range")
 
-    machine, target, pirate = _setup(
-        target_factory, config, num_pirate_threads, seed, quantum
-    )
+    machine, target, pirate = _setup(target_factory, config, num_pirate_threads, seed)
     name = benchmark or target.workload.name
     target.instruction_limit = total_instructions
     monitor = PirateMonitor(pirate, threshold)
@@ -314,7 +309,6 @@ def measure_curve_dynamic(
                 target.instructions,
                 config=config,
                 seed=seed,
-                quantum=quantum,
             )
             sp.add_cycles(baseline)
     return DynamicRunResult(

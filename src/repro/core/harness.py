@@ -56,15 +56,13 @@ def _setup(
     config: MachineConfig,
     num_pirate_threads: int,
     seed: int,
-    quantum: float | None,
 ) -> tuple[Machine, SimThread, Pirate]:
     if num_pirate_threads >= config.num_cores:
         raise MeasurementError(
             f"{num_pirate_threads} pirate threads + 1 target need more than "
             f"{config.num_cores} cores"
         )
-    kwargs = {} if quantum is None else {"quantum_cycles": quantum}
-    machine = Machine(config, seed=seed, **kwargs)
+    machine = Machine(config, seed=seed)
     target = machine.add_thread(_make_target(target_factory), core=0)
     pirate = Pirate(machine, cores=list(range(1, 1 + num_pirate_threads)))
     return machine, target, pirate
@@ -98,7 +96,6 @@ def measure_fixed_size(
     settle_instructions: float = 0.0,
     threshold: float = DEFAULT_FETCH_RATIO_THRESHOLD,
     seed: int = 0,
-    quantum: float | None = None,
     telemetry=None,
 ) -> FixedSizeResult:
     """Co-run Target and Pirate with a fixed stolen size; measure intervals.
@@ -117,9 +114,7 @@ def measure_fixed_size(
     tel = ensure_telemetry(telemetry)
     if not 0 <= stolen_bytes <= config.l3.size:
         raise MeasurementError(f"cannot steal {stolen_bytes} of {config.l3.size} bytes")
-    machine, target, pirate = _setup(
-        target_factory, config, num_pirate_threads, seed, quantum
-    )
+    machine, target, pirate = _setup(target_factory, config, num_pirate_threads, seed)
     start = machine.frontier
 
     pirate.set_working_set(stolen_bytes)
@@ -196,7 +191,6 @@ def measure_curve_fixed(
     warmup_instructions: float | None = None,
     threshold: float = DEFAULT_FETCH_RATIO_THRESHOLD,
     seed: int = 0,
-    quantum: float | None = None,
     retry=None,
     workers: int = 0,
     cache_dir=None,
@@ -234,15 +228,10 @@ def measure_curve_fixed(
     write-ahead-journals every point under ``run_id`` so ``resume=True``
     continues a killed run without re-measuring journaled points.
 
-    ``engine`` selects the tier (:data:`~repro.caches.hierarchy.ENGINE_TIERS`):
-    ``measure`` (default) co-runs every point, ``surrogate`` predicts the
-    whole curve from one reuse-distance profile
-    (:mod:`repro.surrogate`; ``surrogate`` takes a
-    :class:`~repro.surrogate.SurrogatePolicy` to tune it), and ``auto``
-    predicts first, escalating the model's grey (low-confidence) sizes to
-    bit-exact measurement.  Analytic tiers are incompatible with
-    supervision/journaling (there is nothing long-running to supervise)
-    and ignore ``retry`` — no measurement runs that could fail.
+    ``engine`` and ``surrogate`` pass straight to
+    :func:`~repro.core.parallel.run_sweep`, which runs every engine tier
+    (:data:`~repro.core.parallel.ENGINE_TIERS`) and rejects the
+    combinations an analytic tier cannot honour.
 
     A :class:`~repro.observability.Telemetry` passed as ``telemetry``
     collects per-point spans and engine metrics (cache hits, retries,
@@ -250,10 +239,7 @@ def measure_curve_fixed(
     any cache key.
     """
     from ..analysis.merge import assemble_curve
-    from ..caches.hierarchy import resolve_engine
     from .parallel import SupervisorPolicy, SweepSpec, run_sweep
-
-    engine = resolve_engine(engine)
 
     config = config or nehalem_config()
     tel = ensure_telemetry(telemetry)
@@ -270,52 +256,27 @@ def measure_curve_fixed(
         n_intervals=n_intervals,
         warmup_instructions=warmup_instructions,
         threshold=threshold,
-        quantum=quantum,
         seed=seed,
         retry=retry,
         telemetry=tel.enabled,
     )
-    if engine != "measure":
-        from ..surrogate import run_auto_sweep, run_surrogate_sweep
-
-        if supervise or journal_dir is not None or resume:
-            raise MeasurementError(
-                f"engine={engine!r} cannot run supervised or journaled: "
-                "analytic sweeps have no long-running points to watch"
-            )
-        if engine == "surrogate":
-            results, _ = run_surrogate_sweep(
-                spec,
-                list(sizes_mb),
-                policy=surrogate,
-                cache_dir=cache_dir,
-                telemetry=tel,
-            )
-        else:
-            results, _ = run_auto_sweep(
-                spec,
-                list(sizes_mb),
-                policy=surrogate,
-                workers=workers,
-                cache_dir=cache_dir,
-                telemetry=tel,
-            )
+    if isinstance(supervise, SupervisorPolicy):
+        policy = supervise
+    elif supervise or journal_dir is not None or resume:
+        policy = SupervisorPolicy()
     else:
-        if isinstance(supervise, SupervisorPolicy):
-            policy = supervise
-        elif supervise or journal_dir is not None or resume:
-            policy = SupervisorPolicy()
-        else:
-            policy = None
-        results, _ = run_sweep(
-            spec,
-            list(sizes_mb),
-            workers=workers,
-            cache_dir=cache_dir,
-            policy=policy,
-            journal_dir=journal_dir,
-            run_id=run_id,
-            resume=resume,
-            telemetry=tel,
-        )
+        policy = None
+    results, _ = run_sweep(
+        spec,
+        list(sizes_mb),
+        engine=engine,
+        surrogate=surrogate,
+        workers=workers,
+        cache_dir=cache_dir,
+        policy=policy,
+        journal_dir=journal_dir,
+        run_id=run_id,
+        resume=resume,
+        telemetry=tel,
+    )
     return assemble_curve(name or "target", results, config.core.clock_hz, telemetry=tel)

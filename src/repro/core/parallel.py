@@ -25,10 +25,14 @@ store keyed by a content hash of the *full* measurement configuration
 Repeated sweeps and re-runs after a crash skip every point already on
 disk — the cache-hit path does zero measurements.
 
-:func:`run_sweep` is the one executor, and a :class:`SupervisorPolicy`
-makes it a supervisor for hosts that OOM-kill workers, hang points and
-rot caches.  Its invariant, proven under injected chaos in
-``tests/test_chaos.py``:
+:func:`run_sweep` is the one executor for every engine tier
+(:data:`ENGINE_TIERS`): ``surrogate`` and ``auto`` predict points through
+:mod:`repro.surrogate` behind the same cache lookup, the same
+:class:`SweepStats` and, for ``auto``'s grey points, the same measured path.
+
+A :class:`SupervisorPolicy` makes it a supervisor for hosts that OOM-kill
+workers, hang points and rot caches.  Its invariant, proven under
+injected chaos in ``tests/test_chaos.py``:
 
     Under any schedule of worker kills, point hangs, in-worker errors and
     cache corruption, a supervised sweep either returns curves
@@ -107,6 +111,24 @@ def default_mp_context():
     return get_context("fork" if "fork" in methods else "spawn")
 
 
+#: The engine tiers :func:`run_sweep` dispatches between (DESIGN.md §9):
+#: ``measure`` co-runs Target and Pirate on the simulated machine,
+#: ``surrogate`` predicts every point from one reuse-distance profile
+#: (:mod:`repro.surrogate`), ``auto`` predicts first and measures the
+#: points the model flags as low-confidence.
+ENGINE_TIERS = ("measure", "surrogate", "auto")
+
+
+def resolve_engine(name: str) -> str:
+    """Validate an engine-tier name (:class:`~repro.errors.ConfigError` on
+    an unknown tier); returns the name unchanged."""
+    if name not in ENGINE_TIERS:
+        raise ConfigError(
+            f"unknown engine {name!r}: choose from {', '.join(ENGINE_TIERS)}"
+        )
+    return name
+
+
 # -- task specifications -----------------------------------------------------------
 
 
@@ -129,7 +151,6 @@ class SweepSpec:
     n_intervals: int = 2
     warmup_instructions: float | None = None
     threshold: float = DEFAULT_FETCH_RATIO_THRESHOLD
-    quantum: float | None = None
     seed: int = 0
     retry: RetryPolicy | None = None
     #: collect per-point telemetry in the worker and ship it back on the
@@ -250,7 +271,6 @@ def measure_sweep_point(spec: SweepSpec, point: SweepPoint) -> PointResult:
                 warmup_instructions=spec.warmup_instructions,
                 threshold=spec.threshold,
                 seed=point.seed,
-                quantum=spec.quantum,
                 telemetry=tel,
             )
         else:
@@ -265,7 +285,6 @@ def measure_sweep_point(spec: SweepSpec, point: SweepPoint) -> PointResult:
                 warmup_instructions=spec.warmup_instructions,
                 threshold=spec.threshold,
                 seed=point.seed,
-                quantum=spec.quantum,
                 telemetry=tel,
             )
         sp.add_cycles(result.wall_cycles)
@@ -311,7 +330,9 @@ def spec_token(spec: SweepSpec) -> dict:
             "n_intervals": spec.n_intervals,
             "warmup_instructions": spec.warmup_instructions,
             "threshold": spec.threshold,
-            "quantum": spec.quantum,
+            # the retired harness-level quantum override, fixed at None like
+            # ``fault_plan`` below, so no stored key moves
+            "quantum": None,
         },
         "retry": asdict(spec.retry) if spec.retry is not None else None,
         # the retired in-simulation fault plan, fixed at None: keys written
@@ -596,6 +617,69 @@ class _Sweep:
         self.attempts: dict[int, int] = {}
         self.fail_reasons: dict[int, list[str]] = {}
 
+    def lookup(self, points: list[SweepPoint], token: dict | None) -> list[SweepPoint]:
+        """Load every point already cached under ``token``; return the misses.
+
+        ``token`` is the sweep's measured or surrogate token, built once.  A
+        hit takes the index of the point that found it: entries are keyed
+        by content, not by their position in the sweep that stored them.
+        """
+        if self.cache is None:
+            return points
+        pending = []
+        for p in points:
+            key = self.keys[p.index] = point_cache_key(self.spec, p, token)
+            hit = self.cache.load(key)
+            if hit is None:
+                self.tel.count("cache_misses_total")
+                pending.append(p)
+                continue
+            hit.index = p.index
+            self.results.append(hit)
+            self.stats.cache_hits += 1
+            self.tel.count("cache_hits_total")
+            self.tel.event("cache_hit", index=p.index, size_mb=p.size_mb)
+            if self.journal is not None:
+                self.journal.mark_done(p.index, result_to_payload(hit))
+        return pending
+
+    def predict(
+        self, points: list[SweepPoint], surrogate, *, escalate: bool
+    ) -> list[SweepPoint]:
+        """Answer ``points`` analytically; return the grey ones to measure.
+
+        With ``escalate`` (the ``auto`` tier) every point the model flags
+        as low-confidence leaves the results and comes back for the
+        measured engine, as the same :class:`SweepPoint`: same index, same
+        derived seed, so it is bit-identical to a direct measured sweep.
+        """
+        # imported per call: the surrogate package imports this module
+        from ..surrogate.engine import run_surrogate_sweep, surrogate_token
+
+        token = surrogate_token(self.spec, surrogate) if self.cache is not None else None
+        pending = self.lookup(points, token)
+        if pending:
+            for result in run_surrogate_sweep(
+                self.spec, pending, policy=surrogate, telemetry=self.tel
+            ):
+                self.record(result)
+        if not escalate:
+            return []
+        grey = {
+            r.index for r in self.results if r.quality is not None and not r.quality.valid
+        }
+        if not grey:
+            return []
+        self.results = [r for r in self.results if r.index not in grey]
+        escalated = [p for p in points if p.index in grey]
+        self.tel.count("surrogate_escalations_total", len(escalated))
+        self.tel.event(
+            "surrogate_escalation",
+            benchmark=self.spec.benchmark,
+            sizes_mb=[p.size_mb for p in escalated],
+        )
+        return escalated
+
     def record(self, result: PointResult) -> None:
         self.results.append(result)
         self.stats.measured += 1
@@ -691,6 +775,8 @@ def run_sweep(
     spec: SweepSpec,
     sizes_mb: Sequence[float],
     *,
+    engine: str = "measure",
+    surrogate=None,
     workers: int = 0,
     cache_dir: str | Path | None = None,
     policy: SupervisorPolicy | None = None,
@@ -701,6 +787,17 @@ def run_sweep(
     telemetry=None,
 ) -> tuple[list[PointResult], SweepStats]:
     """Execute a sweep's points; returns (results, stats).
+
+    ``engine`` picks the tier (:data:`ENGINE_TIERS`).  ``measure`` co-runs
+    every point.  ``surrogate`` predicts every point from one
+    reuse-distance profile (:func:`repro.surrogate.run_surrogate_sweep`;
+    ``surrogate`` takes a :class:`~repro.surrogate.SurrogatePolicy`).
+    ``auto`` predicts first, then measures the points the model flags as
+    grey.  Predicted points count as ``stats.measured`` and are cached
+    under surrogate keys, which carry no retry policy (no prediction
+    retries) and never collide with measured keys.  The analytic tiers
+    refuse supervision and journaling, and ``surrogate`` refuses a retry
+    policy: each would be silently ignored.
 
     ``workers=0`` (or 1) runs the points in-process, in order; ``workers>=2``
     fans them out over a process pool, one point per task, harvesting
@@ -737,6 +834,17 @@ def run_sweep(
     ``exec_worker_utilization`` gauges and the supervisor's
     ``exec_supervisor_*`` counters.
     """
+    engine = resolve_engine(engine)
+    if engine != "measure" and (policy is not None or journal_dir is not None or resume):
+        raise ConfigError(
+            f"engine {engine!r} conflicts with supervision and journaling: "
+            "analytic sweeps have no long-running points to watch"
+        )
+    if engine == "surrogate" and spec.retry is not None:
+        raise ConfigError(
+            "engine 'surrogate' conflicts with a retry policy: it measures "
+            "nothing to retry"
+        )
     if workers < 0:
         raise MeasurementError(f"workers must be >= 0, got {workers}")
     if resume and journal_dir is None:
@@ -761,25 +869,12 @@ def run_sweep(
             n_points=len(points),
             supervised=policy is not None,
         ):
+            todo = [p for p in points if p.index not in sweep.settled]
+            if engine != "measure":
+                todo = sweep.predict(todo, surrogate, escalate=engine == "auto")
             # one spec token per sweep; each point's key only adds the point
-            token = spec_token(spec) if cache is not None else None
-            pending: list[SweepPoint] = []
-            for p in points:
-                if p.index in sweep.settled:
-                    continue
-                if cache is not None:
-                    key = sweep.keys[p.index] = point_cache_key(spec, p, token)
-                    hit = cache.load(key)
-                    if hit is not None:
-                        sweep.results.append(hit)
-                        sweep.stats.cache_hits += 1
-                        tel.count("cache_hits_total")
-                        tel.event("cache_hit", index=p.index, size_mb=p.size_mb)
-                        if sweep.journal is not None:
-                            sweep.journal.mark_done(p.index, result_to_payload(hit))
-                        continue
-                    tel.count("cache_misses_total")
-                pending.append(p)
+            token = spec_token(spec) if cache is not None and todo else None
+            pending = sweep.lookup(todo, token)
 
             # a watchdog needs a process to kill, even for a single point
             watchdog = policy is not None and policy.point_timeout_s is not None

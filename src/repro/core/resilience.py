@@ -386,7 +386,6 @@ def measure_point_resilient(
     warmup_instructions: float | None = None,
     threshold: float = DEFAULT_FETCH_RATIO_THRESHOLD,
     seed: int = 0,
-    quantum: float | None = None,
     telemetry=None,
 ):
     """One fixed-size point, re-measured until trustworthy or degraded.
@@ -422,7 +421,6 @@ def measure_point_resilient(
             settle_instructions=spec.settle_instructions,
             threshold=threshold,
             seed=seed,
-            quantum=quantum,
             telemetry=tel,
         )
         return res.samples, res, interval_instructions

@@ -53,7 +53,6 @@ def choose_pirate_threads(
     slowdown_threshold: float = DEFAULT_SLOWDOWN_THRESHOLD,
     probe_instructions: float = 400_000.0,
     seed: int = 0,
-    quantum: float | None = None,
 ) -> ThreadProbeResult:
     """Probe how many Pirate threads the Target tolerates (§III-C).
 
@@ -78,7 +77,6 @@ def choose_pirate_threads(
             n_intervals=1,
             warmup_instructions=probe_instructions / 2,
             seed=seed,
-            quantum=quantum,
         )
         agg_cycles = sum(s.target.cycles for s in result.samples)
         agg_instr = sum(s.target.instructions for s in result.samples)

@@ -11,7 +11,7 @@ validity instead of a plot the reader has to eyeball.
 
 from __future__ import annotations
 
-from ..caches.hierarchy import resolve_engine
+from ..core.parallel import resolve_engine
 from ..errors import ConfigError
 from ..validation import grade_suite, validate_suite
 from ..validation.differential import tier_from_scale

@@ -1,19 +1,18 @@
 """Run every experiment and render an EXPERIMENTS-style report.
 
-``python -m repro.experiments.runall [--scale quick|full] [--only fig1,...]``
+``repro experiments [--scale quick|full] [--only fig1,...] [--out FILE]``
 regenerates every table and figure of the paper and prints (or writes) the
-combined text report.  EXPERIMENTS.md is produced from a FULL-scale run.
+combined text report; ``python -m repro.experiments.runall`` takes the same
+flags.  EXPERIMENTS.md is produced from a FULL-scale run.
 """
 
 from __future__ import annotations
 
-import argparse
 import inspect
 import sys
 import time
 
-from ..config import KERNEL_MODES
-from . import FULL, QUICK, Scale
+from . import QUICK, Scale
 from . import (  # noqa: F401  (imported for registration order)
     conformance,
     fig1_omnet,
@@ -96,7 +95,7 @@ def run_all(
     ``cache_dir`` lets their fixed-size sweeps resume from cached points.
     A live :class:`~repro.observability.Telemetry` as ``telemetry`` is
     handed to every experiment whose ``run()`` accepts it, and ``engine``
-    (an :data:`~repro.caches.hierarchy.ENGINE_TIERS` name) to every
+    (an :data:`~repro.core.parallel.ENGINE_TIERS` name) to every
     experiment that can swap the measured sweeps for the analytic
     surrogate (currently ``conformance``).
 
@@ -168,103 +167,10 @@ def run_all(
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--scale", choices=("quick", "full"), default="quick")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--only", default="", help="comma-separated experiment ids")
-    parser.add_argument("--out", default="", help="also write the report to this file")
-    parser.add_argument(
-        "--workers", type=int, default=None,
-        help="process fan-out for parallelizable experiments "
-             "(default: the scale's max_workers; 0 forces serial)",
-    )
-    parser.add_argument(
-        "--cache-dir", default="",
-        help="persist sweep points here so re-runs skip completed points",
-    )
-    parser.add_argument(
-        "--telemetry", default="",
-        help="write the run's span/metric stream to this JSONL file",
-    )
-    parser.add_argument(
-        "--kernel", choices=KERNEL_MODES, default=None,
-        help="simulation engine for every experiment (sets REPRO_KERNEL "
-             "for this process and its pool workers)",
-    )
-    parser.add_argument(
-        "--engine", default=None,
-        help="curve engine tier (measure/surrogate/auto) for experiments "
-             "that support it (currently conformance)",
-    )
-    parser.add_argument(
-        "--journal-dir", default="",
-        help="task journal directory: finished experiments survive SIGKILL",
-    )
-    parser.add_argument(
-        "--run-id", default="",
-        help="task journal run id (default: a fresh one, echoed at start)",
-    )
-    parser.add_argument(
-        "--resume", default="", metavar="RUN_ID",
-        help="continue a journaled run, skipping finished experiments",
-    )
-    args = parser.parse_args(argv)
-    if args.resume and not args.journal_dir:
-        parser.error("--resume needs --journal-dir")
-    if args.resume and args.run_id and args.run_id != args.resume:
-        parser.error(f"--resume {args.resume} conflicts with --run-id {args.run_id}")
-    if args.kernel:
-        # the experiments build their configs internally; the env default
-        # (see repro.config) is the one switch they all honor, and it is
-        # inherited by parallel_map's spawned workers
-        import os
+    """``python -m repro.experiments.runall ARGS`` is ``repro experiments ARGS``."""
+    from ..cli import main as cli_main
 
-        os.environ["REPRO_KERNEL"] = args.kernel
-    if args.workers is not None and args.workers < 0:
-        parser.error("--workers must be >= 0")
-    if args.engine is not None:
-        from ..caches.hierarchy import resolve_engine
-        from ..errors import ConfigError
-
-        try:
-            resolve_engine(args.engine)
-        except ConfigError as e:
-            parser.error(f"--engine: {e}")
-    scale = FULL if args.scale == "full" else QUICK
-    only = [s for s in args.only.split(",") if s] or None
-    telemetry = None
-    if args.telemetry:
-        from ..observability import Telemetry
-
-        telemetry = Telemetry()
-
-    chunks: list[str] = []
-
-    def echo(text: str = "") -> None:
-        print(text)
-        chunks.append(str(text))
-
-    run_all(
-        scale,
-        args.seed,
-        only,
-        echo=echo,
-        workers=args.workers,
-        cache_dir=args.cache_dir or None,
-        telemetry=telemetry,
-        engine=args.engine,
-        journal_dir=args.journal_dir or None,
-        run_id=(args.resume or args.run_id) or None,
-        resume=bool(args.resume),
-    )
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("\n".join(chunks) + "\n")
-    if telemetry is not None:
-        from ..cli import _export_telemetry
-
-        _export_telemetry(telemetry, args.telemetry, print)
-    return 0
+    return cli_main(["experiments", *(sys.argv[1:] if argv is None else argv)])
 
 
 if __name__ == "__main__":

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from ..caches.hierarchy import ENGINE_TIERS
 from ..config import (
     POLICIES,
     MachineConfig,
@@ -33,6 +32,7 @@ from ..config import (
     nehalem_config,
     tiny_config,
 )
+from ..core.parallel import ENGINE_TIERS
 from ..errors import ConfigError, ReproError
 from ..rng import stable_seed
 from ..store import checksum

@@ -1,11 +1,11 @@
 """Execute a compiled grid through the sweep executor.
 
 Each :class:`~repro.scenarios.grid.GridCell` becomes one
-:class:`~repro.core.parallel.SweepSpec` dispatched by its engine tier —
-``measure`` through :func:`~repro.core.parallel.run_sweep`, ``surrogate``
-and ``auto`` through the analytic engine — so every point inherits the
-existing machinery wholesale: process-pool fan-out, content-derived seeds,
-and the sha256 :class:`~repro.core.parallel.SweepCache`.  Identical cells
+:class:`~repro.core.parallel.SweepSpec` and one
+:func:`~repro.core.parallel.run_sweep` call with the cell's engine tier,
+so every point inherits the existing machinery wholesale: process-pool
+fan-out, content-derived seeds, and the sha256
+:class:`~repro.core.parallel.SweepCache`.  Identical cells
 across grids (or across runs) therefore dedupe at the *point* level for
 free: a re-run of an unchanged grid against the same cache directory
 measures nothing and reports 100% cache hits.
@@ -208,7 +208,7 @@ def run_cell(
     cache_dir: str | Path | None = None,
     telemetry=None,
 ) -> CellResult:
-    """Execute one cell through its engine tier; pure in (cell, grid)."""
+    """Execute one cell through :func:`run_sweep`; pure in (cell, grid)."""
     tel = ensure_telemetry(telemetry)
     spec = SweepSpec(
         target=cell.workload,
@@ -222,21 +222,14 @@ def run_cell(
     )
     sizes = list(cell.sizes_mb)
     with tel.span("grid_cell", cell=cell.key[:12], engine=cell.engine):
-        if cell.engine == "measure":
-            results, stats = run_sweep(
-                spec, sizes, workers=workers, cache_dir=cache_dir, telemetry=tel
-            )
-        else:
-            from ..surrogate.engine import run_auto_sweep, run_surrogate_sweep
-
-            if cell.engine == "surrogate":
-                results, stats = run_surrogate_sweep(
-                    spec, sizes, cache_dir=cache_dir, telemetry=tel
-                )
-            else:
-                results, stats = run_auto_sweep(
-                    spec, sizes, workers=workers, cache_dir=cache_dir, telemetry=tel
-                )
+        results, stats = run_sweep(
+            spec,
+            sizes,
+            engine=cell.engine,
+            workers=workers,
+            cache_dir=cache_dir,
+            telemetry=tel,
+        )
         out = CellResult(
             cell=cell,
             rows=_cell_rows(cell, results, cell.machine.core.clock_hz),

@@ -23,7 +23,6 @@ submit|status|fetch|watch`` CLI that consume it.
 from .client import ServiceClient
 from .protocol import (
     EVENT_TYPES,
-    JOB_ENGINES,
     JOB_STATES,
     PROTOCOL_VERSION,
     TERMINAL_EVENTS,
@@ -42,7 +41,6 @@ from .testing import ServerThread
 
 __all__ = [
     "PROTOCOL_VERSION",
-    "JOB_ENGINES",
     "JOB_STATES",
     "EVENT_TYPES",
     "TERMINAL_EVENTS",

@@ -25,17 +25,13 @@ from ..config import MachineConfig, machine_from_dict, machine_to_dict, nehalem_
 from ..core.harness import DEFAULT_INTERVAL_INSTRUCTIONS
 from ..core.journal import check_run_id
 from ..core.monitor import DEFAULT_FETCH_RATIO_THRESHOLD
-from ..core.parallel import SweepSpec, sweep_spec_sha
+from ..core.parallel import SweepSpec, resolve_engine, sweep_spec_sha
 from ..errors import ConfigError, ReproError
 from ..store import checksum
 from ..workloads import TargetSpec
 
 #: bumped on any incompatible wire change; echoed in every envelope
 PROTOCOL_VERSION = 1
-
-#: engine tiers a job may request (mirrors ``ENGINE_TIERS`` by value so a
-#: wire validation failure doesn't need the caches package imported)
-JOB_ENGINES = ("measure", "surrogate", "auto")
 
 #: job lifecycle states as reported by /v1/status and the event stream
 JOB_STATES = ("queued", "running", "done", "failed")
@@ -110,10 +106,7 @@ class JobSpec:
             raise ConfigError("job needs at least one sweep size")
         if any(not s > 0 for s in self.sizes_mb):
             raise ConfigError(f"sweep sizes must be positive, got {self.sizes_mb}")
-        if self.engine not in JOB_ENGINES:
-            raise ConfigError(
-                f"unknown job engine {self.engine!r}; known: {JOB_ENGINES}"
-            )
+        resolve_engine(self.engine)
         if self.pirate_threads < 1:
             raise ConfigError("pirate_threads must be >= 1")
         if self.n_intervals < 1:
@@ -142,7 +135,6 @@ class JobSpec:
             n_intervals=self.n_intervals,
             warmup_instructions=self.warmup_instructions,
             threshold=DEFAULT_FETCH_RATIO_THRESHOLD,
-            quantum=None,
             seed=self.seed,
             retry=None,
             telemetry=telemetry_enabled,

@@ -2,21 +2,20 @@
 
 Architecture (DESIGN.md §10): requests arrive over stdlib-only HTTP/1.1
 (TCP or a unix socket), land in a bounded job queue, and are drained by
-a small pool of job workers, each of which pushes the sweep through the
-same engines the batch CLI uses — :func:`run_sweep` under a
-:class:`SupervisorPolicy` for ``measure`` (journaled, resumable),
-:func:`run_surrogate_sweep` / :func:`run_auto_sweep` for the analytic
-tiers.  Identical submissions
-coalesce on their content key *before* the queue, so N clients asking
-for the same curve cost one execution; finished curves live in a
-:class:`~repro.service.store.ResultStore` (LRU, warm-started) and every
-point they were assembled from lives in the shared
-:class:`~repro.core.parallel.SweepCache`, so even an evicted answer is
-a recompute-from-hits, never a re-measurement.
+a small pool of job workers, each of which runs the job through the
+same :func:`run_sweep` call the batch CLI makes, for every engine tier —
+under a :class:`SupervisorPolicy` and a run journal for ``measure``
+(resumable), unsupervised for the analytic ``surrogate`` and ``auto``
+tiers.  Identical submissions coalesce on their content key *before* the
+queue, so N clients asking for the same curve cost one execution;
+finished curves live in a :class:`~repro.service.store.ResultStore`
+(LRU, warm-started) and every point they were assembled from lives in
+the shared :class:`~repro.core.parallel.SweepCache`, so even an evicted
+answer is a recompute-from-hits, never a re-measurement.
 
 Crash safety is two journals deep: the *service journal* write-ahead
 logs every accepted job so a restarted server re-enqueues whatever was
-in flight, and each measured job runs under the PR 6 *run journal*
+in flight, and each measured job runs under a *run journal*
 keyed by a run id derived from the job's content key — a SIGKILL'd
 server resumes mid-sweep with zero completed points re-executed.
 """
@@ -336,10 +335,14 @@ class SweepServer:
         self._emit(job, "finished", stats=payload.get("stats", {}))
 
     def _run_job(self, job: Job) -> dict:
-        """Dispatch one job through the engine tiers; returns the payload."""
+        """Run one job through :func:`run_sweep`; returns the payload.
+
+        A measured job runs supervised under a run journal keyed by its
+        content key; the analytic tiers take neither.
+        """
         spec = job.spec.sweep_spec(telemetry_enabled=self.tel.enabled)
         sizes = list(job.spec.sizes_mb)
-        stats_out = {}
+        durability = {}
         if job.spec.engine == "measure":
             run_id = job.spec.run_id or job_run_id(job.key)
             resume = journal_path(self.journal_dir, run_id).exists()
@@ -359,49 +362,29 @@ class SweepServer:
                     if state.spec_sha == sweep_spec_sha(spec, sizes):
                         done = len(state.done_indices())
                         self._emit(job, "resumed", run_id=run_id, done=done)
-            results, stats = run_sweep(
-                spec,
-                sizes,
-                workers=self.sweep_workers,
-                cache_dir=self.cache_dir,
+            durability = dict(
                 policy=SupervisorPolicy(point_timeout_s=self.point_timeout),
                 journal_dir=self.journal_dir,
                 run_id=run_id,
                 resume=resume,
-                telemetry=self.tel,
             )
-            stats_out = {
-                "measured": stats.measured,
-                "cache_hits": stats.cache_hits,
-                "journal_hits": stats.journal_hits,
-                "quarantined": stats.quarantined,
-                "retries": stats.retries,
-                "run_id": stats.run_id,
-            }
-        else:
-            from ..surrogate import run_auto_sweep, run_surrogate_sweep
-
-            if job.spec.engine == "surrogate":
-                results, sstats = run_surrogate_sweep(
-                    spec, sizes, policy=None, cache_dir=self.cache_dir, telemetry=self.tel
-                )
-            else:
-                results, sstats = run_auto_sweep(
-                    spec,
-                    sizes,
-                    policy=None,
-                    workers=self.sweep_workers,
-                    cache_dir=self.cache_dir,
-                    telemetry=self.tel,
-                )
-            stats_out = {
-                "measured": getattr(sstats, "measured", 0),
-                "cache_hits": getattr(sstats, "cache_hits", 0),
-                "journal_hits": 0,
-                "quarantined": 0,
-                "retries": 0,
-                "run_id": "",
-            }
+        results, stats = run_sweep(
+            spec,
+            sizes,
+            engine=job.spec.engine,
+            workers=self.sweep_workers,
+            cache_dir=self.cache_dir,
+            telemetry=self.tel,
+            **durability,
+        )
+        stats_out = {
+            "measured": stats.measured,
+            "cache_hits": stats.cache_hits,
+            "journal_hits": stats.journal_hits,
+            "quarantined": stats.quarantined,
+            "retries": stats.retries,
+            "run_id": stats.run_id or "",
+        }
         curve = assemble_curve(
             spec.benchmark, results, job.spec.machine.core.clock_hz, telemetry=self.tel
         )

@@ -1,8 +1,8 @@
 """Capacity → miss-ratio prediction with a self-reported confidence.
 
-The :class:`SurrogateModel` turns one :class:`~repro.surrogate.profile.
-SurrogateProfile` into curve predictions at arbitrary effective capacities
-``C - S``:
+The :class:`SurrogateModel` turns one
+:class:`~repro.analysis.reuse.ReuseProfile` into curve predictions at
+arbitrary effective capacities ``C - S``:
 
 * **stack** — the exact fully-associative LRU tail of the histogram
   (Mattson bound; bit-identical to
@@ -29,13 +29,12 @@ SurrogateProfile` into curve predictions at arbitrary effective capacities
 
 The model's *error estimate* is a weighted disagreement budget: the
 assoc-vs-stack gap (how much set placement could matter here), the
-Che-vs-stack gap (how far the workload is from the analytic regime), a
-knee term (the local slope of the stack curve — predictions near the
-working-set knee are intrinsically less certain), and a binomial sampling
-term when the profile is sampled.  Points whose estimate exceeds the
-policy bound are *grey*: reported, but flagged for escalation by the
-``auto`` engine and excluded from surrogate-grading pass/fail exactly like
-the paper's untrusted sizes.
+Che-vs-stack gap (how far the workload is from the analytic regime), and
+a knee term (the local slope of the stack curve — predictions near the
+working-set knee are intrinsically less certain).  Points whose estimate
+exceeds the policy bound are *grey*: reported, but flagged for escalation
+by the ``auto`` engine and excluded from surrogate-grading pass/fail
+exactly like the paper's untrusted sizes.
 """
 
 from __future__ import annotations
@@ -44,10 +43,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..analysis.reuse import ReuseProfile
 from ..config import MachineConfig
 from ..units import LINE_SIZE
 from .che import che_miss_fraction
-from .profile import SurrogateProfile
 
 #: Default confidence bound on the model's own error estimate — the same 3%
 #: the conformance oracle uses for fetch-ratio divergence
@@ -106,12 +105,10 @@ class SurrogateModel:
     W_ASSOC = 0.5
     W_CHE = 0.25
     W_KNEE = 0.5
-    #: z-score of the sampled-profile confidence interval (95%)
-    Z_SAMPLE = 1.96
 
     def __init__(
         self,
-        profile: SurrogateProfile,
+        profile: ReuseProfile,
         config: MachineConfig,
         *,
         bound: float = DEFAULT_SURROGATE_BOUND,
@@ -128,7 +125,7 @@ class SurrogateModel:
     def _overall(self, warm_fraction: float) -> float:
         """Overall miss ratio from an estimated warm-access miss fraction."""
         prof = self.profile
-        misses = warm_fraction * prof.warm_accesses + prof.cold_accesses
+        misses = warm_fraction * prof.distances.size + prof.cold_accesses
         return misses / prof.total_accesses / prof.accesses_per_line
 
     def _assoc_miss_ratio(self, capacity_lines: int, stack: float) -> float:
@@ -178,9 +175,6 @@ class SurrogateModel:
             + self.W_CHE * abs(che - stack)
             + self.W_KNEE * knee
         )
-        if prof.sample_rate < 1.0 and prof.distances.size:
-            p = min(max(stack * prof.accesses_per_line, 0.0), 1.0)
-            error += self.Z_SAMPLE * np.sqrt(p * (1.0 - p) / prof.distances.size)
 
         return SurrogatePrediction(
             capacity_lines=capacity_lines,

@@ -32,13 +32,14 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..analysis.reuse import reuse_profile
 from ..config import MachineConfig, nehalem_config
 from ..core.parallel import parallel_map
 from ..experiments.common import benchmark_factory
 from ..observability import ensure_telemetry
 from ..reference import reference_curve
 from ..rng import stable_seed
-from ..surrogate import SurrogateModel, SurrogatePolicy, profile_trace
+from ..surrogate import SurrogateModel, SurrogatePolicy
 from ..tracing import capture_trace, profile_workload
 from ..units import LINE_SIZE, MB
 from .tiers import ValidationTier
@@ -239,12 +240,7 @@ def grade_surrogate(
         )
 
         # surrogate side: same trace, warm-up skip mirroring the reference
-        sprof = profile_trace(
-            trace,
-            skip_fraction=tier.reference_warmup_fraction,
-            sample_rate=policy.sample_rate,
-            seed=stable_seed(seed, name, "surrogate"),
-        )
+        sprof = reuse_profile(trace, skip_fraction=tier.reference_warmup_fraction)
         model = SurrogateModel(sprof, config, bound=policy.bound)
         sizes = sorted(tier.sizes_mb)
         preds = {s: model.predict_lines(int(s * MB) // LINE_SIZE) for s in sizes}

@@ -217,3 +217,16 @@ def test_runall_selected_subset(capsys):
 def test_runall_rejects_unknown_id():
     with pytest.raises(KeyError):
         run_all(TINY, only=["fig99"], echo=lambda *a: None)
+
+
+def test_runall_main_is_the_experiments_command(tmp_path, capsys):
+    from repro.experiments import runall
+
+    report = tmp_path / "report.txt"
+    assert runall.main(["--only", "table1", "--seed", "3", "--out", str(report)]) == 0
+    text = report.read_text()
+    assert "REPRO-BENCH bench=table1" in text
+    assert text == capsys.readouterr().out
+    # the same parser's one-line errors, exit 2
+    assert runall.main(["--only", "fig99"]) == 2
+    assert capsys.readouterr().out.startswith("error: --only: unknown experiment id")

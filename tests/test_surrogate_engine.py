@@ -8,8 +8,10 @@ The analytic tier's contract with the rest of the executor stack:
   worker count,
 * surrogate cache entries live under keys disjoint from measured ones:
   neither engine can ever serve the other's points,
-* the harness/CLI reject invalid engines and analytic+supervision combos
-  with one-line errors before anything runs.
+* predictions carry no retry policy in their keys, and ``surrogate``
+  refuses one outright: a prediction has nothing to retry,
+* :func:`run_sweep` rejects invalid engines and analytic+supervision
+  combos with one-line errors before anything runs.
 """
 
 import json
@@ -21,14 +23,9 @@ from repro.cli import main
 from repro.config import nehalem_config
 from repro.core import measure_curve_fixed
 from repro.core.parallel import SweepSpec, point_cache_key, run_sweep, sweep_points
-from repro.core.resilience import PartialCurve
+from repro.core.resilience import PartialCurve, RetryPolicy
 from repro.errors import ConfigError, MeasurementError
-from repro.surrogate import (
-    SurrogatePolicy,
-    run_auto_sweep,
-    run_surrogate_sweep,
-    surrogate_point_key,
-)
+from repro.surrogate import SurrogatePolicy, surrogate_point_key
 from repro.workloads import TargetSpec
 
 #: 2MB working set against an 8MB L3: 8MB sits far above the knee
@@ -55,7 +52,7 @@ def rows(results):
 
 @pytest.fixture(scope="module")
 def surrogate_results():
-    results, stats = run_surrogate_sweep(small_spec(), SIZES)
+    results, stats = run_sweep(small_spec(), SIZES, engine="surrogate")
     assert stats.measured == len(SIZES)
     return ordered_results(results)
 
@@ -91,7 +88,7 @@ def test_surrogate_fetch_counts_monotone_in_capacity(surrogate_results):
 
 
 def test_surrogate_sweep_is_deterministic(surrogate_results):
-    results, _ = run_surrogate_sweep(small_spec(), SIZES)
+    results, _ = run_sweep(small_spec(), SIZES, engine="surrogate")
     assert rows(results) == rows(surrogate_results)
 
 
@@ -100,7 +97,7 @@ def test_surrogate_sweep_is_deterministic(surrogate_results):
 
 @pytest.mark.parametrize("workers", [0, 2])
 def test_auto_escalates_grey_points_bit_identically(measured_baseline, workers):
-    auto, stats = run_auto_sweep(small_spec(), SIZES, workers=workers)
+    auto, stats = run_sweep(small_spec(), SIZES, engine="auto", workers=workers)
     by_size = {r.size_mb: r for r in ordered_results(auto)}
     measured = {r.size_mb: r for r in measured_baseline}
     grey_sizes = [1.0, 0.5]
@@ -114,7 +111,7 @@ def test_auto_escalates_grey_points_bit_identically(measured_baseline, workers):
 
 
 def test_auto_with_no_grey_points_never_measures():
-    results, stats = run_auto_sweep(small_spec(), [8.0, 7.0])
+    results, stats = run_sweep(small_spec(), [8.0, 7.0], engine="auto")
     assert all(r.quality.surrogate for r in results)
     assert stats.measured == 2  # both analytic, zero escalations
 
@@ -150,9 +147,9 @@ def test_surrogate_keys_differ_from_measured_and_across_policies():
 def test_surrogate_cache_roundtrip_and_no_cross_engine_hits(tmp_path):
     spec = small_spec()
     cache_dir = tmp_path / "cache"
-    first, s1 = run_surrogate_sweep(spec, SIZES, cache_dir=cache_dir)
+    first, s1 = run_sweep(spec, SIZES, engine="surrogate", cache_dir=cache_dir)
     assert s1.measured == len(SIZES) and s1.cache_hits == 0
-    second, s2 = run_surrogate_sweep(spec, SIZES, cache_dir=cache_dir)
+    second, s2 = run_sweep(spec, SIZES, engine="surrogate", cache_dir=cache_dir)
     assert s2.cache_hits == len(SIZES) and s2.measured == 0
     assert rows(second) == rows(first)
     # cached quality survives the round-trip intact
@@ -162,8 +159,12 @@ def test_surrogate_cache_roundtrip_and_no_cross_engine_hits(tmp_path):
     _, ms = run_sweep(spec, SIZES, cache_dir=cache_dir)
     assert ms.cache_hits == 0
     # ... and its freshly stored points don't feed the surrogate either
-    _, s3 = run_surrogate_sweep(
-        spec, SIZES, policy=SurrogatePolicy(bound=0.05), cache_dir=cache_dir
+    _, s3 = run_sweep(
+        spec,
+        SIZES,
+        engine="surrogate",
+        surrogate=SurrogatePolicy(bound=0.05),
+        cache_dir=cache_dir,
     )
     assert s3.cache_hits == 0 and s3.measured == len(SIZES)
 
@@ -194,23 +195,57 @@ def test_unknown_engine_rejected_before_anything_runs():
 
 def test_analytic_engines_refuse_supervision():
     target = TargetSpec(kind="micro.random", working_set_mb=0.5, seed=7)
-    with pytest.raises(MeasurementError, match="cannot run supervised"):
+    with pytest.raises(ConfigError, match="conflicts with supervision"):
         measure_curve_fixed(target, [8.0], engine="surrogate", supervise=True)
-    with pytest.raises(MeasurementError, match="cannot run supervised"):
+    with pytest.raises(ConfigError, match="conflicts with supervision"):
         measure_curve_fixed(target, [8.0], engine="auto", resume=True)
 
 
 def test_surrogate_policy_validates_fields():
     with pytest.raises(MeasurementError, match="bound must be in"):
         SurrogatePolicy(bound=1.5)
-    with pytest.raises(MeasurementError, match="sample_rate"):
-        SurrogatePolicy(sample_rate=0.0)
-    with pytest.raises(MeasurementError, match="footprint_sweeps"):
-        SurrogatePolicy(footprint_sweeps=0)
-    with pytest.raises(MeasurementError, match="window bounds"):
-        SurrogatePolicy(min_window_lines=0)
-    with pytest.raises(MeasurementError, match="skip_fraction"):
-        SurrogatePolicy(skip_fraction=1.0)
+
+
+# -- retry policies: nothing to retry in a prediction ------------------------------
+
+
+def test_surrogate_engine_rejects_a_retry_policy():
+    spec = small_spec(retry=RetryPolicy(max_attempts=3))
+    with pytest.raises(ConfigError, match="conflicts with a retry policy"):
+        run_sweep(spec, SIZES, engine="surrogate")
+
+
+def test_surrogate_keys_ignore_the_retry_policy():
+    spec = small_spec()
+    retried = small_spec(retry=RetryPolicy(max_attempts=3))
+    for p in sweep_points(spec, SIZES):
+        assert surrogate_point_key(retried, p) == surrogate_point_key(spec, p)
+        # the measured keys still fork: escalated points honour the policy
+        assert point_cache_key(retried, p) != point_cache_key(spec, p)
+
+
+def test_auto_with_retry_shares_predicted_entries(tmp_path):
+    cache_dir = tmp_path / "cache"
+    retried = small_spec(retry=RetryPolicy(max_attempts=2))
+    first, s1 = run_sweep(retried, SIZES, engine="auto", cache_dir=cache_dir)
+    escalated = [r for r in first if r.quality is None or not r.quality.surrogate]
+    assert escalated and all(r.quality.attempts >= 1 for r in escalated)
+    _, s2 = run_sweep(small_spec(), SIZES, engine="auto", cache_dir=cache_dir)
+    # every prediction is shared; the grey points re-measure under their
+    # retry-free measured keys
+    assert s2.cache_hits == len(SIZES)
+    assert s2.measured == len(escalated)
+
+
+def test_cache_hit_takes_the_index_of_the_point_that_found_it(tmp_path):
+    cache_dir = tmp_path / "cache"
+    run_sweep(small_spec(), [8.0, 1.0], engine="surrogate", cache_dir=cache_dir)
+    results, stats = run_sweep(
+        small_spec(), [1.0, 0.5], engine="surrogate", cache_dir=cache_dir
+    )
+    assert stats.cache_hits == 1
+    assert {r.size_mb: r.index for r in results} == {1.0: 0, 0.5: 1}
+    assert [r.size_mb for r in ordered_results(results)] == [1.0, 0.5]
 
 
 def test_experiments_conformance_rejects_auto_engine():
@@ -272,6 +307,18 @@ def test_cli_rejects_surrogate_with_supervision():
 def test_cli_experiments_rejects_unknown_engine():
     lines, out = collect()
     assert main(["experiments", "--engine", "warp"], out=out) == 2
+
+
+def test_cli_surrogate_sweep_rejects_retries():
+    lines, out = collect()
+    rc = main(
+        ["sweep", "mcf", "--sizes", "8", "--interval", "60000", "--intervals", "1",
+         "--engine", "surrogate", "--retries", "2"],
+        out=out,
+    )
+    assert rc == 2
+    errors = [line for line in lines if line.startswith("error:")]
+    assert len(errors) == 1 and "retry policy" in errors[0]
 
 
 def test_cli_surrogate_curve_runs():

@@ -3,8 +3,8 @@
 The surrogate has no ground truth of its own — its credibility comes from
 invariants any miss-ratio predictor must satisfy on *every* input:
 monotonicity in capacity, exact agreement with the reuse-distance
-histogram it was built from, recovery of the solo curve when the Pirate
-steals nothing, and convergence of the sampled profile to the exact one.
+histogram it was built from, and recovery of the solo curve when the
+Pirate steals nothing.
 The vectorized reuse-distance kernel is pinned against the scalar Fenwick
 reference the same way the simulation kernels are.
 """
@@ -18,17 +18,16 @@ from repro.analysis.reuse import (
     miss_ratio_from_histogram,
     reuse_distances,
     reuse_distances_scalar,
+    reuse_profile,
 )
 from repro.config import CacheConfig, MachineConfig, nehalem_config
-from repro.core.parallel import SweepSpec
+from repro.core.parallel import SweepSpec, run_sweep
 from repro.errors import TraceError
 from repro.surrogate import (
     SurrogateModel,
     SurrogatePolicy,
     build_surrogate_model,
     che_miss_fraction,
-    profile_trace,
-    run_surrogate_sweep,
 )
 from repro.tracing.trace import AddressTrace
 from repro.units import MB
@@ -64,7 +63,7 @@ def test_vectorized_reuse_distances_match_scalar_large_random():
 @given(lines=lines_lists, skip=st.sampled_from([0.0, 0.25]))
 def test_predicted_miss_ratio_monotone_in_capacity(lines, skip):
     """More cache never hurts: the predicted curve is non-increasing."""
-    prof = profile_trace(trace_of(lines), skip_fraction=skip)
+    prof = reuse_profile(trace_of(lines), skip_fraction=skip)
     model = SurrogateModel(prof, nehalem_config(prefetch_enabled=False))
     ratios = [model.predict_lines(c).miss_ratio for c in range(0, 50)]
     assert all(a >= b for a, b in zip(ratios, ratios[1:]))
@@ -90,7 +89,7 @@ def test_che_miss_fraction_monotone_with_exact_limits(lines):
 def test_prediction_matches_histogram_tail_exactly(lines, cap):
     """The surrogate's prediction IS the Mattson tail — bit-for-bit, not
     approximately: any rescaling detour would break this under IEEE."""
-    prof = profile_trace(trace_of(lines), skip_fraction=0.0)
+    prof = reuse_profile(trace_of(lines), skip_fraction=0.0)
     model = SurrogateModel(prof, nehalem_config())
     expected = miss_ratio_from_histogram(
         prof.distances, prof.cold_accesses, prof.total_accesses, cap
@@ -115,7 +114,7 @@ def fully_assoc_config(num_lines=64):
 def test_fully_associative_cross_check_is_the_stack_value(lines, cap):
     """num_sets == 1 degenerates the Poisson cross-check to the exact tail,
     so the error estimate's associativity term vanishes — bit-for-bit."""
-    prof = profile_trace(trace_of(lines), skip_fraction=0.0)
+    prof = reuse_profile(trace_of(lines), skip_fraction=0.0)
     cfg = fully_assoc_config()
     assert cfg.l3.num_sets == 1
     pred = SurrogateModel(prof, cfg).predict_lines(cap)
@@ -130,7 +129,7 @@ def test_fully_associative_cross_check_is_the_stack_value(lines, cap):
 
 def test_idle_pirate_recovers_solo_curve():
     rng = np.random.default_rng(11)
-    prof = profile_trace(trace_of(rng.integers(0, 1000, size=8000)))
+    prof = reuse_profile(trace_of(rng.integers(0, 1000, size=8000)), skip_fraction=0.25)
     cfg = nehalem_config()
     model = SurrogateModel(prof, cfg)
     solo = prof.miss_ratio_at_lines(cfg.l3.num_lines)
@@ -150,7 +149,9 @@ def test_surrogate_sweep_full_cache_point_is_the_model_solo_prediction():
         seed=5,
     )
     policy = SurrogatePolicy()
-    results, stats = run_surrogate_sweep(spec, [cfg.l3.size / MB], policy=policy)
+    results, stats = run_sweep(
+        spec, [cfg.l3.size / MB], engine="surrogate", surrogate=policy
+    )
     assert stats.measured == 1
     (point,) = results
     assert point.stolen_bytes == 0
@@ -160,62 +161,20 @@ def test_surrogate_sweep_full_cache_point_is_the_model_solo_prediction():
     assert sample.target.l3_fetches == round(pred.miss_ratio * mem)
 
 
-# -- sampled profile converges to the exact histogram ------------------------------
+# -- the profile carries Che's input for its own window ----------------------------
 
 
-def test_sampling_every_warm_access_reproduces_exact_distances():
-    rng = np.random.default_rng(5)
-    trace = trace_of(rng.integers(0, 60, size=400))
-    exact = profile_trace(trace, skip_fraction=0.0)
-    # rate high enough that round(rate * warm) == warm: the sampler visits
-    # every warm access, and its per-sample counter must agree with the
-    # one-pass kernel on each
-    sampled = profile_trace(trace, skip_fraction=0.0, sample_rate=0.9999, seed=1)
-    assert sampled.sample_rate < 1.0
-    assert np.array_equal(sampled.distances, exact.distances)
-    assert sampled.cold_accesses == exact.cold_accesses
-    assert sampled.warm_accesses == exact.warm_accesses
-    for cap in (0, 5, 20, 60, 100):
-        assert sampled.miss_ratio_at_lines(cap) == pytest.approx(
-            exact.miss_ratio_at_lines(cap), abs=1e-12
-        )
-
-
-def test_sampled_profile_converges_to_exact_histogram():
-    rng = np.random.default_rng(7)
-    trace = trace_of(rng.integers(0, 200, size=4000))
-    exact = profile_trace(trace, skip_fraction=0.0)
-    caps = [0, 25, 50, 100, 150, 200, 250]
-
-    def worst_err(rate, seed):
-        prof = profile_trace(trace, skip_fraction=0.0, sample_rate=rate, seed=seed)
-        return max(
-            abs(prof.miss_ratio_at_lines(c) - exact.miss_ratio_at_lines(c))
-            for c in caps
-        )
-
-    mean_err = {
-        rate: np.mean([worst_err(rate, seed) for seed in range(6)])
-        for rate in (0.05, 0.3, 1.0)
-    }
-    assert mean_err[1.0] == 0.0  # rate 1 routes through the exact kernel
-    assert mean_err[0.3] <= mean_err[0.05]
-    assert mean_err[0.3] < 0.05
-
-
-def test_sampled_prediction_widens_its_error_estimate():
-    rng = np.random.default_rng(9)
-    trace = trace_of(rng.integers(0, 200, size=2000))
-    cfg = nehalem_config()
-    exact = SurrogateModel(profile_trace(trace), cfg)
-    sampled = SurrogateModel(
-        profile_trace(trace, sample_rate=0.2, seed=3), cfg
-    )
-    for cap in (50, 120, 250):
-        assert (
-            sampled.predict_lines(cap).error_estimate
-            > exact.predict_lines(cap).error_estimate
-        )
+@settings(max_examples=40, deadline=None)
+@given(lines=lines_lists, skip=st.sampled_from([0.0, 0.25, 0.5]))
+def test_profile_line_counts_cover_the_histogram_window(lines, skip):
+    prof = reuse_profile(trace_of(lines), skip_fraction=skip)
+    window = np.asarray(lines[int(len(lines) * skip):], dtype=np.int64)
+    assert np.array_equal(prof.line_counts, np.unique(window, return_counts=True)[1])
+    assert prof.line_counts.sum() == prof.total_accesses
+    # every access of the window is warm or cold, and each distinct line
+    # of the window is first touched there at most once
+    assert prof.distances.size + prof.cold_accesses == prof.total_accesses
+    assert prof.cold_accesses <= prof.line_counts.size
 
 
 # -- degenerate capacities (regression: exact limits, clean errors) ----------------
@@ -246,6 +205,6 @@ class TestDegenerateCapacities:
             miss_ratio_from_histogram(self.distances, 0, 0, 4)
 
     def test_profile_negative_capacity_raises_even_when_empty(self):
-        prof = profile_trace(trace_of([1, 1, 1]), skip_fraction=0.0)
+        prof = reuse_profile(trace_of([1, 1, 1]), skip_fraction=0.0)
         with pytest.raises(TraceError, match="capacity must be non-negative"):
             prof.miss_ratio_at_lines(-1)
