@@ -26,7 +26,10 @@ engines run it, selected by ``MachineConfig.kernel``:
 ``auto`` (default)
     the C hierarchy walk (:class:`repro.kernels.cext.HierWalk`) — the same
     loops transcribed to C, run in order over each whole chunk, full-path
-    and bypass alike.  One predicate,
+    and bypass alike.  The walk owns every cache's arrays, and ``l1``,
+    ``l2`` and ``l3`` are read-only views of them
+    (:class:`~repro.kernels.cext.WalkCache`: geometry, ``probe``,
+    ``stats``, ``victim_tag`` and the state readers).  One predicate,
     :func:`repro.kernels.cext.walk_gap`, decides from the config, before
     any cache is built, whether the walk covers the machine.  Where it
     does not — no C compiler, ``REPRO_CEXT=0``, random replacement, more
@@ -54,7 +57,7 @@ import numpy as np
 from ..config import MachineConfig
 from .base import CoreMemStats
 from .prefetch import StreamPrefetcher
-from .setassoc import MISS_DIRTY, SetAssocCache, make_cache
+from .setassoc import MISS_DIRTY, make_cache
 
 _kernels_mod = None
 
@@ -108,16 +111,6 @@ class CacheHierarchy:
             walk = self.kernel_degraded is None
             if not walk:
                 _warn_degraded(self.kernel_degraded)
-        if walk:
-            # each level on one stacked storage the walk runs on in place
-            vec = _kernels().make_vec_caches
-            self.l1: list[SetAssocCache] = vec(config.l1, n)
-            self.l2: list[SetAssocCache] = vec(config.l2, n)
-            self.l3: SetAssocCache = vec(config.l3, 1)[0]
-        else:
-            self.l1 = [make_cache(config.l1, seed) for _ in range(n)]
-            self.l2 = [make_cache(config.l2, seed) for _ in range(n)]
-            self.l3 = make_cache(config.l3, seed)
         self._prefetchers: list[StreamPrefetcher | None] = [
             StreamPrefetcher(config.prefetch_trigger, config.prefetch_degree)
             if config.prefetch_enabled
@@ -144,13 +137,18 @@ class CacheHierarchy:
             for path in ("full", "l3only")
         }
         #: the C hierarchy walk running every chunk.  Once set, its arrays
-        #: hold the owner map, the private-fill flags and the prefetch
-        #: tables; the caches' scalar tag lists are rebuilt on first
-        #: scalar use.
+        #: hold every cache, the owner map, the private-fill flags and the
+        #: prefetch tables, and :attr:`l1`/:attr:`l2`/:attr:`l3` are its
+        #: read-only :class:`~repro.kernels.cext.WalkCache` views.
         self._walk = None
         if walk:
-            self._walk = cext.HierWalk(self)
+            self._walk = cext.HierWalk(config, self._prefetchers[0])
+            self.l1, self.l2, self.l3 = self._walk.l1, self._walk.l2, self._walk.l3
             self._priv_filled = self._walk.priv_filled
+        else:
+            self.l1 = [make_cache(config.l1, seed) for _ in range(n)]
+            self.l2 = [make_cache(config.l2, seed) for _ in range(n)]
+            self.l3 = make_cache(config.l3, seed)
 
     @property
     def prefetchers(self) -> list[StreamPrefetcher | None]:
@@ -384,16 +382,13 @@ class CacheHierarchy:
 
     def flush(self) -> None:
         """Empty every cache and forget prefetch streams (fresh machine)."""
-        for c in self.l1:
-            c.flush()
-        for c in self.l2:
-            c.flush()
-        self.l3.flush()
-        self._owner.clear()
         if self._walk is not None:
             self._walk.reset()
-        else:
-            self._priv_filled = [False] * len(self.l1)
+            return
+        for c in (*self.l1, *self.l2, self.l3):
+            c.flush()
+        self._owner.clear()
+        self._priv_filled = [False] * len(self.l1)
         for pf in self._prefetchers:
             if pf is not None:
                 pf.reset()
@@ -401,11 +396,7 @@ class CacheHierarchy:
     def l3_resident(self, line: int) -> bool:
         """True when ``line`` is currently in the shared L3."""
         l3 = self.l3
-        s, tag = line & l3.set_mask, line >> l3.tag_shift
-        if self._walk is not None:
-            # the tag mirror is current; the scalar lists may be stale
-            return bool((l3._tags_np[s] == tag).any())
-        return l3.probe(s, tag) >= 0
+        return l3.probe(line & l3.set_mask, line >> l3.tag_shift) >= 0
 
     def owner_map(self) -> dict[int, int]:
         """Resident L3 line -> the core that fetched it."""

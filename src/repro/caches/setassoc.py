@@ -59,7 +59,9 @@ class SetAssocCache:
         self.set_mask = self.num_sets - 1
         self.tag_shift = self.num_sets.bit_length() - 1
         #: per-set, way-indexed tag list; ``None`` marks an invalid way.
-        self._tags: list[list[int | None]] = self._new_tag_lists()
+        self._tags: list[list[int | None]] = [
+            [None] * self.ways for _ in range(self.num_sets)
+        ]
         #: per-set dirty bitmask (bit w set ⇔ way w dirty).
         self._dirty: list[int] = [0] * self.num_sets
         #: per-set count of valid ways (skips the ``None in tags`` scan once full).
@@ -74,10 +76,6 @@ class SetAssocCache:
         self.wb_count = 0
         self.fill_count = 0
         self.inval_count = 0
-
-    def _new_tag_lists(self) -> list[list[int | None]]:
-        """Empty tag lists for a new cache (storage hook, see :mod:`repro.kernels.veccache`)."""
-        return [[None] * self.ways for _ in range(self.num_sets)]
 
     # -- address helpers ----------------------------------------------------
 
@@ -223,6 +221,10 @@ class SetAssocCache:
         )
 
     # -- introspection --------------------------------------------------------
+
+    def set_state(self, set_idx: int) -> tuple[list[int | None], int, int]:
+        """Way-indexed tags (None = invalid), dirty mask and valid-way count."""
+        return list(self._tags[set_idx]), self._dirty[set_idx], self._nvalid[set_idx]
 
     def resident_tags(self, set_idx: int) -> list[int]:
         """Valid tags of a set, in way order (test/diagnostic helper)."""
@@ -416,6 +418,10 @@ class PLRUCache(SetAssocCache):
 
     def _victim(self, set_idx: int) -> int:
         return self._victim_tab[self._tree[set_idx]]
+
+    def tree_bits(self, set_idx: int) -> int:
+        """Tree state of a set (diagnostics/tests)."""
+        return self._tree[set_idx]
 
 
 class RandomCache(SetAssocCache):

@@ -64,7 +64,13 @@ from .config import KERNEL_MODES, check_kernel, nehalem_config
 from .core import choose_pirate_threads, measure_curve_dynamic, measure_curve_fixed
 from .core.bandit import measure_bandwidth_curve
 from .core.journal import new_run_id
-from .core.parallel import CACHE_FORMAT, ENGINE_TIERS, SupervisorPolicy, resolve_engine
+from .core.parallel import (
+    CACHE_FORMAT,
+    ENGINE_TIERS,
+    SupervisorPolicy,
+    check_sweep_engine,
+    resolve_engine,
+)
 from .core.resilience import PartialCurve, RetryPolicy, measure_point_resilient
 from .errors import ConfigError, MeasurementError
 from .faults.chaos import ChaosPlan
@@ -446,6 +452,8 @@ def cmd_sweep(args, out=print) -> int:
         or resume
         or bool(args.chaos)
     )
+    # refuse an engine/option clash before echoing a run id or chaos plan
+    check_sweep_engine(engine, retry=policy, supervised=supervised)
     supervise = None
     if supervised:
         supervise = SupervisorPolicy(

@@ -129,6 +129,29 @@ def resolve_engine(name: str) -> str:
     return name
 
 
+def check_sweep_engine(engine: str, *, retry=None, supervised: bool = False) -> str:
+    """Validate ``engine`` against the sweep's other options; returns it.
+
+    :class:`~repro.errors.ConfigError` where an analytic tier would
+    silently ignore an option: ``surrogate`` and ``auto`` refuse
+    supervision and journaling (``supervised``), ``surrogate`` refuses a
+    retry policy.  :func:`run_sweep` calls it, and so does ``repro sweep``
+    before it prints anything.
+    """
+    engine = resolve_engine(engine)
+    if engine != "measure" and supervised:
+        raise ConfigError(
+            f"engine {engine!r} conflicts with supervision and journaling: "
+            "analytic sweeps have no long-running points to watch"
+        )
+    if engine == "surrogate" and retry is not None:
+        raise ConfigError(
+            "engine 'surrogate' conflicts with a retry policy: it measures "
+            "nothing to retry"
+        )
+    return engine
+
+
 # -- task specifications -----------------------------------------------------------
 
 
@@ -834,17 +857,11 @@ def run_sweep(
     ``exec_worker_utilization`` gauges and the supervisor's
     ``exec_supervisor_*`` counters.
     """
-    engine = resolve_engine(engine)
-    if engine != "measure" and (policy is not None or journal_dir is not None or resume):
-        raise ConfigError(
-            f"engine {engine!r} conflicts with supervision and journaling: "
-            "analytic sweeps have no long-running points to watch"
-        )
-    if engine == "surrogate" and spec.retry is not None:
-        raise ConfigError(
-            "engine 'surrogate' conflicts with a retry policy: it measures "
-            "nothing to retry"
-        )
+    engine = check_sweep_engine(
+        engine,
+        retry=spec.retry,
+        supervised=policy is not None or journal_dir is not None or resume,
+    )
     if workers < 0:
         raise MeasurementError(f"workers must be >= 0, got {workers}")
     if resume and journal_dir is None:

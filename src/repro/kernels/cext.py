@@ -6,7 +6,8 @@ touch the replacement metadata.  The same small state machines run in a
 few nanoseconds per access in C.  The embedded C source has one entry
 point, ``hier_walk``: one core's chunk through L1, L2 and the shared L3
 in order, prefetcher and inclusive back-invalidation included, wrapped
-by :class:`HierWalk`.
+by :class:`HierWalk`, which owns every cache's arrays and shows each one
+to Python as a read-only :class:`WalkCache`.
 
 :func:`load` compiles the source with the system C compiler at first use
 (cached by content hash under ``_cext_build/`` next to this file, or
@@ -23,6 +24,7 @@ bit for bit (``tests/test_hierwalk.py``).
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
 import shutil
@@ -32,13 +34,15 @@ from pathlib import Path
 
 import numpy as np
 
-from ..caches.base import CoreMemStats
+from ..caches.base import CacheLevelStats, CoreMemStats
+from ..caches.setassoc import SetAssocCache, _build_plru_tables
+from ..config import CacheConfig
 from ..errors import SimulationError
-from .veccache import MAX_WAYS, VecLRUCache, VecNRUCache
 
-_POLICY_LRU = 0
-_POLICY_NRU = 1
-_POLICY_PLRU = 2
+#: C ``POLICY_*`` codes of the replacement policies the walk models
+_POLICIES = {"lru": 0, "nru": 1, "plru": 2}
+#: most ways a walked cache holds: one bit per way in an int64 mask
+MAX_WAYS = 63
 
 #: C replica of the scalar per-access protocol (``SetAssocCache``):
 #: free ways fill lowest-index-first, LRU evicts the first strict-minimum
@@ -212,7 +216,7 @@ static int fill_code(Cache *c, int64_t set, int64_t tag, int is_write,
     return fill_slow(c, set, tag, is_write, way, vtag);
 }
 
-/* VecSetAssocCache.invalidate: 0 absent, 1 dropped clean, 2 dropped dirty */
+/* SetAssocCache.invalidate: 0 absent, 1 dropped clean, 2 dropped dirty */
 static int invalidate(Cache *c, int64_t line)
 {
     int64_t set = line & c->set_mask;
@@ -559,31 +563,124 @@ class _Walk(ctypes.Structure):
     ]
 
 
-#: per-cache counter slots written by the walk (C ``NCNT``)
+#: per-cache counter slots written by the walk (C ``NCNT``): the
+#: ``SetAssocCache`` counters, then the ``victim_tag`` flag and tag
 _NCNT = 9
+_C_VSET, _C_VTAG = 7, 8
 #: per-core stream-table scalars: used, head, issued, started
 _PF_META = 4
 #: owner bytes are int8; -1 marks "no owner"
 _MAX_WALK_CORES = 127
 
 
-def _level_policy(cache) -> tuple[int, int, int, np.ndarray | None, np.ndarray | None]:
-    if isinstance(cache, VecLRUCache):
-        return _POLICY_LRU, 0, 0, None, None
-    if isinstance(cache, VecNRUCache):
-        return _POLICY_NRU, 0, cache._full_mask, None, None
-    return _POLICY_PLRU, cache._levels, 0, cache._touch_np, cache._victim_np
+@functools.cache
+def _plru_tables(ways: int) -> tuple[np.ndarray, np.ndarray]:
+    """The scalar tree-PLRU transition tables as read-only int64 arrays."""
+    tables = tuple(np.asarray(t, dtype=np.int64) for t in _build_plru_tables(ways))
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
+class WalkCache:
+    """Read-only view of one cache the walk runs on: one core's slot of a level.
+
+    It has the geometry and the readers of
+    :class:`~repro.caches.setassoc.SetAssocCache` (``probe``, ``set_state``,
+    ``resident_tags``, ``resident_lines``, ``occupancy``, ``stats``,
+    ``victim_tag`` and the policy's replacement-state reader) and no write
+    path: only :class:`HierWalk` changes the state.  It holds numpy views
+    of the level's arrays and of its counter row, never the walk, so a
+    dead hierarchy is freed without a garbage-collection pass.
+    """
+
+    split = SetAssocCache.split
+    join = SetAssocCache.join
+
+    def __init__(self, config: CacheConfig, tags, dirty, nvalid, meta, cnt):
+        self.config = config
+        self.num_sets = config.num_sets
+        self.ways = config.ways
+        self.set_mask = self.num_sets - 1
+        self.tag_shift = self.num_sets.bit_length() - 1
+        #: ``[sets, ways]`` tags (-1 marks an invalid way), ``[sets]`` dirty
+        #: masks and valid-way counts, replacement metadata (LRU stamps
+        #: ``[sets, ways]``, NRU/PLRU masks ``[sets]``), counter row; the
+        #: views are read-only, the walk writes through the base arrays
+        self._tags, self._dirty, self._nvalid, self._meta, self._cnt = views = (
+            tags, dirty, nvalid, meta, cnt
+        )
+        for view in views:
+            view.flags.writeable = False
+
+    @property
+    def victim_tag(self) -> int | None:
+        """Tag evicted by the most recent eviction (None before the first)."""
+        return int(self._cnt[_C_VTAG]) if self._cnt[_C_VSET] else None
+
+    @property
+    def stats(self) -> CacheLevelStats:
+        """Current counters as a :class:`CacheLevelStats` snapshot."""
+        return CacheLevelStats(*self._cnt[:_C_VSET].tolist())
+
+    def probe(self, set_idx: int, tag: int) -> int:
+        """Way holding ``tag`` or -1."""
+        ways = np.flatnonzero(self._tags[set_idx] == tag)
+        return int(ways[0]) if ways.size else -1
+
+    def set_state(self, set_idx: int) -> tuple[list[int | None], int, int]:
+        """Way-indexed tags (None = invalid), dirty mask and valid-way count."""
+        tags = [t if t >= 0 else None for t in self._tags[set_idx].tolist()]
+        return tags, int(self._dirty[set_idx]), int(self._nvalid[set_idx])
+
+    def resident_tags(self, set_idx: int) -> list[int]:
+        """Valid tags of a set, in way order."""
+        return [t for t in self._tags[set_idx].tolist() if t >= 0]
+
+    def occupancy(self) -> int:
+        """Number of valid lines cache-wide."""
+        return int(np.count_nonzero(self._tags >= 0))
+
+    def resident_lines(self) -> set[int]:
+        """All resident line addresses."""
+        sets, ways = np.nonzero(self._tags >= 0)
+        return set(((self._tags[sets, ways] << self.tag_shift) | sets).tolist())
+
+    def recency_order(self, set_idx: int) -> list[int | None]:
+        """Tags from LRU to MRU for one set (LRU levels only)."""
+        stamps = self._policy_meta("lru", set_idx)
+        tags = self.set_state(set_idx)[0]
+        return [tags[w] for w in np.argsort(stamps, kind="stable").tolist()]
+
+    def accessed_bits(self, set_idx: int) -> int:
+        """Raw accessed-bit mask of a set (NRU levels only)."""
+        return int(self._policy_meta("nru", set_idx))
+
+    def tree_bits(self, set_idx: int) -> int:
+        """Tree state of a set (PLRU levels only)."""
+        return int(self._policy_meta("plru", set_idx))
+
+    def _policy_meta(self, policy: str, set_idx: int):
+        if self.config.policy != policy:
+            raise SimulationError(
+                f"{self.config.name} uses {self.config.policy} replacement, not {policy}"
+            )
+        return self._meta[set_idx]
 
 
 class HierWalk:
     """ctypes binding of ``hier_walk`` for one :class:`CacheHierarchy`.
 
-    Built only for a machine :func:`walk_gap` clears, whose levels are
-    therefore ``Vec*Cache`` models, each level built on one stacked
-    storage (:func:`~repro.kernels.veccache.make_vec_caches`) that the walk
-    runs on in place.  Construction allocates the state the scalar
-    interpreter keeps in dicts and lists:
+    Built only for a machine :func:`walk_gap` clears.  It owns the whole
+    hierarchy's state as numpy arrays the C code runs on in place:
 
+    * per level, ``[n, sets, ways]`` tags (-1 = invalid way) and ``[n,
+      sets]`` dirty masks and valid-way counts, plus LRU stamps ``[n,
+      sets, ways]`` or NRU/PLRU masks ``[n, sets]``, where ``n`` is the
+      core count for L1/L2 and 1 for the shared L3: C finds core ``k``'s
+      cache at slot ``k``,
+    * per cache, cumulative counters (``_cnt``) and, for LRU, the stamp
+      clock (``_clock``),
     * ``owner`` — one byte per L3 slot (``set * ways + way``), the core
       that filled the line there, -1 for none.  Equivalent to the
       hierarchy's ``_owner`` dict because an owner entry lives exactly as
@@ -593,34 +690,37 @@ class HierWalk:
       of (next line, count, frontier, live) plus (used, head, issued,
       started); see :meth:`repro.caches.prefetch.StreamPrefetcher.load_table`.
 
-    From then on these arrays are authoritative.  :meth:`run` plays one
-    chunk and applies the per-cache counter deltas, ``victim_tag`` and LRU
-    clocks to the cache objects; caches whose lines moved get their scalar
-    tag lists marked stale (rebuilt on first scalar use).
+    :attr:`l1`, :attr:`l2` and :attr:`l3` are read-only
+    :class:`WalkCache` views of the per-core slots.  ``pf`` is a
+    prefetcher of the machine (None when prefetching is off); the walk
+    takes its trigger, degree and table size.
     """
 
-    def __init__(self, hier):
+    def __init__(self, config, pf):
         self._fn = load().hier_walk
-        n = hier.config.num_cores
-        self.caches = [*hier.l1, *hier.l2, hier.l3]
+        n = config.num_cores
         self._cnt = np.zeros((2 * n + 1, _NCNT), dtype=np.int64)
-        self._clock = np.zeros(2 * n + 1, dtype=np.int64)
-        l3 = hier.l3
-        self.owner = np.full(l3.num_sets * l3.ways, -1, dtype=np.int8)
-        self.priv_filled = np.zeros(n, dtype=np.uint8)
-        pf = hier._prefetchers[0]
+        self._clock = np.empty(2 * n + 1, dtype=np.int64)
+        self._levels = []
+        w = _Walk()
+        views = []
+        for field, cfg, count, row in (
+            ("l1", config.l1, n, 0), ("l2", config.l2, n, n), ("l3", config.l3, 1, 2 * n)
+        ):
+            lv, arrays = self._level(cfg, count, row)
+            setattr(w, field, lv)
+            views.append(
+                [WalkCache(cfg, *(a[k] for a in arrays), self._cnt[row + k]) for k in range(count)]
+            )
+        self.l1, self.l2, (self.l3,) = views
+        self.owner = np.empty(config.l3.num_sets * config.l3.ways, dtype=np.int8)
+        self.priv_filled = np.empty(n, dtype=np.uint8)
         size = pf.table_size if pf is not None else 1
-        self.pf_tab = np.zeros((n, size, 4), dtype=np.int64)
+        self.pf_tab = np.empty((n, size, 4), dtype=np.int64)
         self.pf_meta = np.zeros((n, _PF_META), dtype=np.int64)
         self._out = np.zeros(7, dtype=np.int64)
-        w = _Walk()
-        self._keep = []
-        for field, caches, row in (
-            ("l1", hier.l1, 0), ("l2", hier.l2, n), ("l3", [l3], 2 * n)
-        ):
-            setattr(w, field, self._level(caches, row))
         w.ncores = n
-        w.private_data = 1 if hier.config.private_data else 0
+        w.private_data = 1 if config.private_data else 0
         w.owner = self.owner.ctypes.data
         w.priv_filled = self.priv_filled.ctypes.data
         w.pf_on = 1 if pf is not None else 0
@@ -632,46 +732,35 @@ class HierWalk:
         w.out = self._out.ctypes.data
         self._walk = w
         self._ref = ctypes.byref(w)
-        #: per core, per path: (counter row, cache) of the caches the walk
-        #: accesses (the rest only see back-invalidations)
-        self._lru_rows = [
-            [
-                (row, c)
-                for row, c in ((k, hier.l1[k]), (n + k, hier.l2[k]), (2 * n, l3))
-                if isinstance(c, VecLRUCache)
-            ]
-            for k in range(n)
-        ]
-        self._lru_l3 = [(2 * n, l3)] if isinstance(l3, VecLRUCache) else []
+        self.reset()
 
-    def _level(self, caches, row: int) -> _Level:
-        c = caches[0]
-        tags, dirty, nvalid, meta = c.stack
-        # C finds core k's cache at slot k of the stacked arrays
-        if len(tags) != len(caches) or any(
-            x.stack is not c.stack or x.stack_index != k for k, x in enumerate(caches)
-        ):
-            raise SimulationError("a level's caches must be one make_vec_caches stack")
-        self._keep.append(c.stack)
-        policy, levels, full_mask, touch, vict = _level_policy(c)
-        self._keep.append((touch, vict))
+    def _level(self, cfg: CacheConfig, count: int, row: int):
+        """Allocate ``count`` caches of ``cfg`` on one stacked storage."""
+        sets, ways = cfg.num_sets, cfg.ways
+        per_way = cfg.policy == "lru"
+        arrays = (
+            np.empty((count, sets, ways), dtype=np.int64),  # tags
+            np.empty((count, sets), dtype=np.int64),  # dirty
+            np.empty((count, sets), dtype=np.int64),  # nvalid
+            np.empty((count, sets, ways) if per_way else (count, sets), dtype=np.int64),
+        )
+        # the cached PLRU tables live as long as the process
+        touch, vict = _plru_tables(ways) if cfg.policy == "plru" else (None, None)
+        self._levels.append((cfg, row, count, arrays))
         lv = _Level()
-        lv.ways = c.ways
-        lv.set_mask = c.set_mask
-        lv.tag_shift = c.tag_shift
-        lv.policy = policy
-        lv.levels = levels
-        lv.full_mask = full_mask
-        lv.sets = c.num_sets
-        lv.tags = tags.ctypes.data
-        lv.dirty = dirty.ctypes.data
-        lv.nvalid = nvalid.ctypes.data
-        lv.meta = meta.ctypes.data
+        lv.ways = ways
+        lv.set_mask = sets - 1
+        lv.tag_shift = sets.bit_length() - 1
+        lv.policy = _POLICIES[cfg.policy]
+        lv.levels = ways.bit_length() - 1 if cfg.policy == "plru" else 0
+        lv.full_mask = (1 << ways) - 1 if cfg.policy == "nru" else 0
+        lv.sets = sets
+        lv.tags, lv.dirty, lv.nvalid, lv.meta = (a.ctypes.data for a in arrays)
         lv.clock = self._clock.ctypes.data + 8 * row
         lv.cnt = self._cnt.ctypes.data + 8 * _NCNT * row
         lv.plru_touch = _ptr(touch)
         lv.plru_victim = _ptr(vict)
-        return lv
+        return lv, arrays
 
     def run(self, core: int, lines, writes, bypass_private: bool) -> CoreMemStats:
         """Play one chunk for ``core``; returns its (unscaled) stats."""
@@ -688,11 +777,6 @@ class HierWalk:
             )
         if len(lines) and lines.min() < 0:
             raise SimulationError("line addresses must be non-negative")
-        lru = self._lru_l3 if bypass_private else self._lru_rows[core]
-        clock = self._clock
-        for row, c in lru:
-            clock[row] = c._clock
-        self._cnt.fill(0)
         self._fn(
             self._ref,
             core,
@@ -701,23 +785,6 @@ class HierWalk:
             len(lines),
             1 if bypass_private else 0,
         )
-        for row, c in lru:
-            c._clock = int(clock[row])
-        for c, (acc, hit, miss, evict, wb, fill, inval, vset, vtag) in zip(
-            self.caches, self._cnt.tolist()
-        ):
-            if acc or fill or inval or vset:
-                c.acc_count += acc
-                c.hit_count += hit
-                c.miss_count += miss
-                c.evict_count += evict
-                c.wb_count += wb
-                c.fill_count += fill
-                c.inval_count += inval
-                if vset:
-                    c.victim_tag = vtag
-                if fill or inval:
-                    c.mark_tag_lists_stale()
         l1h, l2h, l3h, l3m, fetch, pff, wb_lines = self._out.tolist()
         return CoreMemStats(
             mem_accesses=len(lines),
@@ -731,7 +798,23 @@ class HierWalk:
         )
 
     def reset(self) -> None:
-        """Forget owners, private-fill flags and prefetch streams (flush)."""
+        """Empty every cache and forget owners, private-fill flags and
+        prefetch streams (flush).  Counters, ``victim_tag`` and the
+        prefetchers' issued/started totals are kept, as
+        :meth:`SetAssocCache.flush` keeps its counters."""
+        for cfg, row, count, (tags, dirty, nvalid, meta) in self._levels:
+            tags.fill(-1)
+            dirty.fill(0)
+            nvalid.fill(0)
+            if cfg.policy == "lru":
+                # distinct initial stamps keep argmin deterministic before
+                # a set fills; they sit below every real stamp (the clock
+                # starts at ``ways``) and never pick a victim, because
+                # eviction needs a full set, where every way was touched
+                meta[...] = np.arange(cfg.ways, dtype=np.int64)
+            else:
+                meta.fill(0)
+            self._clock[row : row + count] = cfg.ways
         self.owner.fill(-1)
         self.priv_filled.fill(0)
         self.pf_tab.fill(0)
@@ -739,8 +822,8 @@ class HierWalk:
 
     def owner_map(self) -> dict[int, int]:
         """Resident L3 line -> owning core (the scalar engine's ``_owner``)."""
-        l3 = self.caches[-1]
-        tags = l3._tags_np.reshape(-1)
+        l3 = self.l3
+        tags = l3._tags.reshape(-1)
         slots = np.flatnonzero((self.owner >= 0) & (tags >= 0))
         lines = (tags[slots] << l3.tag_shift) | (slots // l3.ways)
         return dict(zip(lines.tolist(), self.owner[slots].tolist()))
@@ -757,13 +840,13 @@ def walk_gap(config) -> str | None:
     """Why the C walk cannot run a machine built from ``config``, or None.
 
     Decided from the config before any cache is built: the hierarchy
-    builds array-backed caches and a :class:`HierWalk` when this returns
-    None, and the plain scalar caches otherwise.
+    builds a :class:`HierWalk`, which owns the cache arrays, when this
+    returns None, and the scalar caches otherwise.
     """
     if load() is None:
         return f"no C lowering: {unavailable_reason()}"
     for name, level in (("l1", config.l1), ("l2", config.l2), ("l3", config.l3)):
-        if level.policy not in ("lru", "nru", "plru"):
+        if level.policy not in _POLICIES:
             return f"{name} uses {level.policy} replacement (the walk models lru, nru, plru)"
         if level.ways > MAX_WAYS:
             return f"{name} has {level.ways} ways (walk limit {MAX_WAYS})"

@@ -252,6 +252,26 @@ def test_sweep_with_every_point_quarantined_prints_one_error_line():
     assert "Traceback" not in out.text
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [["--engine", "surrogate", "--journal-dir", "JOURNAL"],
+     ["--engine", "auto", "--chaos", "kill=1.0"]],
+    ids=["surrogate-journal", "auto-chaos"],
+)
+def test_sweep_engine_clash_fails_before_any_echo(tmp_path, extra):
+    """An analytic engine with supervision is refused before the sweep
+    prints a journal run id or a chaos plan, and writes no journal."""
+    journal = tmp_path / "journal"
+    out = Sink()
+    argv = ["sweep", "mcf", "--sizes", "8", "--interval", "60000", "--intervals", "1"]
+    argv += [str(journal) if a == "JOURNAL" else a for a in extra]
+    assert main(argv, out=out) == 2
+    assert len(out.lines) == 1 and out.lines[0].startswith("error: "), out.lines
+    assert "conflicts with supervision" in out.text
+    assert "journal run id:" not in out.text and "chaos plan" not in out.text
+    assert not journal.exists()
+
+
 def test_cache_cli_verify_repair_gc_cycle(tmp_path):
     from repro.faults.chaos import corrupt_cache_entries
 

@@ -36,6 +36,7 @@ from repro.errors import SimulationError
 from repro.kernels import cext
 from repro.units import KB, MB
 from repro.workloads import TargetSpec
+from tests.test_kernels import cache_state
 
 pytestmark = pytest.mark.skipif(
     not cext.available(), reason="no C lowering (no compiler, or REPRO_CEXT=0)"
@@ -85,24 +86,6 @@ def chunk_stream(cfg: MachineConfig, seed: int, n_chunks: int, span: int):
             lines = rng.integers(0, span, n).astype(np.int64)
         writes = None if rng.random() < 0.3 else rng.random(n) < 0.4
         yield core, lines, writes, bool(rng.random() < 0.35)
-
-
-def cache_state(c) -> dict:
-    """Observable state of one cache, comparable across scalar/vector models."""
-    state = {
-        "tags": [list(t) for t in c._tags],
-        "dirty": [int(d) for d in c._dirty],
-        "nvalid": [int(v) for v in c._nvalid],
-        "victim": None if c.victim_tag is None else int(c.victim_tag),
-        "counters": c.stats,
-    }
-    if c.config.policy == "lru":
-        state["meta"] = [c.recency_order(s) for s in range(c.num_sets)]
-    elif c.config.policy == "nru":
-        state["meta"] = [c.accessed_bits(s) for s in range(c.num_sets)]
-    else:
-        state["meta"] = [int(t) for t in c._tree]
-    return state
 
 
 def stream_table(pf) -> tuple[list, dict]:
@@ -165,28 +148,35 @@ def test_walk_matches_scalar(cfg, seed, n_chunks, flush_at, footprint):
 
 
 def test_python_readers_see_walk_state():
-    """probe/invalidate after a walk chunk act on the walk's state."""
+    """The walk's read-only views answer like the scalar caches."""
     cfg = replace(nehalem_config(num_cores=2), kernel="scalar")
     walk = CacheHierarchy(replace(cfg, kernel="auto"))
     ref = CacheHierarchy(cfg)
     lines = np.arange(5000, dtype=np.int64) * 3
     for h in (walk, ref):
         h.access_chunk(0, lines, None)
-    for h in (walk, ref):
-        s, t = h.l2[0].split(int(lines[-1]))
-        assert h.l2[0].probe(s, t) >= 0
-        assert h.l2[0].invalidate(s, t) == (True, False)
-    for h in (walk, ref):
         h.access_chunk(1, lines[::-1].copy(), None, bypass_private=True)
+    for a, b in ((walk.l2[0], ref.l2[0]), (walk.l3, ref.l3)):
+        s, t = a.split(int(lines[-1]))
+        assert a.join(s, t) == int(lines[-1])
+        assert a.probe(s, t) == b.probe(s, t) >= 0
+        assert a.resident_tags(s) == b.resident_tags(s)
+        assert a.resident_lines() == b.resident_lines()
+        assert a.occupancy() == b.occupancy()
+        assert a.stats == b.stats
+        assert a.victim_tag == b.victim_tag
+    assert walk.l3.accessed_bits(0) == ref.l3.accessed_bits(0)
+    with pytest.raises(SimulationError, match="uses nru replacement, not lru"):
+        walk.l3.recency_order(0)
+    assert not hasattr(walk.l3, "invalidate")
     assert_same_state(walk, ref)
 
 
 def test_dead_hierarchy_is_freed_without_a_gc_pass():
-    """A walked cache and its stale-lists marker form no reference cycle.
+    """The walk and its cache views form no reference cycle.
 
-    Every chunk the walk runs marks the caches it touched; a marker holding
-    its cache strongly would leave a dead hierarchy's arrays to a full
-    garbage collection.
+    A view holding its walk strongly would leave a dead hierarchy's arrays
+    to a full garbage collection.
     """
     gc.collect()
     gc.disable()

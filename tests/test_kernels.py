@@ -6,10 +6,8 @@ The contract under test is absolute: both kernel modes (``scalar`` and
 tags, dirty bits, replacement metadata, victim side channel, owner map —
 on any access stream.  The streams here mix random, sequential,
 single-set aliasing, tight L1-hit reuse, and Pirate-style bypass sweeps
-that trigger inclusive-L3 back-invalidations.  The ``Vec*Cache`` models
-the walk runs on must also follow the scalar protocol access for access,
-and every hierarchy the experiments and validation tiers build must be
-one the walk covers.
+that trigger inclusive-L3 back-invalidations.  Every hierarchy the
+experiments and validation tiers build must be one the walk covers.
 """
 
 from __future__ import annotations
@@ -26,13 +24,7 @@ from repro.caches.hierarchy import CacheHierarchy
 from repro.config import KERNEL_MODES, CacheConfig, nehalem_config, tiny_config
 from repro.errors import ConfigError
 from repro.experiments.scale import FULL, QUICK
-from repro.kernels import cext, make_vec_cache
-from repro.kernels.veccache import (
-    VecLRUCache,
-    VecNRUCache,
-    VecPLRUCache,
-    _StaleTagLists,
-)
+from repro.kernels import cext
 from repro.reference.cachesim import single_core_config
 from repro.reference.sweep import _way_grid
 from repro.units import KB
@@ -42,23 +34,25 @@ from repro.validation.tiers import VALIDATE_FULL, VALIDATE_QUICK
 # -- state comparison ---------------------------------------------------------
 
 
+#: the replacement-state reader of each policy the walk models
+REPLACEMENT_READERS = {"lru": "recency_order", "nru": "accessed_bits", "plru": "tree_bits"}
+
+
 def cache_state(c) -> dict:
+    """Observable state of one cache, through the readers scalar caches and
+    the walk's views share: per-set tags, dirty bits and valid counts, the
+    victim side channel, the counters and the replacement state."""
+    sets = [c.set_state(s) for s in range(c.num_sets)]
     st = {
-        "tags": [list(t) for t in c._tags],
-        "dirty": [int(d) for d in c._dirty],
-        "nvalid": [int(v) for v in c._nvalid],
-        "victim": None if c.victim_tag is None else int(c.victim_tag),
-        "counters": (
-            c.acc_count, c.hit_count, c.miss_count, c.evict_count,
-            c.wb_count, c.fill_count, c.inval_count,
-        ),
+        "tags": [tags for tags, _, _ in sets],
+        "dirty": [dirty for _, dirty, _ in sets],
+        "nvalid": [nvalid for _, _, nvalid in sets],
+        "victim": c.victim_tag,
+        "counters": c.stats,
     }
-    if hasattr(c, "recency_order"):
-        st["recency"] = [c.recency_order(s) for s in range(c.num_sets)]
-    if hasattr(c, "accessed_bits"):
-        st["nru_bits"] = [c.accessed_bits(s) for s in range(c.num_sets)]
-    if hasattr(c, "_tree"):
-        st["plru_tree"] = [int(x) for x in c._tree]
+    reader = REPLACEMENT_READERS.get(c.config.policy)
+    if reader is not None:  # random replacement keeps no state
+        st["meta"] = [getattr(c, reader)(s) for s in range(c.num_sets)]
     return st
 
 
@@ -248,108 +242,28 @@ def test_retired_kernel_modes_fail_in_one_line(kernel, source, monkeypatch):
 # -- cache-level properties ---------------------------------------------------
 
 
-def _scalar_twin(vec):
-    """A scalar cache of the same geometry/policy as a vectorized one."""
-    from repro.caches.setassoc import make_cache
-
-    return make_cache(vec.config, seed=0)
-
-
-@pytest.mark.parametrize("policy", ["lru", "nru", "plru"])
-@pytest.mark.parametrize("ways", [1, 2, 4, 8])
-def test_scalar_ops_match_plain_cache(policy, ways):
-    """The Vec* caches' inherited scalar protocol is the plain protocol."""
-    cfg = CacheConfig("T", 64 * ways * 16, ways, policy=policy)
-    vec = make_vec_cache(cfg)
-    ref = _scalar_twin(vec)
-    rng = np.random.default_rng(7)
-    for _ in range(600):
-        s = int(rng.integers(0, vec.num_sets))
-        t = int(rng.integers(0, 40))
-        w = bool(rng.random() < 0.3)
-        assert vec._access_code(s, t, w) == ref._access_code(s, t, w)
-        assert vec.victim_tag == ref.victim_tag
-    assert cache_state(vec)["counters"] == cache_state(ref)["counters"]
-    assert [list(x) for x in vec._tags] == [list(x) for x in ref._tags]
-
-
-@pytest.mark.parametrize("policy", ["lru", "nru", "plru"])
-@pytest.mark.parametrize("first", ["access", "probe", "invalidate", "order"])
-def test_lazy_tag_lists_follow_scalar_protocol(policy, first):
-    """A new or flushed Vec* cache builds its tag lists on first scalar use.
-
-    ``first`` is the operation that meets the stale-lists marker; from
-    there on the cache must answer like the scalar twin, access for access.
-    """
-    cfg = CacheConfig("T", 64 * 4 * 16, 4, policy=policy)
-    vec = make_vec_cache(cfg)
-    ref = _scalar_twin(vec)
-    rng = np.random.default_rng(11)
-    ops = ("access", "access", "access", "probe", "invalidate", "order")
-    for phase in ("fresh", "flushed"):
-        assert type(vec._tags) is _StaleTagLists, phase
-        for i in range(400):
-            op = first if i == 0 else ops[int(rng.integers(0, len(ops)))]
-            s = int(rng.integers(0, vec.num_sets))
-            t = int(rng.integers(0, 12))
-            if op == "access":
-                w = bool(rng.random() < 0.3)
-                assert vec._access_code(s, t, w) == ref._access_code(s, t, w)
-                assert vec.victim_tag == ref.victim_tag
-            elif op == "probe":
-                assert vec.probe(s, t) == ref.probe(s, t)
-            elif op == "invalidate":
-                assert vec.invalidate(s, t) == ref.invalidate(s, t)
-            elif policy == "lru":
-                assert vec.recency_order(s) == ref.recency_order(s)
-            else:
-                assert vec.resident_tags(s) == ref.resident_tags(s)
-        assert cache_state(vec) == cache_state(ref), phase
-        vec.flush()
-        ref.flush()
-
-
+@pytest.mark.skipif(
+    not cext.available(),
+    reason="no C lowering: the scalar oracle's per-set tag lists are eager by design",
+)
 def test_building_a_machine_allocates_no_per_set_objects():
     """Set-up is O(arrays): no Python object per cache set.
 
     The nehalem L3 alone has 8,192 sets, so eager per-set tag lists (or any
-    other per-set object) blow far through the bound.  Without the C walk
-    ``auto`` builds the scalar oracle, whose lists are eager by design;
-    the array-backed caches the walk would run on are measured instead.
+    other per-set object) blow far through the bound.
     """
     cfg = nehalem_config(kernel="auto")
-
-    def build():
-        if cext.available():
-            return CacheHierarchy(cfg).l3
-        return [make_vec_cache(c) for c in (cfg.l1, cfg.l2, cfg.l3)][-1]
-
-    build()  # warm module-level state (C lowering, PLRU tables)
+    CacheHierarchy(cfg)  # warm module-level state (C lowering, PLRU tables)
     gc.collect()
     gc.disable()
     try:
         before = len(gc.get_objects())
-        l3 = build()
+        l3 = CacheHierarchy(cfg).l3
         added = len(gc.get_objects()) - before
     finally:
         gc.enable()
     assert l3.num_sets == 8192
     assert added < 500, added
-
-
-def test_make_vec_cache_coverage():
-    assert isinstance(
-        make_vec_cache(CacheConfig("T", 8 * KB, 4, policy="lru")), VecLRUCache
-    )
-    for ways in (1, 4, 63):
-        assert isinstance(
-            make_vec_cache(CacheConfig("T", 64 * ways, ways, policy="nru")), VecNRUCache
-        )
-    assert isinstance(
-        make_vec_cache(CacheConfig("T", 8 * KB, 4, policy="plru")), VecPLRUCache
-    )
-    assert make_vec_cache(CacheConfig("T", 8 * KB, 4, policy="random")) is None
-    assert make_vec_cache(CacheConfig("T", 64 * 64, 64, policy="lru")) is None
 
 
 def _shipped_machines():
