@@ -73,7 +73,6 @@ from .core.parallel import (
 )
 from .core.resilience import PartialCurve, RetryPolicy, measure_point_resilient
 from .errors import ConfigError, MeasurementError
-from .faults.chaos import ChaosPlan
 from .observability import Telemetry, format_report, read_jsonl, summarize, write_jsonl
 from .store import Store
 from .tracing import capture_trace
@@ -191,51 +190,6 @@ def _engine_config(args, **kwargs):
         return nehalem_config(kernel=args.kernel, **kwargs)
     except ConfigError as e:
         raise _CLIError(str(e)) from None
-
-
-def _parse_chaos(text: str, n_points: int) -> ChaosPlan:
-    """Compile a ``--chaos key=value,...`` spec into a concrete ChaosPlan.
-
-    Keys: ``seed`` (int), ``kill``/``hang``/``error`` (per-point fault
-    probabilities in [0, 1]), ``repeats`` (attempts each fault fires on),
-    ``hang-seconds`` (how long a hang sleeps).
-    """
-    known = {
-        "seed": int,
-        "kill": float,
-        "hang": float,
-        "error": float,
-        "repeats": int,
-        "hang-seconds": float,
-    }
-    values: dict[str, float] = {}
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        key, sep, raw = part.partition("=")
-        key = key.strip()
-        if not sep or key not in known:
-            raise _CLIError(
-                f"--chaos: expected key=value with key in "
-                f"{'/'.join(sorted(known))}, got {part!r}"
-            )
-        try:
-            values[key] = known[key](raw.strip())
-        except ValueError:
-            raise _CLIError(f"--chaos: {key}={raw.strip()!r} is not a number") from None
-    try:
-        return ChaosPlan.random(
-            n_points,
-            seed=int(values.get("seed", 0)),
-            kill_rate=values.get("kill", 0.0),
-            hang_rate=values.get("hang", 0.0),
-            error_rate=values.get("error", 0.0),
-            repeats=int(values.get("repeats", 1)),
-            hang_seconds=values.get("hang-seconds", 30.0),
-        )
-    except ConfigError as e:
-        raise _CLIError(f"--chaos: {e}") from None
 
 
 def _resolve_workers(args) -> int | None:
@@ -450,9 +404,8 @@ def cmd_sweep(args, out=print) -> int:
         or args.point_timeout is not None
         or journal_dir is not None
         or resume
-        or bool(args.chaos)
     )
-    # refuse an engine/option clash before echoing a run id or chaos plan
+    # refuse an engine/option clash before echoing a run id
     check_sweep_engine(engine, retry=policy, supervised=supervised)
     supervise = None
     if supervised:
@@ -465,10 +418,6 @@ def cmd_sweep(args, out=print) -> int:
         if run_id is not None:
             out(f"journal run id: {run_id}  (resume with --resume {run_id})")
 
-    chaos = _parse_chaos(args.chaos, len(sizes)) if args.chaos else None
-    if chaos is not None:
-        out(chaos.describe())
-        chaos.install_env()
     try:
         curve = measure_curve_fixed(
             _factory(args.benchmark, args.seed),
@@ -493,9 +442,6 @@ def cmd_sweep(args, out=print) -> int:
         # e.g. supervision quarantined every point: no curve to print
         out(f"error: {e}")
         return 1
-    finally:
-        if chaos is not None:
-            chaos.clear_env()
     out(curve.format_table())
     if isinstance(curve, PartialCurve):
         out(format_quality_report(curve))
@@ -1060,9 +1006,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", default="", metavar="RUN_ID",
                    help="continue a journaled run: replay its finished points, "
                         "execute only the remainder")
-    p.add_argument("--chaos", default="", metavar="KEY=VAL,...",
-                   help="inject process-level chaos (testing): "
-                        "seed=/kill=/hang=/error=/repeats=/hang-seconds=")
     _add_engine_args(p)
     _add_tier_args(p)
     p.set_defaults(fn=cmd_sweep)

@@ -3,19 +3,22 @@
 A long sweep that dies — SIGKILL, OOM, power loss — must be resumable
 without re-measuring what it already finished.  The
 :class:`~repro.core.parallel.SweepCache` already gives *content-keyed*
-resume; the journal adds *run-keyed* resume: every supervised sweep (and
-every ``runall`` invocation) appends its lifecycle to one JSONL file named
-by a run id, fsynced per record, so the on-disk state is a consistent
-prefix of the run's history no matter when the process dies.
+resume; the journal adds *run-keyed* resume: every supervised sweep,
+every ``runall`` invocation and the curve service append their lifecycle
+to one JSONL file named by a run id, fsynced per record, so the on-disk
+state is a consistent prefix of the run's history no matter when the
+process dies.
 
-One journal type serves both granularities.  A supervised sweep records
+One journal type serves every granularity.  A supervised sweep records
 per *sweep point* states (``running`` → ``done``/``quarantined``), each
 ``done`` record carrying the full point payload, so ``repro sweep --resume
 <run-id>`` rebuilds finished points from the journal alone — zero
 re-measurement — and executes exactly the remainder
-(``tests/test_journal.py``); ``runall`` records one *task* per experiment
-id.  Replay is last-writer-wins per point index or task id
-(:func:`last_records`, which the service journal shares).
+(``tests/test_journal.py``).  Coarser work records *tasks*: ``runall``
+one per experiment id, the curve service one per job key (``running``
+carrying the job's wire form, then ``done``, or ``quarantined`` for a
+failed job that is never re-run).  Replay is last-writer-wins per point
+index or task id (:func:`last_records`).
 
 Crash tolerance is structural: records are appended with flush+fsync, and
 readers ignore any line that does not parse — a process killed mid-append
@@ -113,13 +116,28 @@ def last_records(records, kind: str, by: str, landed) -> dict:
     return last
 
 
+def _ends_torn(path: Path) -> bool:
+    """True when ``path`` is non-empty and its last line has no newline."""
+    try:
+        with open(path, "rb") as fh:
+            fh.seek(-1, os.SEEK_END)
+            return fh.read(1) != b"\n"
+    except OSError:  # missing or empty
+        return False
+
+
 class _JournalWriter:
     """Append-only JSONL writer with per-record durability (flush + fsync)."""
 
     def __init__(self, path: Path):
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        torn = _ends_torn(self.path)
         self._fh = open(self.path, "a", encoding="utf-8")
+        if torn:
+            # end the crash-torn last line, or the next record would be
+            # glued onto it and lost with it
+            self._fh.write("\n")
 
     def append(self, record: dict) -> None:
         """Durably append one record; a crash can tear at most this line."""
@@ -149,10 +167,11 @@ class RunJournal:
     hash, size grid); a supervised sweep then marks every point ``running``
     before it executes and ``done`` (with its full payload) or
     ``quarantined`` (with its failure reasons) after, while ``runall``
-    marks one task per experiment id (:meth:`mark`, no payloads — the
-    experiments re-render from their own artifacts).  :meth:`resume`
-    reopens an existing journal for appending and stamps a ``run_resume``
-    marker, so a journal records every generation that touched it.
+    and the curve service mark coarse tasks (:meth:`mark`: experiment ids
+    without payloads, job keys whose ``running`` record carries the job).
+    :meth:`resume` reopens an existing journal for appending and stamps a
+    ``run_resume`` marker, so a journal records every generation that
+    touched it.
     """
 
     def __init__(self, path: Path, run_id: str):
@@ -225,11 +244,18 @@ class RunJournal:
             }
         )
 
-    def mark(self, task_id: str, state: str) -> None:
-        """Record a coarse task's state (``runall``: one task per experiment)."""
+    def mark(self, task_id: str, state: str, payload: dict | None = None) -> None:
+        """Record a coarse task's state, optionally with a payload."""
         if state not in JOURNAL_STATES:
             raise MeasurementError(f"unknown journal state {state!r}")
-        self._writer.append({"type": "task", "id": str(task_id), "state": state})
+        record = {"type": "task", "id": str(task_id), "state": state}
+        if payload is not None:
+            record["payload"] = payload
+        self._writer.append(record)
+
+    @property
+    def closed(self) -> bool:
+        return self._writer.closed
 
     def close(self) -> None:
         self._writer.close()
@@ -249,6 +275,10 @@ def _point_landed(r: dict) -> bool:
     return state != "done" or isinstance(r.get("payload"), dict)
 
 
+def _task_landed(r: dict) -> bool:
+    return r.get("state") in JOURNAL_STATES and isinstance(r.get("payload", {}), dict)
+
+
 @dataclass
 class JournalState:
     """A journal replayed into its last-writer-wins point and task states."""
@@ -265,6 +295,8 @@ class JournalState:
     quarantined: dict[int, dict] = field(default_factory=dict)
     #: task id -> last recorded state
     tasks: dict[str, str] = field(default_factory=dict)
+    #: task id -> payload of its last record, when that record carries one
+    task_payloads: dict[str, dict] = field(default_factory=dict)
     #: how many generations wrote this journal (1 + number of resumes)
     generations: int = 1
 
@@ -299,8 +331,10 @@ class JournalState:
                     "attempts": int(r.get("attempts", 0)),
                     "reasons": [str(x) for x in r.get("reasons", [])],
                 }
-        tasks = last_records(records, "task", "id", lambda r: r.get("state") in JOURNAL_STATES)
-        state.tasks = {str(task): r["state"] for task, r in tasks.items()}
+        for task, r in last_records(records, "task", "id", _task_landed).items():
+            state.tasks[str(task)] = r["state"]
+            if "payload" in r:
+                state.task_payloads[str(task)] = r["payload"]
         return state
 
     def done_indices(self) -> set[int]:

@@ -492,6 +492,10 @@ class SweepCache:
 
 # -- supervision policy and the per-point pool task --------------------------------
 
+#: How often a supervised pool loop wakes to check watchdogs and count a
+#: liveness heartbeat (``exec_supervisor_heartbeats_total``).
+HEARTBEAT_INTERVAL_S = 0.2
+
 
 @dataclass(frozen=True)
 class SupervisorPolicy:
@@ -500,14 +504,12 @@ class SupervisorPolicy:
     ``point_timeout_s`` is wall-clock per point *attempt* (None disables
     the watchdog); ``max_point_failures`` is how many *proven* faults —
     solo crashes, timeouts, in-worker exceptions; never ambiguous pool
-    breaks — a point may accumulate before quarantine;
-    ``heartbeat_interval_s`` is how often the pool loop wakes to check
-    watchdogs and count a liveness heartbeat.
+    breaks — a point may accumulate before quarantine.  The pool loop
+    wakes every :data:`HEARTBEAT_INTERVAL_S` to check watchdogs.
     """
 
     point_timeout_s: float | None = None
     max_point_failures: int = 2
-    heartbeat_interval_s: float = 0.2
 
     def __post_init__(self) -> None:
         if self.point_timeout_s is not None and self.point_timeout_s <= 0:
@@ -517,10 +519,6 @@ class SupervisorPolicy:
         if self.max_point_failures < 1:
             raise ConfigError(
                 f"max_point_failures must be >= 1, got {self.max_point_failures}"
-            )
-        if self.heartbeat_interval_s <= 0:
-            raise ConfigError(
-                f"heartbeat_interval_s must be positive, got {self.heartbeat_interval_s}"
             )
 
 
@@ -944,7 +942,7 @@ def _run_pool(
     ctx = mp_context if mp_context is not None else default_mp_context()
     n_workers = min(workers, len(pending))
     timeout_s = policy.point_timeout_s if policy is not None else None
-    heartbeat_s = policy.heartbeat_interval_s if policy is not None else None
+    heartbeat_s = HEARTBEAT_INTERVAL_S if policy is not None else None
 
     queue: deque[SweepPoint] = deque(pending)
     #: points whose worker died with others inflight — guilt ambiguous, so

@@ -3,21 +3,23 @@
 The simulated machine itself is never perturbed; this module perturbs the
 *execution layer around it* — the pool workers and the on-disk result
 cache — the way real multi-tenant hosts do: workers get OOM-killed
-mid-point, points hang on a wedged NFS mount, cached entries rot on disk.  A :class:`ChaosPlan` is a seedable,
-pure-data schedule of those process-level faults, so every failure it
-provokes is bit-reproducible and the sweep executor under a
-:class:`~repro.core.parallel.SupervisorPolicy` can be *proven* to uphold
-its headline invariant: under any chaos schedule, a supervised sweep either returns
-curves bit-identical to a clean serial run or explicitly quarantines the
-affected points — never silently wrong data
-(``tests/test_chaos.py``).
+mid-point, points hang on a wedged NFS mount, cached entries rot on disk.
+A :class:`ChaosPlan` is a seedable, pure-data schedule of those
+process-level faults, so every failure it provokes is bit-reproducible and
+the sweep executor under a :class:`~repro.core.parallel.SupervisorPolicy`
+can be *proven* to uphold its headline invariant: under any chaos
+schedule, a supervised sweep either returns curves bit-identical to a
+clean serial run or explicitly quarantines the affected points — never
+silently wrong data (``tests/test_chaos.py``).
 
-Worker-side faults are keyed by ``(point index, attempt)`` and transported
-to pool workers through the :data:`CHAOS_ENV` environment variable
-(inherited by both forked and spawned workers), so enabling chaos never
-touches a :class:`~repro.core.parallel.SweepSpec` and therefore never
-changes a cache key.  Cache corruption is applied directly to a
-:class:`~repro.core.parallel.SweepCache` directory by
+Worker-side faults are keyed by ``(point index, attempt)`` and have one
+transport: the :data:`CHAOS_ENV` environment variable, set by the plan's
+context manager or by the caller's environment and inherited by forked
+and spawned workers alike.  Every sweep reads it at point time, whether
+the batch CLI, a library call or a curve-service job started it, so
+enabling chaos never touches a :class:`~repro.core.parallel.SweepSpec`
+and therefore never changes a cache key.  Cache corruption is applied
+directly to a :class:`~repro.core.parallel.SweepCache` directory by
 :func:`corrupt_cache_entries`.
 """
 
@@ -170,16 +172,6 @@ class ChaosPlan:
         """True when the plan schedules no worker-side fault at all."""
         return not (self.kills or self.hangs or self.errors)
 
-    def describe(self) -> str:
-        """Human-readable schedule (one line per faulted point)."""
-        lines = [f"# chaos plan (seed={self.seed}, hang={self.hang_seconds:g}s)"]
-        for kind in ("kills", "hangs", "errors"):
-            for index, attempts in sorted(getattr(self, kind).items()):
-                lines.append(f"{kind:8s} point {index}: attempts {list(attempts)}")
-        if self.empty:
-            lines.append("(no worker faults scheduled)")
-        return "\n".join(lines)
-
 
 def chaos_from_env() -> ChaosPlan | None:
     """The installed :class:`ChaosPlan`, or None when chaos is off.
@@ -254,87 +246,3 @@ def corrupt_cache_entries(
             body["seed"] = int(body.get("seed", 0)) + 1
             path.write_text(json.dumps(envelope))
     return victims
-
-
-# -- server-side chaos (the service path) -------------------------------------------
-
-SERVICE_CHAOS_ENV = "REPRO_SERVICE_CHAOS"
-
-
-@dataclass(frozen=True)
-class ServiceChaosPlan:
-    """Deterministic faults for the curve service itself.
-
-    Two server-side failure modes ride on top of the worker-level
-    :class:`ChaosPlan`: ``drop_stream_after`` cuts every ``/v1/watch``
-    connection after that many events without a terminal record (clients
-    must reconnect with ``since=`` and see exactly-once delivery), and
-    ``worker`` is a point-level plan the server installs into
-    :data:`CHAOS_ENV` for its sweep workers, so kill/hang/quarantine
-    semantics can be proven *through* the service path, not just the
-    batch one.
-    """
-
-    drop_stream_after: int | None = None
-    worker: ChaosPlan | None = None
-
-    def __post_init__(self) -> None:
-        if self.drop_stream_after is not None and self.drop_stream_after < 1:
-            raise ConfigError(
-                f"drop_stream_after must be >= 1, got {self.drop_stream_after}"
-            )
-
-    def to_json(self) -> str:
-        """The plan as canonical JSON (the :data:`SERVICE_CHAOS_ENV` payload)."""
-        return json.dumps(
-            {
-                "drop_stream_after": self.drop_stream_after,
-                "worker": json.loads(self.worker.to_json()) if self.worker else None,
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ServiceChaosPlan":
-        """Rebuild a plan from :meth:`to_json` output (raises on junk)."""
-        try:
-            raw = json.loads(text)
-            worker = raw.get("worker")
-            return cls(
-                drop_stream_after=(
-                    None
-                    if raw.get("drop_stream_after") is None
-                    else int(raw["drop_stream_after"])
-                ),
-                worker=ChaosPlan.from_json(json.dumps(worker)) if worker else None,
-            )
-        except (ValueError, TypeError, AttributeError) as e:
-            raise ConfigError(f"invalid service chaos plan: {e}") from None
-
-    def install_env(self) -> None:
-        """Publish this plan to a server via :data:`SERVICE_CHAOS_ENV`."""
-        os.environ[SERVICE_CHAOS_ENV] = self.to_json()
-
-    @staticmethod
-    def clear_env() -> None:
-        """Remove any installed service plan."""
-        os.environ.pop(SERVICE_CHAOS_ENV, None)
-
-    def __enter__(self) -> "ServiceChaosPlan":
-        self.install_env()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.clear_env()
-
-
-def service_chaos_from_env() -> ServiceChaosPlan | None:
-    """The installed :class:`ServiceChaosPlan`, or None when chaos is off.
-
-    Like :func:`chaos_from_env`, junk raises instead of silently running
-    clean.
-    """
-    text = os.environ.get(SERVICE_CHAOS_ENV)
-    if not text:
-        return None
-    return ServiceChaosPlan.from_json(text)

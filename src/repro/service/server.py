@@ -13,11 +13,13 @@ finished curves live in a :class:`~repro.service.store.ResultStore`
 the shared :class:`~repro.core.parallel.SweepCache`, so even an evicted
 answer is a recompute-from-hits, never a re-measurement.
 
-Crash safety is two journals deep: the *service journal* write-ahead
-logs every accepted job so a restarted server re-enqueues whatever was
-in flight, and each measured job runs under a *run journal*
-keyed by a run id derived from the job's content key — a SIGKILL'd
-server resumes mid-sweep with zero completed points re-executed.
+Crash safety is one journal family at two granularities: the *service
+journal* (``<state>/service.journal.jsonl``) is a
+:class:`~repro.core.journal.RunJournal` of task records, one task per job
+key, so a restarted server re-enqueues whatever was in flight; each
+measured job runs under its own run journal in ``<state>/journals``,
+keyed by a run id derived from the job's content key — a SIGKILL'd server
+resumes mid-sweep with zero completed points re-executed.
 """
 
 from __future__ import annotations
@@ -32,16 +34,9 @@ from pathlib import Path
 from urllib.parse import parse_qs, urlsplit
 
 from ..analysis.merge import assemble_curve
-from ..core.journal import (
-    JournalState,
-    _JournalWriter,
-    journal_path,
-    last_records,
-    read_journal_records,
-)
+from ..core.journal import JournalState, RunJournal, journal_path
 from ..core.parallel import SupervisorPolicy, SweepCache, run_sweep, sweep_spec_sha
 from ..errors import MeasurementError, ReproError
-from ..faults.chaos import ServiceChaosPlan, service_chaos_from_env
 from ..observability import ensure_telemetry
 from .protocol import (
     PROTOCOL_VERSION,
@@ -58,12 +53,6 @@ from .store import ResultStore
 
 _log = logging.getLogger("repro.service")
 
-#: service journal format; foreign journals are ignored on restart
-SERVICE_JOURNAL_VERSION = 1
-
-#: the service journal's filename under ``<state_dir>/journals``
-SERVICE_JOURNAL = "service.journal.jsonl"
-
 _MAX_BODY = 4 * 1024 * 1024
 
 
@@ -76,19 +65,6 @@ def job_run_id(key: str) -> str:
     job-<key16>`` to adopt a server-side journal, or vice versa.
     """
     return f"job-{key[:16]}"
-
-
-def _job_record(key: str, state: str, spec: JobSpec | None = None) -> dict:
-    """One service-journal record; ``submitted`` ones carry the job's wire form."""
-    record = {
-        "type": "job",
-        "service_format": SERVICE_JOURNAL_VERSION,
-        "key": key,
-        "state": state,
-    }
-    if spec is not None:
-        record["job"] = job_to_wire(spec)
-    return record
 
 
 @dataclass
@@ -114,6 +90,10 @@ class SweepServer:
     ``job_workers`` is how many jobs execute concurrently; ``queue_size``
     bounds accepted-but-unstarted jobs (409 beyond); ``quota`` caps one
     client's unfinished jobs (429 beyond, 0 = unlimited).
+    ``drop_stream_after``, when set on a live server, cuts every
+    ``/v1/watch`` stream after that many events without a terminal one:
+    a transport fault that clients must survive with exactly-once
+    delivery.
     """
 
     def __init__(
@@ -147,14 +127,15 @@ class SweepServer:
             self.state_dir / "store", max_entries=store_max, telemetry=self.tel
         )
         self.cache = SweepCache(self.cache_dir, telemetry=self.tel)
-        self.chaos: ServiceChaosPlan | None = service_chaos_from_env()
-        if self.chaos is not None and self.chaos.worker is not None:
-            # pool workers read CHAOS_ENV at point time; publish once here
-            self.chaos.worker.install_env()
+        self.drop_stream_after: int | None = None
 
         self._lock = threading.Lock()
         self._jobs: dict[str, Job] = {}
-        self._journal = _JournalWriter(self.journal_dir / SERVICE_JOURNAL)
+        self._replayed = self._replay_journal()
+        if self._replayed is None:
+            self._journal = RunJournal.start(self.state_dir, "service")
+        else:
+            self._journal = RunJournal.resume(self.state_dir, "service")
         self._loop: asyncio.AbstractEventLoop | None = None
         self._queue: asyncio.Queue | None = None
         self._workers: list[asyncio.Task] = []
@@ -174,34 +155,48 @@ class SweepServer:
 
     # -- service journal ------------------------------------------------------------
 
+    def _replay_journal(self) -> JournalState | None:
+        """The last process's service journal, or None to start a fresh one.
+
+        A journal with no head or a foreign format is not worth refusing
+        to boot over: it is logged and replaced, as :meth:`_run_job`
+        replaces a torn run journal.
+        """
+        path = journal_path(self.state_dir, "service")
+        if not path.exists():
+            return None
+        try:
+            return JournalState.load(self.state_dir, "service")
+        except MeasurementError as e:
+            _log.warning("service journal %s is unreadable, starting afresh: %s", path, e)
+            path.unlink()
+            return None
+
     def _journal_job(self, key: str, state: str) -> None:
         with self._lock:
             # a job thread that outlived stop() finds the journal closed: its
-            # job stays ``submitted`` and the next start re-runs it
+            # job stays ``running`` and the next start re-runs it
             if not self._journal.closed:
-                self._journal.append(_job_record(key, state))
+                self._journal.mark(key, state)
 
     def _recover_jobs(self) -> list[JobSpec]:
         """Jobs the last process accepted but never finished.
 
-        Replays the service journal last-writer-wins per key (the run
-        journal's replay): a job whose last record is ``submitted`` is
-        re-built from that record's wire form for re-enqueueing.  The
+        The replayed service journal is last-writer-wins per job key: a
+        job whose last task record is ``running`` is re-built from that
+        record's payload, the job's wire form, for re-enqueueing.  The
         per-job *run* journal then makes the re-execution skip every point
         the dead server completed.
         """
-        last = last_records(
-            read_journal_records(self.journal_dir / SERVICE_JOURNAL),
-            "job",
-            "key",
-            lambda r: r.get("service_format") == SERVICE_JOURNAL_VERSION,
-        )
+        replayed = self._replayed
+        if replayed is None:
+            return []
         orphans = []
-        for key, record in last.items():
-            if record.get("state") != "submitted":
+        for key, state in replayed.tasks.items():
+            if state != "running":
                 continue
             try:
-                orphans.append(job_from_wire(record.get("job")))
+                orphans.append(job_from_wire(replayed.task_payloads.get(key)))
             except ServiceError as e:
                 # a torn, foreign or outdated record (say, a machine with a
                 # retired kernel mode) is not worth a crash, but is counted
@@ -286,7 +281,7 @@ class SweepServer:
                 job = Job(key=key, spec=spec, client=client, state="queued")
                 job.clients.add(client)
                 self._jobs[key] = job
-                self._journal.append(_job_record(key, "submitted", spec))
+                self._journal.mark(key, "running", job_to_wire(spec))
         if self._jobs[key].state == "done" and existing is None:
             job = self._jobs[key]
             self._emit(job, "warm")
@@ -324,7 +319,7 @@ class SweepServer:
                 job.state = "failed"
                 job.error = str(e)
                 self.stats["jobs_failed"] += 1
-            self._journal_job(job.key, "failed")
+            self._journal_job(job.key, "quarantined")
             self._emit(job, "failed", error=str(e))
             return
         payload["elapsed_s"] = round(time.monotonic() - started, 6)
@@ -528,9 +523,6 @@ class SweepServer:
         self._workers.clear()
         with self._lock:
             self._journal.close()
-        if self.chaos is not None and self.chaos.worker is not None:
-            # un-publish what __init__ installed; chaos must not outlive us
-            self.chaos.worker.clear_env()
         if self._stopping is not None:
             self._stopping.set()
 
@@ -667,7 +659,7 @@ class SweepServer:
                 job.watchers.add(live)
                 backlog = list(job.events)
             self.stats["watch_streams"] += 1
-        drop_after = self.chaos.drop_stream_after if self.chaos else None
+        drop_after = self.drop_stream_after
         head = (
             "HTTP/1.1 200 OK\r\n"
             "Content-Type: application/x-ndjson\r\n"

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.faults import CHAOS_ENV, ChaosPlan
 
 
 class Sink:
@@ -206,8 +207,6 @@ SWEEP_FAST = ["sweep", "povray", "--sizes", "8.0,4.0",
         (SWEEP_FAST + ["--point-timeout", "0"], "--point-timeout must be positive"),
         (SWEEP_FAST + ["--max-point-failures", "0"],
          "--max-point-failures must be >= 1"),
-        (SWEEP_FAST + ["--chaos", "bogus=1"], "--chaos"),
-        (SWEEP_FAST + ["--chaos", "kill=lots"], "not a number"),
         (["cache", "verify", "/nonexistent/cache/dir"], "no such cache directory"),
     ],
 )
@@ -233,19 +232,30 @@ def test_supervised_sweep_with_journal_and_resume(tmp_path):
            [l for l in out.lines if l.startswith("  ")]
 
 
-def test_sweep_chaos_flag_echoes_plan_and_recovers(tmp_path):
+def test_sweep_under_chaos_env_recovers_or_quarantines(monkeypatch):
+    """``REPRO_CHAOS`` reaches a supervised CLI sweep: a point erroring
+    once recovers bit-identical, one erroring past the budget is quarantined."""
+    clean = Sink()
+    assert main(SWEEP_FAST + ["--supervise"], out=clean) == 0
+    monkeypatch.setenv(CHAOS_ENV, ChaosPlan(errors={0: (1,), 1: (1, 2)}).to_json())
     out = Sink()
-    argv = SWEEP_FAST + ["--chaos", "error=1.0,seed=3"]
-    assert main(argv, out=out) == 0
-    assert "# chaos plan (seed=3" in out.text
-    assert "errors" in out.text
+    assert main(SWEEP_FAST + ["--supervise"], out=out) == 0
+    def table(sink):  # size -> row, for the curve table's data rows
+        return {l.split()[0]: l for l in sink.text.splitlines() if l[:6].strip()[:1].isdigit()}
+
+    rows = table(out)
+    assert set(rows) == {"8.0"}
+    assert rows["8.0"].startswith(table(clean)["8.0"])
+    assert "1 failed" in out.text and "quarantined" in out.text
 
 
-def test_sweep_with_every_point_quarantined_prints_one_error_line():
+def test_sweep_with_every_point_quarantined_prints_one_error_line(monkeypatch):
+    monkeypatch.setenv(
+        CHAOS_ENV, ChaosPlan.random(3, seed=1, kill_rate=1.0, repeats=9).to_json()
+    )
     out = Sink()
     argv = ["sweep", "mcf", "--sizes", "2,4,8", "--interval", "60000",
-            "--intervals", "1", "--workers", "2",
-            "--chaos", "kill=1.0,repeats=9,seed=1"]
+            "--intervals", "1", "--workers", "2", "--supervise"]
     assert main(argv, out=out) == 1
     errors = [l for l in out.lines if l.startswith("error:")]
     assert errors == ["error: mcf: all 3 points were quarantined; no curve to assemble"]
@@ -254,13 +264,12 @@ def test_sweep_with_every_point_quarantined_prints_one_error_line():
 
 @pytest.mark.parametrize(
     "extra",
-    [["--engine", "surrogate", "--journal-dir", "JOURNAL"],
-     ["--engine", "auto", "--chaos", "kill=1.0"]],
-    ids=["surrogate-journal", "auto-chaos"],
+    [["--engine", "surrogate", "--journal-dir", "JOURNAL"]],
+    ids=["surrogate-journal"],
 )
 def test_sweep_engine_clash_fails_before_any_echo(tmp_path, extra):
     """An analytic engine with supervision is refused before the sweep
-    prints a journal run id or a chaos plan, and writes no journal."""
+    prints a journal run id, and writes no journal."""
     journal = tmp_path / "journal"
     out = Sink()
     argv = ["sweep", "mcf", "--sizes", "8", "--interval", "60000", "--intervals", "1"]

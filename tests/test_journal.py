@@ -386,6 +386,33 @@ def test_task_journal_round_trip(tmp_path):
     assert state.done_ids() == {"fig1"}
 
 
+def test_task_payload_is_the_last_records(tmp_path):
+    """A task keeps the payload of its last record, the way a point keeps
+    its ``done`` payload; a record torn to a non-dict payload never landed."""
+    with RunJournal.start(tmp_path, "jobs") as journal:
+        journal.mark("a", "running", {"job": 1})
+        journal.mark("b", "running", {"job": 2})
+        journal.mark("b", "done")
+        journal.mark("c", "running", {"job": 3})
+    with open(journal_path(tmp_path, "jobs"), "a") as fh:
+        fh.write(json.dumps({"type": "task", "id": "c", "state": "done", "payload": 7}) + "\n")
+    state = JournalState.load(tmp_path, "jobs")
+    assert state.tasks == {"a": "running", "b": "done", "c": "running"}
+    assert state.task_payloads == {"a": {"job": 1}, "c": {"job": 3}}
+
+
+def test_resume_after_a_torn_tail_lands_on_its_own_line(tmp_path):
+    with RunJournal.start(tmp_path, "torn") as journal:
+        journal.mark("a", "running")
+    with open(journal_path(tmp_path, "torn"), "a") as fh:
+        fh.write('{"type": "task", "id": "a", "sta')  # killed mid-append
+    with RunJournal.resume(tmp_path, "torn") as journal:
+        journal.mark("a", "done")
+    state = JournalState.load(tmp_path, "torn")
+    assert state.generations == 2
+    assert state.tasks == {"a": "done"}
+
+
 def test_task_journal_rejects_unknown_state(tmp_path):
     with RunJournal.start(tmp_path, "bad") as journal:
         with pytest.raises(MeasurementError, match="unknown journal state"):

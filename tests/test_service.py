@@ -367,25 +367,21 @@ def test_eviction_then_resubmit_recomputes_from_point_cache(tmp_path):
 
 
 def test_parent_service_journal_recovers_only_unfinished_jobs(tmp_path):
-    """The service journal replays last-writer-wins per key, the run
-    journal's replay: only a job whose last record is ``submitted`` comes
-    back, and records keep the layout older servers wrote."""
-    from repro.service.server import SERVICE_JOURNAL, SweepServer, _job_record
+    """The service journal replays last-writer-wins per job key, like any
+    run journal: only a job whose last task record is ``running`` comes
+    back; a done job, a quarantined (failed) job and a torn tail do not."""
+    from repro.core.journal import RunJournal, journal_path
+    from repro.service.server import SweepServer
 
     wire = job_to_wire(tiny_job())
-    done, pending = "a" * 64, "b" * 64
-    lines = [
-        {"job": wire, "key": done, "service_format": 1, "state": "submitted", "type": "job"},
-        {"job": wire, "key": pending, "service_format": 1, "state": "submitted", "type": "job"},
-        {"key": done, "service_format": 1, "state": "done", "type": "job"},
-        {"key": "c" * 64, "service_format": 2, "state": "submitted", "type": "job"},
-    ]
-    assert json.dumps(_job_record(done, "done"), sort_keys=True) == json.dumps(lines[2])
-    journals = tmp_path / "journals"
-    journals.mkdir()
-    (journals / SERVICE_JOURNAL).write_text(
-        "".join(json.dumps(r) + "\n" for r in lines) + '{"key": "torn'
-    )
+    done, pending, failed = "a" * 64, "b" * 64, "c" * 64
+    with RunJournal.start(tmp_path, "service") as journal:
+        for key in (done, pending, failed):
+            journal.mark(key, "running", wire)
+        journal.mark(done, "done")
+        journal.mark(failed, "quarantined")
+    with journal_path(tmp_path, "service").open("a") as fh:
+        fh.write('{"type": "task", "id": "torn')
     server = SweepServer(tmp_path)
     try:
         assert server._recover_jobs() == [tiny_job()]
@@ -395,19 +391,62 @@ def test_parent_service_journal_recovers_only_unfinished_jobs(tmp_path):
 
 
 def test_stop_closes_the_service_journal(tmp_path):
-    from repro.service.server import SERVICE_JOURNAL
+    from repro.core.journal import journal_path
 
     with ServerThread(tmp_path / "state", tmp_path / "svc.sock") as srv:
-        writer = srv.server._journal
-        handle = writer._fh
-        assert not handle.closed
-    assert handle.closed and writer.closed
-    # a job thread that outlives stop() finds the writer closed: it neither
-    # raises nor appends, so its job stays ``submitted`` for the next start
-    path = tmp_path / "state" / "journals" / SERVICE_JOURNAL
+        journal = srv.server._journal
+        assert not journal.closed
+    assert journal.closed
+    # a job thread that outlives stop() finds the journal closed: it
+    # neither raises nor appends, so its job stays ``running`` for the next start
+    path = journal_path(tmp_path / "state", "service")
     before = path.read_text()
     srv.server._journal_job("a" * 64, "done")
     assert path.read_text() == before
+
+
+def test_job_named_service_leaves_the_service_journal_alone(tmp_path):
+    """A job's ``run_id`` may be ``"service"``: its run journal lives under
+    ``journals/``, so the service journal keeps every job's records and a
+    restart recovers the jobs as their last states say."""
+    from repro.core.journal import JournalState
+
+    state = tmp_path / "state"
+    named, other = tiny_job(run_id="service"), tiny_job(seed=41)
+    with ServerThread(state, tmp_path / "svc.sock") as srv:
+        client = srv.client()
+        keys = [client.submit(job)["key"] for job in (named, other)]
+        rows = [client.wait(key)["result"]["rows"] for key in keys]
+    assert JournalState.load(state, "service").tasks == {key: "done" for key in keys}
+    assert JournalState.load(state / "journals", "service").done_indices() == {0, 1}
+    with ServerThread(state, tmp_path / "svc2.sock") as srv:
+        client = srv.client()
+        stats = client.stats()["stats"]
+        assert [client.fetch(key)["result"]["rows"] for key in keys] == rows
+    assert stats["jobs_recovered"] == 0 and stats["jobs_unrecoverable"] == 0
+    replayed = JournalState.load(state, "service")
+    assert replayed.generations == 2
+    assert replayed.tasks == {key: "done" for key in keys}
+
+
+@pytest.mark.parametrize(
+    "text", ['{"type": "task", "id": "a', '{"type": "run_start", "journal_format": 99}\n'],
+    ids=["headless", "foreign"],
+)
+def test_unreadable_service_journal_is_replaced_not_fatal(tmp_path, caplog, text):
+    from repro.core.journal import JournalState, journal_path
+
+    state = tmp_path / "state"
+    state.mkdir()
+    journal_path(state, "service").write_text(text)
+    with caplog.at_level("WARNING", logger="repro.service"):
+        with ServerThread(state, tmp_path / "svc.sock") as srv:
+            client = srv.client()
+            key = client.submit(tiny_job(seed=42))["key"]
+            client.wait(key)
+    assert any("service journal" in r.getMessage() for r in caplog.records)
+    replayed = JournalState.load(state, "service")
+    assert replayed.generations == 1 and replayed.tasks == {key: "done"}
 
 
 def test_warm_start_after_restart_serves_without_executing(tmp_path):

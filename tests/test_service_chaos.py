@@ -3,18 +3,18 @@
 :mod:`tests.test_chaos` proves the batch invariant — under any worker
 chaos schedule a supervised sweep returns bit-identical curves or
 explicitly quarantines.  These tests prove the *service* forwards that
-promise intact: a :class:`ServiceChaosPlan` installed before the server
-starts routes a worker-level :class:`ChaosPlan` into its sweep engine,
-and the fetched payload carries the same retries/quarantines a batch run
-would.  The plan's second knob, ``drop_stream_after``, attacks the
-service's own transport — every watch stream is cut after N events —
-and the client must still deliver every event exactly once.
+promise intact: a :class:`ChaosPlan` context around a live server reaches
+its sweeps through ``REPRO_CHAOS``, the one chaos transport, and the
+fetched payload carries the same retries/quarantines a batch run would.
+The server's ``drop_stream_after`` attribute attacks the service's own
+transport — every watch stream is cut after N events — and the client
+must still deliver every event exactly once.
 """
 
 import pytest
 
 from repro.core import measure_curve_fixed
-from repro.faults import ChaosPlan, ServiceChaosPlan
+from repro.faults import ChaosPlan
 from repro.service import JobSpec, ServerThread, job_key
 from repro.workloads import TargetSpec
 
@@ -55,14 +55,12 @@ def strip_quality(rows: list[dict]) -> list[dict]:
 def _no_leaked_chaos():
     """Chaos env must never outlive a test, even on assertion failure."""
     yield
-    ServiceChaosPlan.clear_env()
     ChaosPlan.clear_env()
 
 
 def test_poisoned_point_retries_and_recovers_bit_identical(tmp_path):
     """One injected error: the supervisor retries, the curve is untouched."""
-    plan = ServiceChaosPlan(worker=ChaosPlan(errors={0: (1,)}))
-    with plan:
+    with ChaosPlan(errors={0: (1,)}):
         with ServerThread(tmp_path / "state", tmp_path / "svc.sock") as srv:
             client = srv.client()
             job = tiny_job()
@@ -75,8 +73,7 @@ def test_poisoned_point_retries_and_recovers_bit_identical(tmp_path):
 
 def test_persistent_errors_quarantine_through_the_service(tmp_path):
     """A point erroring past the failure budget is quarantined, not wrong."""
-    plan = ServiceChaosPlan(worker=ChaosPlan(errors={0: (1, 2, 3)}))
-    with plan:
+    with ChaosPlan(errors={0: (1, 2, 3)}):
         with ServerThread(tmp_path / "state", tmp_path / "svc.sock") as srv:
             client = srv.client()
             job = tiny_job()
@@ -95,8 +92,7 @@ def test_persistent_errors_quarantine_through_the_service(tmp_path):
 
 def test_worker_kill_mid_point_recovers_through_the_service(tmp_path):
     """A pool worker killed mid-point: respawn, re-verify, same bits."""
-    plan = ServiceChaosPlan(worker=ChaosPlan(kills={0: (1,)}))
-    with plan:
+    with ChaosPlan(kills={0: (1,)}):
         with ServerThread(
             tmp_path / "state", tmp_path / "svc.sock", sweep_workers=2
         ) as srv:
@@ -107,30 +103,16 @@ def test_worker_kill_mid_point_recovers_through_the_service(tmp_path):
     assert strip_quality(result["rows"]) == clean_rows(job)
 
 
-def test_chaos_does_not_outlive_the_server(tmp_path):
-    """Stopping a chaos server un-publishes the worker plan it installed."""
-    import os
-
-    from repro.faults.chaos import CHAOS_ENV
-
-    plan = ServiceChaosPlan(worker=ChaosPlan(errors={0: (1,)}))
-    with plan:
-        with ServerThread(tmp_path / "state", tmp_path / "svc.sock"):
-            assert os.environ.get(CHAOS_ENV)
-    assert os.environ.get(CHAOS_ENV) is None
-
-
 def test_dropped_watch_streams_deliver_every_event_exactly_once(tmp_path):
     """``drop_stream_after=1``: the client reconnects with ``since=`` and
     still sees a dense, duplicate-free event sequence ending terminal."""
-    plan = ServiceChaosPlan(drop_stream_after=1)
-    with plan:
-        with ServerThread(tmp_path / "state", tmp_path / "svc.sock") as srv:
-            client = srv.client()
-            job = tiny_job()
-            key = client.submit(job)["key"]
-            events = list(client.watch(key))
-            streams = srv.server.stats["watch_streams"]
+    with ServerThread(tmp_path / "state", tmp_path / "svc.sock") as srv:
+        srv.server.drop_stream_after = 1
+        client = srv.client()
+        job = tiny_job()
+        key = client.submit(job)["key"]
+        events = list(client.watch(key))
+        streams = srv.server.stats["watch_streams"]
     seqs = [e["seq"] for e in events]
     assert seqs == list(range(1, len(seqs) + 1))  # dense, no gaps
     assert len(set(seqs)) == len(seqs)  # no duplicates
@@ -141,18 +123,15 @@ def test_dropped_watch_streams_deliver_every_event_exactly_once(tmp_path):
 
 def test_dropped_stream_without_reconnect_raises_nothing_but_stops_short(tmp_path):
     """``reconnect=False`` surfaces the cut instead of papering over it."""
-    plan = ServiceChaosPlan(drop_stream_after=1)
-    with plan:
-        with ServerThread(tmp_path / "state", tmp_path / "svc.sock") as srv:
-            client = srv.client()
-            job = tiny_job()
-            key = client.submit(job)["key"]
-            # drain the job first so the backlog is complete and the cut
-            # is deterministic: exactly one event per connection
-            ServiceChaosPlan.clear_env()
-            done_key = job_key(job)
-            assert done_key == key
-            client.wait(key)
-            events = list(client.watch(key, reconnect=False))
+    with ServerThread(tmp_path / "state", tmp_path / "svc.sock") as srv:
+        srv.server.drop_stream_after = 1
+        client = srv.client()
+        job = tiny_job()
+        key = client.submit(job)["key"]
+        # drain the job first so the backlog is complete and the cut
+        # is deterministic: exactly one event per connection
+        assert job_key(job) == key
+        client.wait(key)
+        events = list(client.watch(key, reconnect=False))
     assert len(events) == 1
     assert events[0]["seq"] == 1

@@ -26,7 +26,7 @@ from pathlib import Path
 import pytest
 
 from repro.config import KERNEL_MODES, machine_content_token, machine_from_dict, nehalem_config
-from repro.core.journal import JournalState, journal_path, read_journal_records
+from repro.core.journal import JournalState, RunJournal, journal_path, read_journal_records
 from repro.core.parallel import (
     SupervisorPolicy,
     SweepSpec,
@@ -40,7 +40,6 @@ from repro.errors import ConfigError
 from repro.scenarios.grid import _machine_token, compile_grid
 from repro.service import JobSpec, ServiceClient, job_key, job_run_id
 from repro.service.protocol import ServiceError, job_from_wire, job_to_wire
-from repro.service.server import SERVICE_JOURNAL, SERVICE_JOURNAL_VERSION
 from repro.workloads import TargetSpec
 
 WS = TargetSpec(kind="micro.random", working_set_mb=1.0, seed=7)
@@ -163,13 +162,8 @@ def test_pre_removal_journaled_job_resumes(tmp_path):
     run_sweep(
         batch_spec(job), SIZES, journal_dir=journals, run_id=job_run_id(key), policy=SUPERVISED
     )
-    (journals / SERVICE_JOURNAL).write_text(
-        json.dumps(
-            {"type": "job", "service_format": SERVICE_JOURNAL_VERSION,
-             "state": "submitted", "key": key, "job": wire}
-        )
-        + "\n"
-    )
+    with RunJournal.start(tmp_path / "state", "service") as journal:
+        journal.mark(key, "running", wire)
     from repro.service import ServerThread
 
     with ServerThread(tmp_path / "state", tmp_path / "svc.sock") as srv:
@@ -331,25 +325,12 @@ def test_journaled_job_with_retired_kernel_is_counted_on_restart(tmp_path, caplo
     from repro.service import ServerThread
 
     state = tmp_path / "state"
-    journals = state / "journals"
-    journals.mkdir(parents=True)
     good = tiny_job()
     retired = job_to_wire(tiny_job(seed=5))
     retired["machine"]["kernel"] = "batch"
-    records = [
-        {"key": "old-batch-job", "job": retired},
-        {"key": job_key(good), "job": job_to_wire(good)},
-    ]
-    (journals / SERVICE_JOURNAL).write_text(
-        "".join(
-            json.dumps(
-                {"type": "job", "service_format": SERVICE_JOURNAL_VERSION,
-                 "state": "submitted", **r}
-            )
-            + "\n"
-            for r in records
-        )
-    )
+    with RunJournal.start(state, "service") as journal:
+        journal.mark("old-batch-job", "running", retired)
+        journal.mark(job_key(good), "running", job_to_wire(good))
     with caplog.at_level("WARNING", logger="repro.service"):
         with ServerThread(state, tmp_path / "svc.sock") as srv:
             stats = srv.client().stats()["stats"]
@@ -451,13 +432,8 @@ def test_sigkill_server_mid_sweep_then_restart_resumes(tmp_path):
     }
     assert done_at_kill, "kill landed before any point finished"
     assert len(done_at_kill) < len(job.sizes_mb), "kill landed after the sweep"
-    # the service journal still says submitted (never done): an orphan
-    records = [
-        r
-        for r in read_journal_records(state / "journals" / SERVICE_JOURNAL)
-        if r.get("key") == key
-    ]
-    assert records and records[-1]["state"] == "submitted"
+    # the service journal still says running (never done): an orphan
+    assert JournalState.load(state, "service").tasks == {key: "running"}
 
     proc = subprocess.Popen(
         _serve_cmd(sock, state), env=env,
@@ -471,6 +447,8 @@ def test_sigkill_server_mid_sweep_then_restart_resumes(tmp_path):
         proc.terminate()
         proc.wait(timeout=30)
 
+    # the restart resumed the one service journal rather than starting another
+    assert JournalState.load(state, "service").generations == 2
     # zero re-executed completed points
     assert result["stats"]["journal_hits"] == len(done_at_kill)
     assert result["stats"]["measured"] == len(job.sizes_mb) - len(done_at_kill)

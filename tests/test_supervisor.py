@@ -74,7 +74,6 @@ def test_policy_defaults_valid():
         dict(point_timeout_s=0.0),
         dict(point_timeout_s=-1.0),
         dict(max_point_failures=0),
-        dict(heartbeat_interval_s=0.0),
     ],
 )
 def test_policy_rejects_bad_budgets(kwargs):
