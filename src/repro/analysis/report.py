@@ -47,9 +47,12 @@ def format_quality_report(curve) -> str:
     retried = [q for q in records if q.attempts > 1 and q.valid and not q.degraded]
     degraded = [q for q in records if q.degraded]
     failed = [q for q in records if not q.valid]
-    clean = len(records) - len(retried) - len(degraded) - len(failed)
+    # supervision without a retry policy records only quarantined points
+    unrecorded = sum(1 for p in curve.points if p.cache_bytes not in quality)
+    total = len(records) + unrecorded
+    clean = total - len(retried) - len(degraded) - len(failed)
     lines = [
-        f"quality: {len(records)} points — {clean} clean, {len(retried)} recovered "
+        f"quality: {total} points — {clean} clean, {len(retried)} recovered "
         f"by retry, {len(degraded)} degraded, {len(failed)} failed"
     ]
     for q in degraded:

@@ -55,8 +55,10 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
+from .analysis.merge import assemble_curve
 from .analysis.plot import plot_performance_curve
 from .analysis.report import format_quality_report
 from .analysis.reuse import reuse_profile
@@ -68,8 +70,11 @@ from .core.parallel import (
     CACHE_FORMAT,
     ENGINE_TIERS,
     SupervisorPolicy,
+    SweepSpec,
     check_sweep_engine,
     resolve_engine,
+    run_sweep,
+    sweep_points,
 )
 from .core.resilience import PartialCurve, RetryPolicy, measure_point_resilient
 from .errors import ConfigError, MeasurementError
@@ -96,10 +101,11 @@ def _factory(name: str, seed: int) -> TargetSpec:
     return benchmark_target(name, seed=seed)
 
 
-def _parse_sizes(text: str, *, what: str = "--sizes", max_mb: float | None = None) -> list[float]:
-    """Parse a comma-separated MB list, rejecting junk before any simulation runs."""
-    if max_mb is None:
-        max_mb = nehalem_config().l3.size / MB
+def _parse_sizes(text: str, *, check_range: bool = True) -> list[float]:
+    """Parse a comma-separated MB list, rejecting junk before any simulation
+    runs.  ``repro sweep``/``submit`` pass ``check_range=False``: their
+    sizes are checked by :func:`~repro.core.parallel.sweep_points`."""
+    max_mb = nehalem_config().l3.size / MB
     sizes = []
     for s in text.split(","):
         s = s.strip()
@@ -108,15 +114,44 @@ def _parse_sizes(text: str, *, what: str = "--sizes", max_mb: float | None = Non
         try:
             v = float(s)
         except ValueError:
-            raise _CLIError(f"{what}: {s!r} is not a number") from None
-        if not v > 0:
-            raise _CLIError(f"{what}: sizes must be positive, got {s}")
-        if v > max_mb:
-            raise _CLIError(f"{what}: {s}MB exceeds the {max_mb:g}MB L3")
+            raise _CLIError(f"--sizes: {s!r} is not a number") from None
+        if check_range and not v > 0:
+            raise _CLIError(f"--sizes: sizes must be positive, got {s}")
+        if check_range and v > max_mb:
+            raise _CLIError(f"--sizes: {s}MB exceeds the {max_mb:g}MB L3")
         sizes.append(v)
     if not sizes:
-        raise _CLIError(f"{what}: need at least one size")
+        raise _CLIError("--sizes: need at least one size")
     return sizes
+
+
+#: the flag that sets each checked sweep field, so a refused value names it
+_SWEEP_FLAGS = {
+    "sizes_mb": "--sizes",
+    "interval_instructions": "--interval",
+    "n_intervals": "--intervals",
+    "num_pirate_threads": "--threads",
+}
+
+
+def _sweep_args(args, **fields) -> tuple[SweepSpec, list[float]]:
+    """The checked ``(SweepSpec, sizes)`` of ``repro sweep``/``submit``; a
+    refusal (led by its field) is prefixed with the flag that set it."""
+    sizes = _parse_sizes(args.sizes, check_range=False)
+    try:
+        spec = SweepSpec(
+            target=_factory(args.benchmark, args.seed),
+            benchmark=args.benchmark,
+            interval_instructions=args.interval,
+            n_intervals=args.intervals,
+            seed=args.seed,
+            **fields,
+        )
+        sweep_points(spec, sizes)
+    except ConfigError as e:
+        flag = _SWEEP_FLAGS.get(str(e).partition(" ")[0].rstrip(":"))
+        raise _CLIError(f"{flag}: {e}" if flag else str(e)) from None
+    return spec, sizes
 
 
 def _require_positive(value: float, what: str) -> float:
@@ -362,6 +397,15 @@ def cmd_reuse(args, out=print) -> int:
     return 0
 
 
+def _stats_line(stats: dict) -> str:
+    """Where a sweep's points came from (``repro sweep``, ``submit --wait``)."""
+    return (
+        f"measured={stats['measured']} cache={stats['cache_hits']} "
+        f"journal={stats['journal_hits']} retries={stats.get('retries', 0)} "
+        f"quarantined={stats['quarantined']}"
+    )
+
+
 def _export_telemetry(telemetry: Telemetry, path: str, out) -> None:
     """Write the JSONL stream plus an aggregated ``.summary.json`` sibling."""
     write_jsonl(telemetry, path)
@@ -371,15 +415,12 @@ def _export_telemetry(telemetry: Telemetry, path: str, out) -> None:
 
 
 def cmd_sweep(args, out=print) -> int:
-    sizes = _parse_sizes(args.sizes)
-    _require_positive(args.interval, "--interval")
     workers = _resolve_workers(args)
     _require_nonneg_int(args.retries, "--retries")
-    if args.intervals < 1:
-        raise _CLIError(f"--intervals must be >= 1, got {args.intervals}")
     engine, surrogate = _resolve_tier_args(args)
     policy = RetryPolicy(max_attempts=args.retries + 1) if args.retries else None
     telemetry = Telemetry() if args.telemetry else None
+    spec, sizes = _sweep_args(args, config=_engine_config(args), retry=policy)
 
     # -- supervision / durability flags ------------------------------------
     if args.point_timeout is not None:
@@ -419,24 +460,21 @@ def cmd_sweep(args, out=print) -> int:
             out(f"journal run id: {run_id}  (resume with --resume {run_id})")
 
     try:
-        curve = measure_curve_fixed(
-            _factory(args.benchmark, args.seed),
+        results, stats = run_sweep(
+            spec,
             sizes,
-            benchmark=args.benchmark,
-            config=_engine_config(args),
-            interval_instructions=args.interval,
-            n_intervals=args.intervals,
-            seed=args.seed,
-            retry=policy,
+            engine=engine,
+            surrogate=surrogate,
             workers=workers,
             cache_dir=args.cache_dir or None,
-            supervise=supervise,
+            policy=supervise,
             journal_dir=journal_dir,
             run_id=run_id,
             resume=resume,
-            engine=engine,
-            surrogate=surrogate,
             telemetry=telemetry,
+        )
+        curve = assemble_curve(
+            spec.benchmark, results, spec.config.core.clock_hz, telemetry=telemetry
         )
     except MeasurementError as e:
         # e.g. supervision quarantined every point: no curve to print
@@ -445,6 +483,7 @@ def cmd_sweep(args, out=print) -> int:
     out(curve.format_table())
     if isinstance(curve, PartialCurve):
         out(format_quality_report(curve))
+    out("sweep: " + _stats_line(asdict(stats)))
     if args.plot:
         for metric in ("cpi", "bandwidth_gbps", "fetch_ratio"):
             out("")
@@ -695,7 +734,6 @@ def cmd_submit(args, out=print) -> int:
     from .service import JobSpec, ServiceError
 
     client = _service_client(args)
-    jobs: list = []
     if args.grid:
         if args.benchmark:
             raise _CLIError("--grid conflicts with a benchmark argument; pick one")
@@ -705,46 +743,15 @@ def cmd_submit(args, out=print) -> int:
             grid = compile_grid(load_grid_config(args.grid))
         except ConfigError as e:
             raise _CLIError(str(e)) from None
-        for cell in grid.cells:
-            jobs.append(
-                JobSpec(
-                    workload=cell.workload,
-                    sizes_mb=cell.sizes_mb,
-                    benchmark=cell.label,
-                    machine=cell.machine,
-                    pirate_threads=cell.pirate_threads,
-                    interval_instructions=grid.interval_instructions,
-                    n_intervals=grid.n_intervals,
-                    warmup_instructions=grid.warmup_instructions,
-                    engine=cell.engine,
-                    seed=cell.seed,
-                )
-            )
+        jobs = [
+            JobSpec.from_sweep(cell.spec, cell.sizes_mb, engine=cell.engine)
+            for cell in grid.cells
+        ]
     else:
         if not args.benchmark:
             raise _CLIError("submit needs a benchmark name or --grid CONFIG")
-        _require_positive(args.interval, "--interval")
-        if args.intervals < 1:
-            raise _CLIError(f"--intervals must be >= 1, got {args.intervals}")
-        if args.threads < 1:
-            raise _CLIError(f"--threads must be >= 1, got {args.threads}")
-        sizes = _parse_sizes(args.sizes)
-        try:
-            jobs.append(
-                JobSpec(
-                    workload=_factory(args.benchmark, args.seed),
-                    sizes_mb=tuple(sizes),
-                    benchmark=args.benchmark,
-                    pirate_threads=args.threads,
-                    interval_instructions=args.interval,
-                    n_intervals=args.intervals,
-                    engine=args.engine,
-                    seed=args.seed,
-                    run_id=args.run_id,
-                )
-            )
-        except ConfigError as e:
-            raise _CLIError(str(e)) from None
+        spec, sizes = _sweep_args(args, config=nehalem_config(), num_pirate_threads=args.threads)
+        jobs = [JobSpec.from_sweep(spec, sizes, engine=args.engine, run_id=args.run_id)]
     queued = deduped = cached = 0
     keys = []
     try:
@@ -768,12 +775,7 @@ def cmd_submit(args, out=print) -> int:
         if args.wait:
             for key in keys:
                 res = client.wait(key, timeout=3600.0)["result"]
-                s = res["stats"]
-                out(
-                    f"{key[:12]} done measured={s['measured']} "
-                    f"cache={s['cache_hits']} journal={s['journal_hits']} "
-                    f"quarantined={s['quarantined']}"
-                )
+                out(f"{key[:12]} done " + _stats_line(res["stats"]))
     except (ServiceError, OSError) as e:
         raise _CLIError(str(e)) from None
     return 0

@@ -194,10 +194,6 @@ def measure_curve_fixed(
     retry=None,
     workers: int = 0,
     cache_dir=None,
-    supervise=None,
-    journal_dir=None,
-    run_id: str | None = None,
-    resume: bool = False,
     engine: str = "measure",
     surrogate=None,
     telemetry=None,
@@ -220,18 +216,10 @@ def measure_curve_fixed(
     every point through the retry engine and returns a
     :class:`~repro.core.resilience.PartialCurve` with per-point quality.
 
-    ``supervise`` hands :func:`~repro.core.parallel.run_sweep` a
-    :class:`~repro.core.parallel.SupervisorPolicy` — worker watchdogs,
-    bounded retry with quarantine instead of raising on a point's first
-    fault.  Pass ``True`` for the default policy or a policy instance for
-    custom budgets.  ``journal_dir`` (which implies supervision)
-    write-ahead-journals every point under ``run_id`` so ``resume=True``
-    continues a killed run without re-measuring journaled points.
-
     ``engine`` and ``surrogate`` pass straight to
     :func:`~repro.core.parallel.run_sweep`, which runs every engine tier
-    (:data:`~repro.core.parallel.ENGINE_TIERS`) and rejects the
-    combinations an analytic tier cannot honour.
+    (:data:`~repro.core.parallel.ENGINE_TIERS`); supervision and
+    journaling are ``run_sweep``'s own, so ``repro sweep`` calls it directly.
 
     A :class:`~repro.observability.Telemetry` passed as ``telemetry``
     collects per-point spans and engine metrics (cache hits, retries,
@@ -239,7 +227,7 @@ def measure_curve_fixed(
     any cache key.
     """
     from ..analysis.merge import assemble_curve
-    from .parallel import SupervisorPolicy, SweepSpec, run_sweep
+    from .parallel import SweepSpec, run_sweep
 
     config = config or nehalem_config()
     tel = ensure_telemetry(telemetry)
@@ -260,12 +248,6 @@ def measure_curve_fixed(
         retry=retry,
         telemetry=tel.enabled,
     )
-    if isinstance(supervise, SupervisorPolicy):
-        policy = supervise
-    elif supervise or journal_dir is not None or resume:
-        policy = SupervisorPolicy()
-    else:
-        policy = None
     results, _ = run_sweep(
         spec,
         list(sizes_mb),
@@ -273,10 +255,6 @@ def measure_curve_fixed(
         surrogate=surrogate,
         workers=workers,
         cache_dir=cache_dir,
-        policy=policy,
-        journal_dir=journal_dir,
-        run_id=run_id,
-        resume=resume,
         telemetry=tel,
     )
     return assemble_curve(name or "target", results, config.core.clock_hz, telemetry=tel)

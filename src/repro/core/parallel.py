@@ -61,6 +61,7 @@ never through the spec — enabling it cannot change a cache key.
 
 from __future__ import annotations
 
+import math
 import os
 import pickle
 import time
@@ -69,6 +70,7 @@ from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wai
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, fields, replace
 from multiprocessing import get_all_start_methods, get_context
+from numbers import Integral, Real
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -164,6 +166,13 @@ class SweepSpec:
     (use :class:`~repro.workloads.target.TargetSpec`), and the result cache
     additionally requires a ``token()`` method so entries can be keyed by
     workload content.
+
+    The one checked description of a sweep: ``repro sweep``/``submit``, the
+    wire decoder and the grid compiler all build one, and its
+    ``__post_init__`` holds the schedule rules (sizes: :func:`sweep_points`).
+    A refusal is a one-line ``ConfigError`` led by the field name, which
+    each front end prefixes with its own location.  Numbers are stored
+    normalised (``60000`` as ``60000.0``): two spellings, one content key.
     """
 
     target: Callable
@@ -181,6 +190,35 @@ class SweepSpec:
     #: observes a measurement, it never changes one, so flipping it must not
     #: invalidate cached points.
     telemetry: bool = False
+
+    def __post_init__(self) -> None:
+        for name, ok, rule, cast in _SPEC_RULES:
+            value = getattr(self, name)
+            if not ok(value):
+                raise ConfigError(f"{name} must be {rule}, got {value!r}")
+            object.__setattr__(self, name, cast(value))
+
+
+def _is_integer(value) -> bool:
+    """An integer; a bool is not one (``True`` is no thread count)."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _finite(value) -> bool:
+    """A finite real number; a bool is not one (``True`` is no interval)."""
+    return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+#: the schedule rules of a SweepSpec: (field, test, rule as worded, stored type)
+_SPEC_RULES = (
+    ("benchmark", lambda v: isinstance(v, str), "a string", str),
+    ("num_pirate_threads", lambda v: _is_integer(v) and v >= 1, "an integer >= 1", int),
+    ("interval_instructions", lambda v: _finite(v) and v > 0, "a finite number > 0", float),
+    ("n_intervals", lambda v: _is_integer(v) and v >= 1, "an integer >= 1", int),
+    ("warmup_instructions", lambda v: v is None or (_finite(v) and v >= 0),
+     "None or a finite number >= 0", lambda v: None if v is None else float(v)),
+    ("seed", _is_integer, "an integer", int),
+)
 
 
 @dataclass(frozen=True)
@@ -242,21 +280,24 @@ class SweepStats:
 
 
 def sweep_points(spec: SweepSpec, sizes_mb: Sequence[float]) -> list[SweepPoint]:
-    """The sweep's task list, one point per requested size."""
-    if not sizes_mb:
-        raise MeasurementError("need at least one cache size")
+    """The sweep's task list, one point per requested size (as a float).
+
+    The one place sweep sizes are checked: at least one, each a finite
+    number in (0, L3] MB, else a ``ConfigError`` led by ``sizes_mb``."""
+    if len(sizes_mb) == 0:
+        raise ConfigError("sizes_mb needs at least one cache size")
+    l3_mb = spec.config.l3.size / MB
     points = []
     for i, size_mb in enumerate(sizes_mb):
+        if not (_finite(size_mb) and size_mb > 0):
+            raise ConfigError(f"sizes_mb must hold finite numbers > 0, got {size_mb!r}")
+        if size_mb > l3_mb:
+            raise ConfigError(f"sizes_mb: {size_mb:g}MB exceeds the {l3_mb:g}MB L3")
         stolen = spec.config.l3.size - int(size_mb * MB)
-        if not 0 <= stolen <= spec.config.l3.size:
-            raise MeasurementError(
-                f"cannot leave the Target {size_mb}MB of a "
-                f"{spec.config.l3.size / MB:g}MB L3"
-            )
         points.append(
             SweepPoint(
                 index=i,
-                size_mb=size_mb,
+                size_mb=float(size_mb),
                 stolen_bytes=stolen,
                 seed=derive_point_seed(spec.seed, stolen),
             )

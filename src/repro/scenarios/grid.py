@@ -32,7 +32,7 @@ from ..config import (
     nehalem_config,
     tiny_config,
 )
-from ..core.parallel import ENGINE_TIERS
+from ..core.parallel import ENGINE_TIERS, SweepSpec, sweep_points
 from ..errors import ConfigError, ReproError
 from ..rng import stable_seed
 from ..store import checksum
@@ -93,20 +93,25 @@ class ReportOptions:
 class GridCell:
     """One fully-resolved experiment: a workload on a machine under a schedule.
 
+    ``spec`` is the cell's checked :class:`~repro.core.parallel.SweepSpec`,
+    which the runner and ``repro submit --grid`` hand on unchanged.
     ``key`` is the canonical content hash — identical cells from any config
     spelling share it, and the runner uses it to name per-cell artifacts.
     """
 
-    label: str
-    workload: TargetSpec
-    machine: MachineConfig
-    policy: str
-    prefetch: bool
-    pirate_threads: int
+    spec: SweepSpec
     sizes_mb: tuple[float, ...]
     engine: str
-    seed: int
     key: str
+
+    # read-through views of the spec, for rows, progress lines and callers
+    label = property(lambda self: self.spec.benchmark)
+    workload = property(lambda self: self.spec.target)
+    machine = property(lambda self: self.spec.config)
+    policy = property(lambda self: self.spec.config.l3.policy)
+    prefetch = property(lambda self: self.spec.config.prefetch_enabled)
+    pirate_threads = property(lambda self: self.spec.num_pirate_threads)
+    seed = property(lambda self: self.spec.seed)
 
     def coords(self) -> str:
         """Human-readable cell coordinates for progress lines and errors."""
@@ -126,9 +131,6 @@ class CompiledGrid:
     cells: tuple[GridCell, ...]
     #: cells dropped because an identical content key was already expanded
     duplicates: int
-    interval_instructions: float
-    n_intervals: int
-    warmup_instructions: float | None
     report: ReportOptions
     seed: int
 
@@ -251,26 +253,19 @@ def _machine_entry(entry, index: int) -> tuple[str, MachineConfig]:
     return label, config
 
 
-def _pirate_entry(entry, index: int, default_sizes: list[float]) -> tuple[int, tuple[float, ...]]:
-    """Compile one pirate-schedule axis entry into (threads, sizes)."""
+def _pirate_entry(entry, index: int, schedule: SweepSpec) -> tuple[SweepSpec, tuple]:
+    """Compile one pirate-schedule axis entry into (schedule, raw sizes);
+    :func:`sweep_points` checks the sizes once each machine's L3 is known."""
     where = f"axes.pirate[{index}]"
     _check_keys(entry, PIRATE_KEYS, where)
-    threads = entry.get("threads", 1)
-    if not isinstance(threads, int) or threads < 1:
-        raise GridError(f"{where}: threads must be a positive integer, got {threads!r}")
-    sizes = entry.get("sizes_mb", default_sizes)
-    if not isinstance(sizes, (list, tuple)) or not sizes:
-        raise GridError(f"{where}: sizes_mb must be a non-empty list")
-    out = []
-    for s in sizes:
-        try:
-            v = float(s)
-        except (TypeError, ValueError):
-            raise GridError(f"{where}: size {s!r} is not a number") from None
-        if not v > 0:
-            raise GridError(f"{where}: sizes must be positive, got {s}")
-        out.append(v)
-    return threads, tuple(sorted(out))
+    try:
+        schedule = replace(schedule, num_pirate_threads=entry.get("threads", 1))
+    except ConfigError as e:
+        raise GridError(f"{where}: {e}") from None
+    sizes = entry.get("sizes_mb", [2.0, 4.0, 8.0])
+    if not isinstance(sizes, (list, tuple)):
+        raise GridError(f"{where}: sizes_mb must be a list")
+    return schedule, tuple(sizes)
 
 
 def _workload_label(spec: TargetSpec) -> str:
@@ -323,17 +318,11 @@ def compile_grid(config: dict) -> CompiledGrid:
 
     sweep = config.get("sweep", {})
     _check_keys(sweep, SWEEP_KEYS, "sweep")
-    interval = float(sweep.get("interval_instructions", 1e6))
-    if not interval > 0:
-        raise GridError("sweep.interval_instructions must be positive")
-    n_intervals = sweep.get("n_intervals", 2)
-    if not isinstance(n_intervals, int) or n_intervals < 1:
-        raise GridError(f"sweep.n_intervals must be a positive integer, got {n_intervals!r}")
-    warmup = sweep.get("warmup_instructions")
-    if warmup is not None:
-        warmup = float(warmup)
-        if warmup < 0:
-            raise GridError("sweep.warmup_instructions must be >= 0")
+    try:
+        # the schedule every cell shares; each cell fills in the rest
+        schedule = SweepSpec(target=None, benchmark="", config=None, **sweep)
+    except ConfigError as e:
+        raise GridError(f"sweep: {e}") from None
 
     report_cfg = config.get("report", {})
     _check_keys(report_cfg, REPORT_KEYS, "report")
@@ -371,7 +360,7 @@ def compile_grid(config: dict) -> CompiledGrid:
         if not isinstance(p, bool):
             raise GridError(f"axes.prefetch: entries must be booleans, got {p!r}")
     pirates = [
-        _pirate_entry(e, i, [2.0, 4.0, 8.0])
+        _pirate_entry(e, i, schedule)
         for i, e in enumerate(_axis_list(axes, "pirate", [{"threads": 1}]))
     ]
     engines = _axis_list(axes, "engine", ["measure"])
@@ -401,14 +390,17 @@ def compile_grid(config: dict) -> CompiledGrid:
                         l3=replace(base.l3, policy=policy),
                         prefetch_enabled=prefetch,
                     )
-                    for threads, sizes in pirates:
-                        l3_mb = machine.l3.size / MB
-                        bad = [s for s in sizes if s > l3_mb]
-                        if bad:
+                    for i, (pirate, raw_sizes) in enumerate(pirates):
+                        spec = replace(
+                            pirate, target=wl, benchmark=wl_label, config=machine
+                        )
+                        try:
+                            points = sweep_points(spec, raw_sizes)
+                        except ConfigError as e:
                             raise GridError(
-                                f"pirate sizes {bad}MB exceed the {l3_mb:g}MB L3 "
-                                f"of machine {m_label!r}"
-                            )
+                                f"axes.pirate[{i}] on machine {m_label!r}: {e}"
+                            ) from None
+                        sizes = tuple(sorted(p.size_mb for p in points))
                         if report.conformance:
                             try:
                                 check_way_representable(
@@ -428,14 +420,14 @@ def compile_grid(config: dict) -> CompiledGrid:
                                 "workload": wl.token(),
                                 "machine": _machine_token(machine),
                                 "pirate": {
-                                    "threads": threads,
+                                    "threads": spec.num_pirate_threads,
                                     "sizes_mb": list(sizes),
                                 },
                                 "engine": engine,
                                 "sweep": {
-                                    "interval_instructions": interval,
-                                    "n_intervals": n_intervals,
-                                    "warmup_instructions": warmup,
+                                    "interval_instructions": spec.interval_instructions,
+                                    "n_intervals": spec.n_intervals,
+                                    "warmup_instructions": spec.warmup_instructions,
                                 },
                             }
                             key = checksum(token)
@@ -445,15 +437,9 @@ def compile_grid(config: dict) -> CompiledGrid:
                             seen.add(key)
                             cells.append(
                                 GridCell(
-                                    label=wl_label,
-                                    workload=wl,
-                                    machine=machine,
-                                    policy=policy,
-                                    prefetch=prefetch,
-                                    pirate_threads=threads,
+                                    spec=replace(spec, seed=stable_seed(seed, key)),
                                     sizes_mb=sizes,
                                     engine=engine,
-                                    seed=stable_seed(seed, key),
                                     key=key,
                                 )
                             )
@@ -461,9 +447,6 @@ def compile_grid(config: dict) -> CompiledGrid:
         name=name,
         cells=tuple(cells),
         duplicates=duplicates,
-        interval_instructions=interval,
-        n_intervals=n_intervals,
-        warmup_instructions=warmup,
         report=report,
         seed=seed,
     )

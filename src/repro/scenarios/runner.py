@@ -1,7 +1,7 @@
 """Execute a compiled grid through the sweep executor.
 
-Each :class:`~repro.scenarios.grid.GridCell` becomes one
-:class:`~repro.core.parallel.SweepSpec` and one
+Each :class:`~repro.scenarios.grid.GridCell` carries its compiled
+:class:`~repro.core.parallel.SweepSpec`, and the runner hands it to one
 :func:`~repro.core.parallel.run_sweep` call with the cell's engine tier,
 so every point inherits the existing machinery wholesale: process-pool
 fan-out, content-derived seeds, and the sha256
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from ..core.curves import PerformanceCurve
-from ..core.parallel import SweepSpec, run_sweep
+from ..core.parallel import run_sweep
 from ..observability import ensure_telemetry
 from ..store import Format, Store
 from .grid import CompiledGrid, GridCell
@@ -210,21 +210,10 @@ def run_cell(
 ) -> CellResult:
     """Execute one cell through :func:`run_sweep`; pure in (cell, grid)."""
     tel = ensure_telemetry(telemetry)
-    spec = SweepSpec(
-        target=cell.workload,
-        benchmark=cell.label,
-        config=cell.machine,
-        num_pirate_threads=cell.pirate_threads,
-        interval_instructions=grid.interval_instructions,
-        n_intervals=grid.n_intervals,
-        warmup_instructions=grid.warmup_instructions,
-        seed=cell.seed,
-    )
-    sizes = list(cell.sizes_mb)
     with tel.span("grid_cell", cell=cell.key[:12], engine=cell.engine):
         results, stats = run_sweep(
-            spec,
-            sizes,
+            cell.spec,
+            list(cell.sizes_mb),
             engine=cell.engine,
             workers=workers,
             cache_dir=cache_dir,

@@ -9,12 +9,14 @@ else from each other, so a protocol change is a one-file diff — and the
 ``service`` golden pins the envelope and event schema against drift.
 
 The key property the protocol must preserve is *content addressing*: a
-:class:`JobSpec` maps deterministically onto the same
-:class:`~repro.core.parallel.SweepSpec` that ``repro sweep`` builds, so
-its key is derived from :func:`~repro.core.parallel.sweep_spec_sha` —
-the exact identity the PR 6 journal pins and the sweep cache keys by.
-Submitting the same curve twice, from two clients, or once via the
-batch CLI and once via the service, is one execution.
+:class:`JobSpec` maps onto the same :class:`~repro.core.parallel.SweepSpec`
+that ``repro sweep`` builds, so its key is derived from
+:func:`~repro.core.parallel.sweep_spec_sha` — the exact identity the run
+journal pins and the sweep cache keys by.  Submitting the same curve
+twice, from two clients, or once via the batch CLI and once via the
+service, is one execution.  The sweep rules live in ``SweepSpec`` and
+:func:`~repro.core.parallel.sweep_points`: a job is checked by building
+them, and the decoder prefixes every refusal with ``job:``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from ..config import MachineConfig, machine_from_dict, machine_to_dict, nehalem_
 from ..core.harness import DEFAULT_INTERVAL_INSTRUCTIONS
 from ..core.journal import check_run_id
 from ..core.monitor import DEFAULT_FETCH_RATIO_THRESHOLD
-from ..core.parallel import SweepSpec, resolve_engine, sweep_spec_sha
+from ..core.parallel import SweepSpec, resolve_engine, sweep_points, sweep_spec_sha
 from ..errors import ConfigError, ReproError
 from ..store import checksum
 from ..workloads import TargetSpec
@@ -79,12 +81,12 @@ class ServiceError(ReproError):
 class JobSpec:
     """One submittable curve: a workload, a machine, and a size grid.
 
-    This is the service's unit of work and deliberately mirrors the
-    arguments of :func:`~repro.core.harness.measure_curve_fixed` — a job
-    *is* one fixed-size sweep, whatever the engine tier.  ``run_id`` is
-    the only field excluded from the content key: it overrides the
-    journal id (for adopting a journal written by ``repro sweep``) and
-    changes where progress is journaled, never what is computed.
+    The service's unit of work: a job *is* one fixed-size sweep, whatever
+    the engine tier, and checks itself by building its
+    :meth:`sweep_spec` and sweep points.  ``run_id`` is the only field
+    excluded from the content key: it overrides the journal id (for
+    adopting a journal written by ``repro sweep``) and changes where
+    progress is journaled, never what is computed.
     """
 
     workload: TargetSpec
@@ -100,45 +102,47 @@ class JobSpec:
     run_id: str = ""
 
     def __post_init__(self) -> None:
-        if not isinstance(self.workload, TargetSpec):
-            raise ConfigError("job workload must be a TargetSpec")
-        if not self.sizes_mb:
-            raise ConfigError("job needs at least one sweep size")
-        if any(not s > 0 for s in self.sizes_mb):
-            raise ConfigError(f"sweep sizes must be positive, got {self.sizes_mb}")
         resolve_engine(self.engine)
-        if self.pirate_threads < 1:
-            raise ConfigError("pirate_threads must be >= 1")
-        if self.n_intervals < 1:
-            raise ConfigError("n_intervals must be >= 1")
-        if not self.interval_instructions > 0:
-            raise ConfigError("interval_instructions must be positive")
         if self.run_id != "":
             check_run_id(self.run_id, ConfigError)
+        sweep_points(self.sweep_spec(), self.sizes_mb)
 
-    def sweep_spec(self, *, telemetry_enabled: bool = False) -> SweepSpec:
-        """The exact SweepSpec ``measure_curve_fixed`` would build.
+    @classmethod
+    def from_sweep(
+        cls, spec: SweepSpec, sizes_mb, *, engine: str = "measure", run_id: str = ""
+    ) -> JobSpec:
+        """The job that runs ``spec`` over ``sizes_mb``: the inverse of
+        :meth:`sweep_spec`.  The wire carries no retry policy or threshold,
+        so a spec with either is refused rather than silently changed."""
+        if spec.retry is not None or spec.threshold != DEFAULT_FETCH_RATIO_THRESHOLD:
+            raise ConfigError("a job carries no retry policy or fetch-ratio threshold")
+        kw = {job: getattr(spec, sweep) for job, sweep in _SWEEP_FIELDS.items()}
+        return cls(sizes_mb=tuple(sizes_mb), engine=engine, run_id=run_id, **kw)
 
-        Field-for-field parity with the harness matters twice over: it
-        makes service results bit-identical to the batch CLI, and it
-        makes :func:`~repro.core.parallel.sweep_spec_sha` agree, so the
-        server can resume a journal written by ``repro sweep`` and vice
-        versa.  (``telemetry`` is excluded from the spec token, so the
-        flag cannot fork keys.)
+    def sweep_spec(self) -> SweepSpec:
+        """The SweepSpec this job runs.
+
+        It is the one the batch CLI builds for the same sweep, so service
+        results are bit-identical to ``repro sweep`` and
+        :func:`~repro.core.parallel.sweep_spec_sha` agrees: the server can
+        resume a journal written by ``repro sweep`` and vice versa.
         """
-        return SweepSpec(
-            target=self.workload,
-            benchmark=self.benchmark or self.workload.name or self.workload.kind,
-            config=self.machine,
-            num_pirate_threads=self.pirate_threads,
-            interval_instructions=self.interval_instructions,
-            n_intervals=self.n_intervals,
-            warmup_instructions=self.warmup_instructions,
-            threshold=DEFAULT_FETCH_RATIO_THRESHOLD,
-            seed=self.seed,
-            retry=None,
-            telemetry=telemetry_enabled,
-        )
+        kw = {sweep: getattr(self, job) for job, sweep in _SWEEP_FIELDS.items()}
+        kw["benchmark"] = self.benchmark or self.workload.name or self.workload.kind
+        return SweepSpec(**kw)
+
+
+#: JobSpec field -> SweepSpec field, for every field the two share
+_SWEEP_FIELDS = {
+    "workload": "target",
+    "benchmark": "benchmark",
+    "machine": "config",
+    "pirate_threads": "num_pirate_threads",
+    "interval_instructions": "interval_instructions",
+    "n_intervals": "n_intervals",
+    "warmup_instructions": "warmup_instructions",
+    "seed": "seed",
+}
 
 
 def job_key(job: JobSpec) -> str:
@@ -169,33 +173,30 @@ def job_from_wire(data: dict) -> JobSpec:
     """Rebuild and validate a JobSpec from :func:`job_to_wire` output.
 
     Every malformed shape — wrong types, unknown fields, semantic junk —
-    surfaces as a single :class:`ServiceError` with HTTP status 400, so
-    the server never turns a garbled request into a stack trace.
+    surfaces as one ``job:``-prefixed :class:`ServiceError` (HTTP 400): the
+    server never turns a garbled request into a trace or a doomed job.
     """
     if not isinstance(data, dict):
-        raise ServiceError(f"job must be a mapping, got {type(data).__name__}")
+        raise ServiceError(f"job: must be a mapping, got {type(data).__name__}")
     known = {f.name for f in fields(JobSpec)}
     unknown = sorted(set(data) - known)
     if unknown:
         raise ServiceError(f"job: unknown field(s) {', '.join(map(repr, unknown))}")
     if "workload" not in data or "sizes_mb" not in data:
-        raise ServiceError("job needs 'workload' and 'sizes_mb'")
+        raise ServiceError("job: needs 'workload' and 'sizes_mb'")
     kwargs = dict(data)
     try:
         workload = kwargs["workload"]
         if not isinstance(workload, dict):
-            raise ConfigError("job workload must be a mapping")
+            raise ConfigError("workload must be a mapping")
         kwargs["workload"] = TargetSpec(**workload)
         if "machine" in kwargs:
             kwargs["machine"] = machine_from_dict(kwargs["machine"])
-        sizes = kwargs["sizes_mb"]
-        if not isinstance(sizes, (list, tuple)):
-            raise ConfigError("job sizes_mb must be a list")
-        kwargs["sizes_mb"] = tuple(float(s) for s in sizes)
+        if not isinstance(kwargs["sizes_mb"], (list, tuple)):
+            raise ConfigError("sizes_mb must be a list")
+        kwargs["sizes_mb"] = tuple(kwargs["sizes_mb"])
         return JobSpec(**kwargs)
-    except ConfigError as e:
-        raise ServiceError(f"job: {e}") from None
-    except (TypeError, ValueError) as e:
+    except (ConfigError, TypeError, ValueError, OverflowError) as e:
         raise ServiceError(f"job: {e}") from None
 
 

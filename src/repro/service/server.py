@@ -335,7 +335,8 @@ class SweepServer:
         A measured job runs supervised under a run journal keyed by its
         content key; the analytic tiers take neither.
         """
-        spec = job.spec.sweep_spec(telemetry_enabled=self.tel.enabled)
+        # run_sweep turns on the spec's telemetry flag when self.tel is live
+        spec = job.spec.sweep_spec()
         sizes = list(job.spec.sizes_mb)
         durability = {}
         if job.spec.engine == "measure":

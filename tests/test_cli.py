@@ -171,6 +171,11 @@ def test_validate_telemetry_export(tmp_path):
         (["validate", "doom"], "unknown benchmark"),
         (["sweep", "povray", "--serial", "--workers", "3"], "--serial conflicts"),
         (["experiments", "--serial", "--workers", "2"], "--serial conflicts"),
+        (["sweep", "povray", "--interval", "0"], "--interval: interval_instructions"),
+        (["sweep", "povray", "--interval", "inf"], "--interval: interval_instructions"),
+        (["sweep", "povray", "--intervals", "0"], "--intervals: n_intervals"),
+        (["sweep", "povray", "--sizes", "9.5"], "--sizes: sizes_mb: 9.5MB exceeds the 8MB L3"),
+        (["sweep", "povray", "--sizes", "0"], "--sizes: sizes_mb must hold finite numbers > 0"),
     ],
 )
 def test_bad_arguments_fail_fast_with_one_line_error(argv, fragment):
@@ -247,6 +252,17 @@ def test_sweep_under_chaos_env_recovers_or_quarantines(monkeypatch):
     assert set(rows) == {"8.0"}
     assert rows["8.0"].startswith(table(clean)["8.0"])
     assert "1 failed" in out.text and "quarantined" in out.text
+
+
+def test_supervised_sweep_reports_retries_and_counts_every_point(monkeypatch):
+    """Point 0 errors once and recovers, point 1 errors past the budget:
+    the summary counts both points and the stats line shows the retries."""
+    monkeypatch.setenv(CHAOS_ENV, '{"errors": {"0": [1], "1": [1, 2]}}')
+    out = Sink()
+    assert main(SWEEP_FAST + ["--supervise"], out=out) == 0
+    assert "quality: 2 points — 1 clean, 0 recovered by retry, 0 degraded, 1 failed" in out.text
+    (stats,) = [l for l in out.lines if l.startswith("sweep: ")]
+    assert stats == "sweep: measured=1 cache=0 journal=0 retries=2 quarantined=1"
 
 
 def test_sweep_with_every_point_quarantined_prints_one_error_line(monkeypatch):

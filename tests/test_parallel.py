@@ -57,6 +57,54 @@ def small_spec(**overrides) -> SweepSpec:
     return SweepSpec(**defaults)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("num_pirate_threads", 0),
+        ("num_pirate_threads", 1.5),
+        ("num_pirate_threads", True),
+        ("interval_instructions", 0.0),
+        ("interval_instructions", float("nan")),
+        ("interval_instructions", float("inf")),
+        ("interval_instructions", "60000"),
+        ("n_intervals", 0),
+        ("n_intervals", 1.5),
+        ("n_intervals", True),
+        ("warmup_instructions", -5),
+        ("warmup_instructions", float("inf")),
+        ("seed", "x"),
+        ("seed", 1.0),
+        ("benchmark", 7),
+    ],
+)
+def test_sweep_spec_refuses_a_broken_schedule(field, value):
+    with pytest.raises(ConfigError, match=rf"^{field} must be ") as e:
+        small_spec(**{field: value})
+    assert "\n" not in str(e.value)
+
+
+def test_sweep_spec_normalises_numbers():
+    spec = small_spec(interval_instructions=40_000, warmup_instructions=0)
+    assert type(spec.interval_instructions) is float
+    assert type(spec.warmup_instructions) is float
+    assert spec_token(spec) == spec_token(small_spec(warmup_instructions=0.0))
+
+
+@pytest.mark.parametrize(
+    "sizes, match",
+    [
+        ([], "at least one"),
+        ([0.0], "finite numbers > 0"),
+        ([float("inf")], "finite numbers > 0"),
+        (["2"], "finite numbers > 0"),
+        ([9.0], "9MB exceeds the 8MB L3"),
+    ],
+)
+def test_sweep_points_refuses_bad_sizes(sizes, match):
+    with pytest.raises(ConfigError, match=match):
+        sweep_points(small_spec(), sizes)
+
+
 def rows(results, clock_hz=nehalem_config().core.clock_hz):
     return assemble_curve("t", results, clock_hz).to_rows()
 

@@ -196,6 +196,14 @@ def test_machine_axis_expands_geometry():
             r"axes\.machine\[0\]: l3_mb must be a finite number",
         ),
         (lambda c: c["sweep"].update(n_intervals=0), "n_intervals"),
+        (
+            lambda c: c["sweep"].update(interval_instructions="abc"),
+            r"sweep: interval_instructions must be a finite number",
+        ),
+        (
+            lambda c: c["sweep"].update(warmup_instructions="x"),
+            r"sweep: warmup_instructions must be None or a finite number",
+        ),
         (lambda c: c.update(seed="abc"), "seed"),
     ],
 )

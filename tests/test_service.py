@@ -12,6 +12,7 @@ and the happy paths.
 import asyncio
 import json
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -62,7 +63,13 @@ def server(tmp_path):
 
 
 def test_job_wire_round_trip():
-    job = tiny_job(machine=tiny_config(policy="lru"), engine="auto", run_id="r1")
+    # sizes within the tiny machine's 8KB L3: a job that cannot fit is refused
+    job = tiny_job(
+        machine=tiny_config(policy="lru"),
+        sizes_mb=(0.00390625, 0.0078125),
+        engine="auto",
+        run_id="r1",
+    )
     assert job_from_wire(job_to_wire(job)) == job
 
 
@@ -77,6 +84,8 @@ def test_job_key_is_engine_and_sweep_content():
     assert job_key(base) != job_key(tiny_job(engine="surrogate"))
     assert job_key(base) != job_key(tiny_job(seed=12))
     assert job_key(base) != job_key(tiny_job(sizes_mb=(8.0, 2.0)))  # order pins
+    # an int interval is the same sweep as its float spelling
+    assert job_key(tiny_job(interval_instructions=40_000)) == job_key(tiny_job())
 
 
 def test_job_key_ignores_run_id():
@@ -87,7 +96,7 @@ def test_job_key_matches_sweep_spec_sha():
     """The service key is built on the exact hash the run journal pins."""
     job = tiny_job()
     assert sweep_spec_sha(job.sweep_spec(), list(job.sizes_mb)) == sweep_spec_sha(
-        job.sweep_spec(telemetry_enabled=True), list(job.sizes_mb)
+        replace(job.sweep_spec(), telemetry=True), list(job.sizes_mb)
     )
 
 
@@ -123,11 +132,23 @@ def test_job_spec_validates(mutate):
         {"workload": {"kind": "micro.random"}, "sizes_mb": [2.0], "run_id": " pad"},
         {"workload": {"kind": "micro.random"}, "sizes_mb": [2.0], "run_id": "a\0b"},
         {"workload": {"kind": "micro.random"}, "sizes_mb": [2.0], "run_id": None},
+        # each breaks a SweepSpec or sweep_points rule: refused at submit,
+        # never queued to fail (or retry and quarantine) in a job thread
+        {"workload": {"kind": "micro.random"}, "sizes_mb": [2.0], "n_intervals": 1.5},
+        {"workload": {"kind": "micro.random"}, "sizes_mb": [2.0], "pirate_threads": 1.5},
+        {"workload": {"kind": "micro.random"}, "sizes_mb": [float("inf")]},
+        {"workload": {"kind": "micro.random"}, "sizes_mb": [100.0]},  # 8MB L3
+        {"workload": {"kind": "micro.random"}, "sizes_mb": [2.0], "seed": "x"},
+        {"workload": {"kind": "micro.random"}, "sizes_mb": [2.0], "warmup_instructions": -5},
+        {"workload": {"kind": "micro.random"}, "sizes_mb": [2.0], "n_intervals": True},
+        {"workload": {"kind": "micro.random"}, "sizes_mb": [2.0], "benchmark": 7},
     ],
 )
 def test_job_from_wire_rejects_junk(wire):
-    with pytest.raises(ServiceError):
+    with pytest.raises(ServiceError) as e:
         job_from_wire(wire)
+    assert e.value.status == 400
+    assert "\n" not in str(e.value)
 
 
 def test_normalize_envelope_zeroes_volatile_fields():

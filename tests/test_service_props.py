@@ -93,18 +93,7 @@ def test_service_rows_match_grid_cells(tmp_path):
     with ServerThread(tmp_path / "state", tmp_path / "svc.sock") as srv:
         client = srv.client()
         for cell in grid.cells:
-            job = JobSpec(
-                workload=cell.workload,
-                sizes_mb=cell.sizes_mb,
-                benchmark=cell.label,
-                machine=cell.machine,
-                pirate_threads=cell.pirate_threads,
-                interval_instructions=grid.interval_instructions,
-                n_intervals=grid.n_intervals,
-                warmup_instructions=grid.warmup_instructions,
-                engine=cell.engine,
-                seed=cell.seed,
-            )
+            job = JobSpec.from_sweep(cell.spec, cell.sizes_mb, engine=cell.engine)
             result = client.wait(client.submit(job)["key"])["result"]
             expected = by_label_engine[(cell.key[:12], cell.engine)]
             got = [

@@ -119,7 +119,9 @@ def test_supervised_measure_curve_fixed_matches_plain():
         seed=11,
     )
     plain = measure_curve_fixed(factory, SIZES, **kwargs)
-    supervised = measure_curve_fixed(factory, SIZES, supervise=True, **kwargs)
+    spec = SweepSpec(target=factory, config=nehalem_config(), **kwargs)
+    results, _ = run_sweep(spec, SIZES, policy=SUPERVISED)
+    supervised = assemble_curve(spec.benchmark, results, spec.config.core.clock_hz)
     assert supervised.to_rows() == plain.to_rows()
 
 

@@ -22,7 +22,13 @@ from repro.analysis.merge import assemble_curve, ordered_results
 from repro.cli import main
 from repro.config import nehalem_config
 from repro.core import measure_curve_fixed
-from repro.core.parallel import SweepSpec, point_cache_key, run_sweep, sweep_points
+from repro.core.parallel import (
+    SupervisorPolicy,
+    SweepSpec,
+    point_cache_key,
+    run_sweep,
+    sweep_points,
+)
 from repro.core.resilience import PartialCurve, RetryPolicy
 from repro.errors import ConfigError, MeasurementError
 from repro.surrogate import SurrogatePolicy, surrogate_point_key
@@ -194,11 +200,11 @@ def test_unknown_engine_rejected_before_anything_runs():
 
 
 def test_analytic_engines_refuse_supervision():
-    target = TargetSpec(kind="micro.random", working_set_mb=0.5, seed=7)
+    spec = small_spec(target=TargetSpec(kind="micro.random", working_set_mb=0.5, seed=7))
     with pytest.raises(ConfigError, match="conflicts with supervision"):
-        measure_curve_fixed(target, [8.0], engine="surrogate", supervise=True)
+        run_sweep(spec, [8.0], engine="surrogate", policy=SupervisorPolicy())
     with pytest.raises(ConfigError, match="conflicts with supervision"):
-        measure_curve_fixed(target, [8.0], engine="auto", resume=True)
+        run_sweep(spec, [8.0], engine="auto", resume=True)
 
 
 def test_surrogate_policy_validates_fields():
