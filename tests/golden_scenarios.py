@@ -177,6 +177,93 @@ def grid_scenario(workers: int = 0) -> dict:
     }
 
 
+def _deterministic_records(tel: Telemetry) -> list[dict]:
+    """A telemetry stream with its wall-clock fields dropped: span and event
+    names, attributes, nesting and simulated cycles, in recorded order."""
+    return [{k: v for k, v in r.items() if k != "wall_s"} for r in tel.spans.records]
+
+
+def harnesses_scenario() -> dict:
+    """Every harness that drives the machine outside the fixed sweep.
+
+    The dynamic and multithreaded harnesses (with and without a retry
+    policy, their telemetry streams included), the Bandit's bandwidth
+    curve, the throughput-scaling measurement, the reference calibration's
+    baseline fetch ratio and the phase profiler, each at a tiny size.
+    Every number here depends on where the quantum loop stops, so a change
+    to the machine's stop conditions that moves any of them shows up as a
+    diff.
+    """
+    from dataclasses import asdict
+
+    from repro.analysis.scaling import measure_throughput
+    from repro.core import RetryPolicy, measure_curve_dynamic
+    from repro.core.bandit import measure_bandwidth_curve
+    from repro.core.multitarget import make_parallel_target, measure_multithreaded
+    from repro.reference.calibrate import measure_baseline_fetch_ratio
+    from repro.tracing.profiler import profile_workload
+    from repro.units import MB
+    from repro.workloads import make_benchmark
+    from repro.workloads.phased import PhasedWorkload
+
+    def mcf():
+        return make_benchmark("mcf", seed=1)
+
+    def dynamic(policy):
+        tel = Telemetry()
+        res = measure_curve_dynamic(
+            mcf,
+            [8.0, 4.0, 1.0],
+            total_instructions=600_000.0,
+            interval_instructions=60_000.0,
+            seed=2,
+            retry_policy=policy,
+            telemetry=tel,
+        )
+        out = asdict(res)
+        out["curve"] = res.curve.to_rows()
+        out["quality"] = {
+            str(k): asdict(q) for k, q in sorted(getattr(res.curve, "quality", {}).items())
+        }
+        out["telemetry"] = _deterministic_records(tel)
+        return out
+
+    def multithreaded(policy):
+        tel = Telemetry()
+        res = measure_multithreaded(
+            make_parallel_target("mcf", 2, seed=1),
+            int(7.5 * MB),
+            interval_instructions=50_000.0,
+            seed=3,
+            retry_policy=policy,
+            telemetry=tel,
+        )
+        return {**asdict(res), "telemetry": _deterministic_records(tel)}
+
+    def gcc():
+        # the suite's gcc with short phases, so the profile crosses all three
+        phases = make_benchmark("gcc", seed=1).phases
+        return PhasedWorkload("gcc", [(sub, 150_000.0) for sub, _ in phases])
+
+    def pair(i):
+        return make_benchmark(("lbm", "mcf")[i], instance=i)
+
+    retry = RetryPolicy(max_attempts=3, degrade_after_attempt=10**6)
+    bandit = measure_bandwidth_curve(
+        mcf, [20.0, 200.0], interval_instructions=50_000.0, warmup_instructions=50_000.0
+    )
+    return {
+        "dynamic": dynamic(None),
+        "dynamic_retry": dynamic(retry),
+        "multithreaded": multithreaded(None),
+        "multithreaded_retry": multithreaded(retry),
+        "bandwidth": asdict(bandit),
+        "throughput": [asdict(measure_throughput(pair, n, 200_000.0)) for n in (1, 2)],
+        "baseline_fetch_ratio": measure_baseline_fetch_ratio(mcf, 200_000.0),
+        "profile": asdict(profile_workload(gcc, 500_000.0)),
+    }
+
+
 def service_scenario() -> dict:
     """One scripted service session, every envelope and event pinned.
 
@@ -235,4 +322,5 @@ SCENARIOS = {
     "surrogate": surrogate_scenario,
     "grid": grid_scenario,
     "service": service_scenario,
+    "harnesses": harnesses_scenario,
 }
