@@ -17,7 +17,7 @@ import time
 from dataclasses import replace
 
 from repro.config import nehalem_config
-from repro.hardware.machine import Machine
+from repro.hardware.machine import Goal, Machine
 from repro.units import MB
 from repro.workloads import BENCHMARK_NAMES, make_benchmark, make_cigar
 
@@ -29,7 +29,7 @@ def run_point(name: str, size_mb: float, instructions: float, warmup: float, see
     m = Machine(cfg)
     wl = make_cigar(seed=seed) if name == "cigar" else make_benchmark(name, seed=seed)
     t = m.add_thread(wl, core=0, instruction_limit=warmup + instructions)
-    m.run(until=lambda: t.instructions >= warmup)
+    m.run(Goal(t, warmup))
     before = m.counters.sample(0)
     m.run()
     d = m.counters.sample(0).delta(before)

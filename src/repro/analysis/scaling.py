@@ -15,7 +15,7 @@ from typing import Callable
 
 from ..config import MachineConfig, nehalem_config
 from ..errors import MeasurementError
-from ..hardware.machine import Machine
+from ..hardware.machine import Goal, Machine
 from ..hardware.thread import WorkloadLike
 from ..core.curves import PerformanceCurve
 
@@ -115,7 +115,7 @@ def measure_throughput(
     solo = solo_machine.add_thread(
         factory(0), core=0, instruction_limit=warmup_instructions + instructions
     )
-    solo_machine.run(until=lambda: solo.instructions >= warmup_instructions)
+    solo_machine.run(Goal(solo, warmup_instructions))
     solo_t0 = solo_machine.frontier
     solo_c0 = solo_machine.counters.sample(0)
     solo_machine.run()
@@ -138,25 +138,10 @@ def measure_throughput(
         )
         for i in range(instances)
     ]
-    machine.run(
-        until=lambda: all(t.instructions >= warmup_instructions for t in threads)
-    )
+    machine.run(Goal(threads, [warmup_instructions] * instances))
     t0 = machine.frontier
     befores = [machine.counters.sample(i) for i in range(instances)]
-    finish = [None] * instances
-
-    def done() -> bool:
-        complete = True
-        for i, t in enumerate(threads):
-            if t.finished:
-                if finish[i] is None:
-                    finish[i] = t.clock
-            else:
-                complete = False
-        return complete
-
-    machine.run(until=done)
-    done()
+    machine.run()  # every instance runs to its instruction limit
 
     cpis = []
     total_bw = 0.0
@@ -165,7 +150,8 @@ def measure_throughput(
         d = machine.counters.sample(i).delta(befores[i])
         cpis.append(d.cpi)
         total_bw += d.bandwidth_gbps(config.core.clock_hz)
-        instance_cycles = (finish[i] or machine.frontier) - t0
+        # a finished thread's clock stops at its finish time
+        instance_cycles = threads[i].clock - t0
         throughput += solo_cycles / max(instance_cycles, 1.0)
     return ThroughputMeasurement(
         instances=instances,

@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -155,8 +156,9 @@ def _sweep_args(args, **fields) -> tuple[SweepSpec, list[float]]:
 
 
 def _require_positive(value: float, what: str) -> float:
-    if not value > 0:
-        raise _CLIError(f"{what} must be positive, got {value:g}")
+    # an infinite instruction count or timeout would run forever
+    if not (value > 0 and math.isfinite(value)):
+        raise _CLIError(f"{what} must be positive and finite, got {value:g}")
     return value
 
 

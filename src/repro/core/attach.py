@@ -21,8 +21,9 @@ from typing import Callable
 from ..config import MachineConfig, nehalem_config
 from ..errors import MeasurementError
 from ..hardware.counters import CounterSample
+from ..hardware.machine import Goal
 from ..hardware.thread import WorkloadLike
-from .harness import _setup
+from .harness import _setup, measure_interval
 from .monitor import DEFAULT_FETCH_RATIO_THRESHOLD, PirateMonitor
 
 
@@ -64,26 +65,28 @@ def measure_between_markers(
     # instruction limit clamps the last quantum so the attach point is
     # instruction-exact, like a hardware breakpoint at the marker address
     target.instruction_limit = start_marker
-    machine.run_only(target, until=lambda: target.finished)
+    machine.run_only(target, Goal(target, start_marker, or_finished=True))
     target.finished = False
     target.instruction_limit = stop_marker
 
     pirate.set_working_set(stolen_bytes)
     pirate.warm()
 
-    monitor = PirateMonitor(pirate, threshold)
-    before = machine.counters.sample(target.core)
-    monitor.begin()
-    machine.run(until=lambda: target.finished)
-    verdict = monitor.end()
-    delta = machine.counters.sample(target.core).delta(before)
+    target_cache_bytes = config.l3.size - stolen_bytes
+    (sample,) = measure_interval(
+        machine,
+        PirateMonitor(pirate, threshold),
+        Goal(target, stop_marker, or_finished=True),
+        [target.core],
+        target_cache_bytes,
+    )
     # detach: stop stealing (relevant if the caller keeps using the machine)
     pirate.set_working_set(0)
     return AttachWindow(
         start_marker=start_marker,
         stop_marker=stop_marker,
-        target_cache_bytes=config.l3.size - stolen_bytes,
-        target=delta,
-        pirate_fetch_ratio=verdict.fetch_ratio,
-        valid=verdict.trustworthy,
+        target_cache_bytes=target_cache_bytes,
+        target=sample.target,
+        pirate_fetch_ratio=sample.pirate_fetch_ratio,
+        valid=sample.valid,
     )

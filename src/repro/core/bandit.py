@@ -33,7 +33,7 @@ import numpy as np
 from ..config import MachineConfig, nehalem_config
 from ..errors import ConfigError, MeasurementError
 from ..hardware.counters import CounterSample
-from ..hardware.machine import Machine
+from ..hardware.machine import Goal, Machine
 from ..hardware.thread import SimThread, WorkloadLike
 from ..observability import ensure_telemetry
 
@@ -234,13 +234,11 @@ def measure_bandwidth_curve(
                 machine, list(range(1, 1 + num_bandit_threads)), sets_used=sets_used
             )
             bandit.set_gap(gap)
-            warm_goal = warmup_instructions
-            machine.run(until=lambda: target.instructions >= warm_goal)
+            machine.run(Goal(target, warmup_instructions))
 
             before_t = machine.counters.sample(0)
             before_b = bandit.sample()
-            goal = target.instructions + interval_instructions
-            machine.run(until=lambda: target.instructions >= goal)
+            machine.run(Goal(target, target.instructions + interval_instructions))
             d = machine.counters.sample(0).delta(before_t)
             bandit_bw = bandit.achieved_bandwidth_gbps(before_b)
             tel.count("intervals_total")

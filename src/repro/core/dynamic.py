@@ -20,12 +20,12 @@ from typing import Callable
 
 from ..config import MachineConfig, nehalem_config
 from ..errors import MeasurementError
-from ..hardware.machine import Machine
+from ..hardware.machine import Goal, Machine
 from ..hardware.thread import WorkloadLike
 from ..observability import ensure_telemetry
 from ..units import MB
 from .curves import IntervalSample, PerformanceCurve
-from .harness import DEFAULT_INTERVAL_INSTRUCTIONS, _make_target, _setup
+from .harness import DEFAULT_INTERVAL_INSTRUCTIONS, _make_target, _setup, measure_interval
 from .monitor import DEFAULT_FETCH_RATIO_THRESHOLD, PirateMonitor
 from .resilience import (
     AttemptResult,
@@ -165,34 +165,21 @@ def measure_curve_dynamic(
 
     quality: dict[int, PointQuality] = {}
 
+    def upto(instructions: float) -> Goal:
+        # every run here also ends when the Target retires its last instruction
+        return Goal(target, instructions, or_finished=True)
+
     def _measure_interval(stolen: int) -> IntervalSample:
-        with tel.span(
-            "interval", size_mb=(config.l3.size - stolen) / MB
-        ) as sp:
-            before = machine.counters.sample(target.core)
-            t0 = machine.frontier
-            monitor.begin()
-            goal = target.instructions + interval_instructions
-            machine.run(until=lambda: target.instructions >= goal or target.finished)
-            verdict = monitor.end()
-            delta = machine.counters.sample(target.core).delta(before)
-            sp.add_cycles(machine.frontier - t0)
-        tel.count("intervals_total")
-        if not verdict.trustworthy:
-            tel.count("invalid_intervals_total")
-            tel.event(
-                "interval_invalid",
-                reason="pirate_hot",
-                fetch_ratio=verdict.fetch_ratio,
-            )
-        return IntervalSample(
-            target_cache_bytes=config.l3.size - stolen,
-            target=delta,
-            pirate_fetch_ratio=verdict.fetch_ratio,
-            valid=verdict.trustworthy,
-            start_cycle=t0,
-            wall_cycles=machine.frontier - t0,
+        (sample,) = measure_interval(
+            machine,
+            monitor,
+            upto(target.instructions + interval_instructions),
+            [target.core],
+            config.l3.size - stolen,
+            tel,
+            size_mb=(config.l3.size - stolen) / MB,
         )
+        return sample
 
     engine = None if retry_policy is None else RetryEngine(retry_policy, telemetry=tel)
 
@@ -203,14 +190,11 @@ def measure_curve_dynamic(
             if spec.attempt > 1:
                 if target.finished:
                     return None
-                goal = min(target.instructions + spec.warmup_instructions, total_instructions)
-                machine.run_only(
-                    target, until=lambda: target.instructions >= goal or target.finished
-                )
+                warm_to = target.instructions + spec.warmup_instructions
+                machine.run_only(target, upto(min(warm_to, total_instructions)))
                 settle = max(spec.settle_instructions, settle_fraction * interval_instructions)
                 tel.count("fetch_ratio_settle_ticks", settle)
-                goal = target.instructions + settle
-                machine.run(until=lambda: target.instructions >= goal or target.finished)
+                machine.run(upto(target.instructions + settle))
                 if target.finished:
                     return None
             # a final interval is judged on what the Target had left to retire
@@ -247,13 +231,8 @@ def measure_curve_dynamic(
     with run_sp:
         with tel.span("warmup", instructions=initial_warmup_instructions) as sp:
             t0 = machine.frontier
-            goal = min(
-                target.instructions + initial_warmup_instructions,
-                total_instructions * 0.5,
-            )
-            machine.run_only(
-                target, until=lambda: target.instructions >= goal or target.finished
-            )
+            warm_to = target.instructions + initial_warmup_instructions
+            machine.run_only(target, upto(min(warm_to, total_instructions * 0.5)))
             sp.add_cycles(machine.frontier - t0)
 
         while not target.finished:
@@ -267,9 +246,8 @@ def measure_curve_dynamic(
                 pirate.warm()
             elif shrank:
                 # Target's cache grew: let it warm the new space alone
-                goal = min(target.instructions + warm_instr, total_instructions)
                 machine.run_only(
-                    target, until=lambda: target.instructions >= goal or target.finished
+                    target, upto(min(target.instructions + warm_instr, total_instructions))
                 )
             if target.finished:
                 break
@@ -278,8 +256,7 @@ def measure_curve_dynamic(
                 tel.count(
                     "fetch_ratio_settle_ticks", settle_fraction * interval_instructions
                 )
-                goal = target.instructions + settle_fraction * interval_instructions
-                machine.run(until=lambda: target.instructions >= goal or target.finished)
+                machine.run(upto(target.instructions + settle_fraction * interval_instructions))
                 if target.finished:
                     break
 

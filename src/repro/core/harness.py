@@ -15,7 +15,7 @@ from typing import Callable
 
 from ..config import MachineConfig, nehalem_config
 from ..errors import MeasurementError
-from ..hardware.machine import Machine
+from ..hardware.machine import Goal, Machine
 from ..hardware.thread import SimThread, WorkloadLike
 from ..observability import ensure_telemetry
 from ..units import MB
@@ -84,6 +84,55 @@ def export_kernel_telemetry(tel, hierarchy) -> None:
         tel.event("kernel_degraded", reason=hierarchy.kernel_degraded)
 
 
+def measure_interval(
+    machine: Machine,
+    monitor: PirateMonitor,
+    goal: Goal,
+    cores: list[int],
+    target_cache_bytes: int,
+    telemetry=None,
+    **span_attrs,
+) -> list[IntervalSample]:
+    """One monitored measurement interval: run to ``goal`` and judge it.
+
+    Reads the counter banks of ``cores`` (the Target's) before and after
+    the run, brackets it with the Pirate monitor, and returns one sample
+    per core, each carrying the Pirate's fetch-ratio verdict (§II-A).
+    ``telemetry`` records an ``interval`` span with ``span_attrs`` plus the
+    ``intervals_total``/``invalid_intervals_total`` counters and an
+    ``interval_invalid`` event for an untrustworthy interval.
+    """
+    tel = ensure_telemetry(telemetry)
+    with tel.span("interval", **span_attrs) as sp:
+        befores = [machine.counters.sample(c) for c in cores]
+        t0 = machine.frontier
+        monitor.begin()
+        machine.run(goal)
+        verdict = monitor.end()
+        deltas = [machine.counters.sample(c).delta(b) for c, b in zip(cores, befores)]
+        wall = machine.frontier - t0
+        sp.add_cycles(wall)
+    tel.count("intervals_total")
+    if not verdict.trustworthy:
+        tel.count("invalid_intervals_total")
+        tel.event(
+            "interval_invalid",
+            reason="pirate_hot",
+            fetch_ratio=verdict.fetch_ratio,
+        )
+    return [
+        IntervalSample(
+            target_cache_bytes=target_cache_bytes,
+            target=delta,
+            pirate_fetch_ratio=verdict.fetch_ratio,
+            valid=verdict.trustworthy,
+            start_cycle=t0,
+            wall_cycles=wall,
+        )
+        for delta in deltas
+    ]
+
+
 def measure_fixed_size(
     target_factory: Callable[[], WorkloadLike] | WorkloadLike,
     stolen_bytes: int,
@@ -127,47 +176,22 @@ def measure_fixed_size(
         warmup_instructions = interval_instructions
     with tel.span("warmup", instructions=warmup_instructions) as sp:
         t0 = machine.frontier
-        warm_goal = target.instructions + warmup_instructions
-        machine.run(until=lambda: target.instructions >= warm_goal)
+        machine.run(Goal(target, target.instructions + warmup_instructions))
         sp.add_cycles(machine.frontier - t0)
 
     if settle_instructions > 0.0:
         tel.count("fetch_ratio_settle_ticks", settle_instructions)
         with tel.span("settle", instructions=settle_instructions) as sp:
             t0 = machine.frontier
-            settle_goal = target.instructions + settle_instructions
-            machine.run(until=lambda: target.instructions >= settle_goal)
+            machine.run(Goal(target, target.instructions + settle_instructions))
             sp.add_cycles(machine.frontier - t0)
 
     monitor = PirateMonitor(pirate, threshold)
     samples = []
     for i in range(n_intervals):
-        with tel.span("interval", index=i) as sp:
-            before = machine.counters.sample(target.core)
-            t0 = machine.frontier
-            monitor.begin()
-            goal = target.instructions + interval_instructions
-            machine.run(until=lambda: target.instructions >= goal)
-            verdict = monitor.end()
-            delta = machine.counters.sample(target.core).delta(before)
-            sp.add_cycles(machine.frontier - t0)
-        tel.count("intervals_total")
-        if not verdict.trustworthy:
-            tel.count("invalid_intervals_total")
-            tel.event(
-                "interval_invalid",
-                reason="pirate_hot",
-                fetch_ratio=verdict.fetch_ratio,
-            )
-        samples.append(
-            IntervalSample(
-                target_cache_bytes=config.l3.size - stolen_bytes,
-                target=delta,
-                pirate_fetch_ratio=verdict.fetch_ratio,
-                valid=verdict.trustworthy,
-                start_cycle=t0,
-                wall_cycles=machine.frontier - t0,
-            )
+        goal = Goal(target, target.instructions + interval_instructions)
+        samples += measure_interval(
+            machine, monitor, goal, [target.core], config.l3.size - stolen_bytes, tel, index=i
         )
     if tel.enabled:
         export_kernel_telemetry(tel, machine.hierarchy)

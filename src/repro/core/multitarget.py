@@ -23,13 +23,13 @@ from typing import Callable
 from ..config import MachineConfig, nehalem_config
 from ..errors import MeasurementError
 from ..hardware.counters import CounterSample
-from ..hardware.machine import Machine
+from ..hardware.machine import Goal, Machine
 from ..hardware.thread import SimThread, WorkloadLike
 from ..observability import ensure_telemetry
 from ..rng import stable_seed
 from ..units import MB
 from ..workloads import make_benchmark
-from .curves import IntervalSample
+from .harness import measure_interval
 from .monitor import DEFAULT_FETCH_RATIO_THRESHOLD, PirateMonitor
 from .pirate import Pirate
 from .resilience import AttemptResult, AttemptSpec, RetryEngine, RetryPolicy
@@ -134,15 +134,14 @@ def measure_multithreaded(
         pirate.warm()
         sp.add_cycles(machine.frontier - t0)
 
-    def _corun(instructions: float) -> None:
-        goals = [t.instructions + instructions for t in threads]
-        machine.run(until=lambda: all(t.instructions >= g for t, g in zip(threads, goals)))
+    def each_retires(instructions: float) -> Goal:
+        return Goal(threads, [t.instructions + instructions for t in threads])
 
     if warmup_instructions is None:
         warmup_instructions = interval_instructions
     with tel.span("warmup", instructions=warmup_instructions) as sp:
         t0 = machine.frontier
-        _corun(warmup_instructions)
+        machine.run(each_retires(warmup_instructions))
         sp.add_cycles(machine.frontier - t0)
 
     monitor = PirateMonitor(pirate, threshold)
@@ -150,33 +149,16 @@ def measure_multithreaded(
     def attempt(spec: AttemptSpec) -> AttemptResult:
         """One interval: a sample per Target thread, each its own counters."""
         if spec.attempt > 1:
-            _corun(spec.warmup_instructions)  # escalate: extended co-run warm-up
-        with tel.span("interval", target_threads=k) as sp:
-            befores = [machine.counters.sample(i) for i in range(k)]
-            t0 = machine.frontier
-            monitor.begin()
-            _corun(interval_instructions)
-            verdict = monitor.end()
-            wall = machine.frontier - t0
-            sp.add_cycles(wall)
-        tel.count("intervals_total")
-        if not verdict.trustworthy:
-            tel.count("invalid_intervals_total")
-            tel.event(
-                "interval_invalid",
-                reason="pirate_hot",
-                fetch_ratio=verdict.fetch_ratio,
-            )
-        samples = [
-            IntervalSample(
-                target_cache_bytes=config.l3.size - stolen_bytes,
-                target=machine.counters.sample(i).delta(befores[i]),
-                pirate_fetch_ratio=verdict.fetch_ratio,
-                valid=verdict.trustworthy,
-                wall_cycles=wall,
-            )
-            for i in range(k)
-        ]
+            machine.run(each_retires(spec.warmup_instructions))  # escalate: extended co-run warm-up
+        samples = measure_interval(
+            machine,
+            monitor,
+            each_retires(interval_instructions),
+            list(range(k)),
+            config.l3.size - stolen_bytes,
+            tel,
+            target_threads=k,
+        )
         return samples, None, interval_instructions
 
     if retry_policy is None:

@@ -32,7 +32,7 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..hardware.counters import CounterSample
-from ..hardware.machine import Machine
+from ..hardware.machine import Goal, Machine
 from ..hardware.thread import SimThread
 from ..units import LINE_SIZE
 from ..workloads.base import PIRATE_BASE
@@ -195,15 +195,8 @@ class Pirate:
             self._claimed[i] = wl.span_lines
         if not any(d > 0 for d in deltas):
             return
-        goals = [
-            t.instructions + d for t, d in zip(self.threads, deltas)
-        ]
-        self.machine.run_only(
-            self.threads,
-            until=lambda: all(
-                t.instructions >= goal for t, goal in zip(self.threads, goals)
-            ),
-        )
+        goals = [t.instructions + d for t, d in zip(self.threads, deltas)]
+        self.machine.run_only(self.threads, Goal(self.threads, goals))
 
     def warm_full(self, sweeps: float = 1.5) -> None:
         """Sweep the whole working set ``sweeps`` times, running alone.
@@ -217,11 +210,6 @@ class Pirate:
             t.instructions + sweeps * wl.span_lines
             for t, wl in zip(self.threads, self.workloads)
         ]
-        self.machine.run_only(
-            self.threads,
-            until=lambda: all(
-                t.instructions >= goal for t, goal in zip(self.threads, goals)
-            ),
-        )
+        self.machine.run_only(self.threads, Goal(self.threads, goals))
         for i, wl in enumerate(self.workloads):
             self._claimed[i] = wl.span_lines

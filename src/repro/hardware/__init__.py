@@ -12,7 +12,7 @@ from .bandwidth import BandwidthDomain
 from .counters import CounterSample, PerfCounters
 from .core import CoreTimingModel, TimingBreakdown
 from .thread import SimThread, WorkloadLike
-from .machine import Machine
+from .machine import Goal, Machine
 
 __all__ = [
     "BandwidthDomain",
@@ -22,5 +22,6 @@ __all__ = [
     "TimingBreakdown",
     "SimThread",
     "WorkloadLike",
+    "Goal",
     "Machine",
 ]

@@ -23,7 +23,8 @@ overhead measurement accounts.
 
 from __future__ import annotations
 
-from typing import Callable
+import math
+from dataclasses import dataclass
 
 from ..caches.base import CoreMemStats
 from ..caches.hierarchy import CacheHierarchy
@@ -38,6 +39,41 @@ from .thread import SimThread, WorkloadLike
 #: interleave far below a measurement interval, big enough to amortize
 #: per-quantum overhead.
 DEFAULT_QUANTUM = 20_000.0
+
+
+@dataclass(frozen=True)
+class Goal:
+    """Where :meth:`Machine.run` stops: every thread in ``threads`` has
+    retired its absolute count in ``instructions`` or, with ``or_finished``,
+    has finished.  ``Goal(target, n)``, ``Goal(target, n, or_finished=True)``
+    and ``Goal(threads, counts)`` are the stops the harnesses use.
+
+    A count that can never be reached (NaN or infinite) raises
+    :class:`~repro.errors.SimulationError` here rather than hanging a run.
+    """
+
+    threads: tuple[SimThread, ...]
+    instructions: tuple[float, ...]
+    or_finished: bool = False
+
+    def __post_init__(self) -> None:
+        threads, counts = self.threads, self.instructions
+        threads = (threads,) if isinstance(threads, SimThread) else tuple(threads)
+        counts = tuple(map(float, counts if isinstance(counts, (list, tuple)) else (counts,)))
+        if not threads or len(counts) != len(threads):
+            raise SimulationError(f"a goal needs one instruction count per thread: {counts}")
+        if not all(map(math.isfinite, counts)):
+            raise SimulationError(f"goal instruction counts must be finite, got {counts}")
+        object.__setattr__(self, "threads", threads)
+        object.__setattr__(self, "instructions", counts)
+
+    def reached(self) -> bool:
+        """Whether every thread has met its part of the goal."""
+        # a plain loop: this runs between every two quanta
+        for t, n in zip(self.threads, self.instructions):
+            if t.instructions < n and not (self.or_finished and t.finished):
+                return False
+        return True
 
 
 class Machine:
@@ -109,48 +145,19 @@ class Machine:
 
     # -- execution ---------------------------------------------------------------
 
-    def run(
-        self,
-        *,
-        max_cycles: float | None = None,
-        until: Callable[[], bool] | None = None,
-        max_quanta: int | None = None,
-    ) -> float:
-        """Advance the machine.
-
-        Stops when no thread is runnable, when the scheduling frontier has
-        advanced by ``max_cycles``, when ``until()`` becomes true (checked
-        between quanta), or after ``max_quanta`` quanta.  Returns the number
-        of frontier cycles that elapsed.
+    def run(self, goal: Goal | None = None) -> float:
+        """Advance the machine until ``goal`` is reached or no thread is
+        runnable.  The goal is checked between quanta, so a run overshoots
+        its counts by up to one quantum.  Returns the elapsed frontier cycles.
         """
         start = self.frontier
-        quanta = 0
-        while True:
-            if until is not None and until():
-                break
-            runnable = [t for t in self.threads if t.runnable]
-            if not runnable:
-                break
-            if max_cycles is not None and self.frontier - start >= max_cycles:
-                break
-            if max_quanta is not None and quanta >= max_quanta:
-                break
-            thread = min(runnable, key=lambda t: t.clock)
-            self._step(thread)
-            quanta += 1
-            frontier = self.frontier
-            self.l3_domain.maybe_rollover(frontier)
-            self.dram_domain.maybe_rollover(frontier)
+        while (goal is None or not goal.reached()) and self.step():
+            pass
         return self.frontier - start
 
-    def run_only(
-        self,
-        threads: list[SimThread] | SimThread,
-        *,
-        max_cycles: float | None = None,
-        until: Callable[[], bool] | None = None,
-    ) -> float:
-        """Run only ``threads`` (others suspended meanwhile).
+    def run_only(self, threads: list[SimThread] | SimThread, goal: Goal | None = None) -> float:
+        """Run only ``threads`` until ``goal``; the others are suspended
+        meanwhile and resume at the global time when the run ends.
 
         This is the warm-up primitive: the paper halts the Pirate to let the
         Target re-warm its grown cache allocation and vice versa (Fig. 5).
@@ -163,17 +170,27 @@ class Machine:
         for t in others:
             t.suspend()
         try:
-            return self.run(max_cycles=max_cycles, until=until)
+            return self.run(goal)
         finally:
             now = self.now
             for t in others:
                 t.resume(now)
 
-    def run_alone(self, thread: SimThread, cycles: float) -> None:
-        """Back-compat wrapper for :meth:`run_only` with a cycle budget."""
-        self.run_only(thread, max_cycles=cycles)
+    def step(self) -> bool:
+        """Run one quantum of the runnable thread with the smallest clock.
 
-    def _step(self, thread: SimThread) -> None:
+        Returns False, and runs nothing, when no thread is runnable.
+        """
+        runnable = [t for t in self.threads if t.runnable]
+        if not runnable:
+            return False
+        self._run_quantum(min(runnable, key=lambda t: t.clock))
+        frontier = self.frontier
+        self.l3_domain.maybe_rollover(frontier)
+        self.dram_domain.maybe_rollover(frontier)
+        return True
+
+    def _run_quantum(self, thread: SimThread) -> None:
         instr, n_lines = thread.plan_quantum(self.quantum_cycles)
         if instr <= 0.0:
             thread.finished = True

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Callable
 
 from ..config import MachineConfig, nehalem_config
-from ..hardware.machine import Machine
+from ..hardware.machine import Goal, Machine
 from ..hardware.thread import WorkloadLike
 from .sweep import ReferenceCurve
 
@@ -44,7 +44,7 @@ def measure_baseline_fetch_ratio(
     thread = machine.add_thread(
         workload, core=0, instruction_limit=warmup_instructions + instructions
     )
-    machine.run(until=lambda: thread.instructions >= warmup_instructions)
+    machine.run(Goal(thread, warmup_instructions))
     before = machine.counters.sample(0)
     machine.run()
     delta = machine.counters.sample(0).delta(before)

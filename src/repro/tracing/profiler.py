@@ -113,7 +113,7 @@ def profile_workload(
         phase = workload.current_phase
         c0 = machine.counters.sample(0)
         i0 = thread.instructions
-        machine.run(max_quanta=1)
+        machine.step()
         d = machine.counters.sample(0).delta(c0)
         cycles[phase] += d.cycles
         instructions[phase] += d.instructions

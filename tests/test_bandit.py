@@ -10,7 +10,7 @@ from repro.core.bandit import (
     measure_bandwidth_curve,
 )
 from repro.errors import ConfigError, MeasurementError
-from repro.hardware.machine import Machine
+from repro.hardware.machine import Goal, Machine
 from repro.workloads import make_benchmark
 from repro.workloads.micro import random_micro
 
@@ -58,7 +58,7 @@ def test_bandit_cache_pollution_bounded():
     m = Machine(nehalem_config())
     b = Bandit(m, [1], sets_used=32)
     b.set_gap(0.5)
-    m.run(max_cycles=500_000)
+    m.run(Goal(b.threads, [25_000] * len(b.threads)))
     # every bandit-resident L3 line sits in the 32-set band
     band = {wl_set for wl_set in range(0, 8192, 8192 // 32)}
     from repro.core.bandit import BANDIT_BASE
@@ -77,7 +77,7 @@ def test_bandit_achieved_bandwidth_monotone_in_gap():
         b = Bandit(m, [1])
         b.set_gap(gap)
         before = b.sample()
-        m.run(max_cycles=400_000)
+        m.run(Goal(b.threads, [t.instructions + 10_000 for t in b.threads]))
         return b.achieved_bandwidth_gbps(before)
 
     fast = achieved(0.5)

@@ -10,7 +10,7 @@ import pytest
 
 from repro.config import nehalem_config
 from repro.core.pirate import Pirate
-from repro.hardware.machine import Machine
+from repro.hardware.machine import Goal, Machine
 from repro.units import MB
 from repro.workloads import make_benchmark
 
@@ -24,7 +24,7 @@ def solo_point(name, size_mb=8.0, instructions=2e6, warmup=4e6, seed=1):
     m = Machine(cfg)
     t = m.add_thread(make_benchmark(name, seed=seed), core=0,
                      instruction_limit=warmup + instructions)
-    m.run(until=lambda: t.instructions >= warmup)
+    m.run(Goal(t, warmup))
     before = m.counters.sample(0)
     m.run()
     return m.counters.sample(0).delta(before), cfg
@@ -41,7 +41,7 @@ def test_single_pirate_thread_l3_bandwidth_near_28gbps():
     p.set_working_set(4 * MB)
     p.warm_full()
     before = m.counters.sample(1)
-    m.run(max_cycles=500_000)
+    m.run(Goal(p.threads, [t.instructions + 100_000 for t in p.threads]))
     d = m.counters.sample(1).delta(before)
     gbps = d.l3_bytes / d.cycles * cfg.core.clock_hz / 1e9
     assert 22.0 <= gbps <= 30.0
@@ -54,7 +54,7 @@ def test_two_pirate_threads_near_56gbps():
     p.set_working_set(4 * MB)
     p.warm_full()
     before = p.sample()
-    m.run(max_cycles=500_000)
+    m.run(Goal(p.threads, [t.instructions + 100_000 for t in p.threads]))
     total = 0.0
     for b, core in zip(before, p.cores):
         d = m.counters.sample(core).delta(b)

@@ -186,6 +186,31 @@ def test_bad_arguments_fail_fast_with_one_line_error(argv, fragment):
     assert fragment in out.lines[0]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["probe", "povray", "--interval", "inf"],
+        ["curve", "povray", "--interval", "inf"],
+        ["curve", "povray", "--total", "inf"],
+        ["steal", "povray", "--interval", "inf"],
+        ["bandwidth", "povray", "--interval", "inf"],
+        ["reuse", "povray", "--window", "inf"],
+        ["sweep", "povray", "--sizes", "8", "--point-timeout", "inf"],
+        ["serve", "--state-dir", "STATE", "--socket", "STATE/s.sock",
+         "--point-timeout", "inf"],
+    ],
+    ids=lambda argv: f"{argv[0]}{argv[-2]}",
+)
+def test_infinite_counts_and_timeouts_are_refused(tmp_path, argv):
+    """An infinite interval, total, window or timeout would run forever."""
+    argv = [a.replace("STATE", str(tmp_path)) for a in argv]
+    out = Sink()
+    assert main(argv, out=out) == 2
+    assert len(out.lines) == 1
+    assert out.lines[0].startswith("error: ")
+    assert argv[-2] + " must be positive and finite, got inf" in out.lines[0]
+
+
 def test_serial_flag_alone_is_accepted():
     out = Sink()
     rc = main(

@@ -6,7 +6,7 @@ intervals; they check mechanism, not calibration.
 
 import pytest
 
-from repro.errors import MeasurementError
+from repro.errors import MeasurementError, SimulationError
 from repro.units import MB
 from repro.workloads import make_benchmark
 from repro.workloads.micro import random_micro
@@ -54,6 +54,14 @@ def test_fixed_size_validation():
         measure_fixed_size(factory, stolen_bytes=9 * MB)
     with pytest.raises(MeasurementError):
         measure_fixed_size(factory, stolen_bytes=0, num_pirate_threads=4)
+
+
+def test_unreachable_interval_raises_instead_of_hanging():
+    # the unreachable run goal is refused when built instead of run forever
+    with pytest.raises(SimulationError, match="finite"):
+        measure_fixed_size(factory, stolen_bytes=MB, interval_instructions=float("inf"))
+    with pytest.raises(SimulationError, match="finite"):
+        choose_pirate_threads(factory, max_threads=1, probe_instructions=float("inf"))
 
 
 def test_workload_instance_is_reset():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.config import tiny_config, nehalem_config
-from repro.hardware.machine import Machine
+from repro.errors import SimulationError
+from repro.hardware.machine import Goal, Machine
 
 
 class ToyWorkload:
@@ -50,24 +51,94 @@ def test_two_threads_stay_loosely_synchronized():
     m = Machine(tiny_config(), quantum_cycles=500.0)
     a = m.add_thread(ToyWorkload("a", base=0), core=0)
     b = m.add_thread(ToyWorkload("b", base=10_000, cpi_base=3.0), core=1)
-    m.run(max_cycles=50_000)
+    m.run(Goal(a, 50_000))
     # both clocks should be near the frontier despite different speeds
     assert abs(a.clock - b.clock) < 4 * m.quantum_cycles
 
 
-def test_max_cycles_stops_run():
-    m = Machine(tiny_config(), quantum_cycles=1000.0)
-    m.add_thread(ToyWorkload(), core=0)
-    elapsed = m.run(max_cycles=20_000)
-    assert 20_000 <= elapsed < 30_000
-
-
-def test_until_predicate_stops_run():
+def test_goal_stops_run_promptly():
     m = Machine(tiny_config(), quantum_cycles=1000.0)
     t = m.add_thread(ToyWorkload(), core=0)
-    m.run(until=lambda: t.instructions >= 3_000)
+    m.run(Goal(t, 3_000))
     assert t.instructions >= 3_000
     assert t.instructions < 3_000 + 5_000  # stopped promptly
+
+
+def _two_speeds():
+    m = Machine(tiny_config(), quantum_cycles=1000.0)
+    a = m.add_thread(ToyWorkload("a", base=0), core=0)
+    b = m.add_thread(ToyWorkload("b", base=10_000, cpi_base=3.0), core=1)
+    return m, a, b
+
+
+def test_goal_stops_at_first_quantum_boundary_meeting_every_count():
+    m, a, b = _two_speeds()
+    m.run(Goal([a, b], [1_500, 2_500]))
+    # the same machine stepped by hand, checking the counts between quanta
+    ref, ra, rb = _two_speeds()
+    one_met = False
+    while not (ra.instructions >= 1_500 and rb.instructions >= 2_500):
+        one_met |= ra.instructions >= 1_500
+        assert ref.step()
+    assert one_met  # one thread at its count alone did not stop the run
+    assert (a.instructions, b.instructions, a.clock, b.clock) == (
+        ra.instructions, rb.instructions, ra.clock, rb.clock
+    )
+
+
+def test_or_finished_stops_a_run_whose_thread_hits_its_limit_early():
+    m = Machine(tiny_config(), quantum_cycles=1000.0)
+    t = m.add_thread(ToyWorkload("t", base=0), core=0, instruction_limit=3_000)
+    other = m.add_thread(ToyWorkload("other", base=10_000), core=1)  # runs forever
+    m.run(Goal(t, 50_000, or_finished=True))
+    assert t.finished
+    assert t.instructions == pytest.approx(3_000)
+    assert other.instructions < 3_000 + 5_000
+
+
+def test_run_only_resumes_the_others_at_now():
+    m = Machine(tiny_config(), quantum_cycles=1000.0)
+    a = m.add_thread(ToyWorkload("a", base=0), core=0)
+    b = m.add_thread(ToyWorkload("b", base=10_000), core=1)
+    m.run_only(b, Goal(b, 10_000))
+    assert a.instructions == 0
+    assert b.instructions >= 10_000
+    assert not a.suspended  # restored
+    assert a.clock == m.now == b.clock  # the halt cost a wall-clock time
+    m.run(Goal(a, 2_000))
+    assert a.instructions > 0
+
+
+def test_step_reports_whether_anything_ran():
+    m = Machine(tiny_config(), quantum_cycles=1000.0)
+    t = m.add_thread(ToyWorkload(), core=0, instruction_limit=2_500)
+    assert m.step()
+    assert 0 < t.instructions < 2_500
+    m.run()
+    assert t.finished
+    clock = t.clock
+    assert not m.step()
+    assert t.clock == clock
+
+
+@pytest.mark.parametrize("count", [float("inf"), float("-inf"), float("nan")])
+def test_goal_refuses_a_count_it_can_never_reach(count):
+    m = Machine(tiny_config())
+    t = m.add_thread(ToyWorkload(), core=0)
+    with pytest.raises(SimulationError, match="finite"):
+        Goal(t, count)
+    with pytest.raises(SimulationError, match="finite"):
+        Goal([t], [count], or_finished=True)
+
+
+def test_goal_needs_one_count_per_thread():
+    m = Machine(tiny_config())
+    a = m.add_thread(ToyWorkload("a"), core=0)
+    b = m.add_thread(ToyWorkload("b", base=10_000), core=1)
+    with pytest.raises(SimulationError, match="one instruction count per thread"):
+        Goal([a, b], [1_000])
+    with pytest.raises(SimulationError, match="one instruction count per thread"):
+        Goal([], [])
 
 
 def test_suspend_resume_jumps_clock():
@@ -75,24 +146,12 @@ def test_suspend_resume_jumps_clock():
     a = m.add_thread(ToyWorkload("a", base=0), core=0)
     b = m.add_thread(ToyWorkload("b", base=10_000), core=1)
     m.suspend(a)
-    m.run(max_cycles=10_000)
+    m.run(Goal(b, 10_000))
     instr_a = a.instructions
     assert instr_a == 0  # suspended thread retired nothing
     m.resume(a)
     assert a.clock == pytest.approx(b.clock)
-    m.run(max_cycles=5_000)
-    assert a.instructions > 0
-
-
-def test_run_alone():
-    m = Machine(tiny_config(), quantum_cycles=1000.0)
-    a = m.add_thread(ToyWorkload("a", base=0), core=0)
-    b = m.add_thread(ToyWorkload("b", base=10_000), core=1)
-    m.run_alone(b, 10_000)
-    assert a.instructions == 0
-    assert b.instructions > 0
-    assert not a.suspended  # restored
-    m.run(max_cycles=2_000)
+    m.run(Goal(a, 5_000))
     assert a.instructions > 0
 
 
@@ -105,24 +164,20 @@ def test_cross_core_cache_contention_visible_in_counters():
     solo.add_thread(ToyWorkload("a", region_lines=48, base=0), core=0)
     # contended machine gets a second, conflicting thread
     m.add_thread(ToyWorkload("b", region_lines=48, base=1 << 20), core=1)
-    m.run(max_cycles=400_000)
-    solo.run(max_cycles=400_000)
+    m.run(Goal(m.threads[0], 100_000))
+    solo.run(Goal(solo.threads[0], 100_000))
     contended = m.counters.sample(0)
     alone = solo.counters.sample(0)
     assert contended.fetch_ratio > alone.fetch_ratio
 
 
 def test_invalid_core_rejected():
-    from repro.errors import SimulationError
-
     m = Machine(tiny_config(num_cores=2))
     with pytest.raises(SimulationError):
         m.add_thread(ToyWorkload(), core=2)
 
 
 def test_invalid_quantum_rejected():
-    from repro.errors import SimulationError
-
     with pytest.raises(SimulationError):
         Machine(tiny_config(), quantum_cycles=0.0)
 

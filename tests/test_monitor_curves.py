@@ -5,7 +5,7 @@ import pytest
 from repro.config import nehalem_config
 from repro.errors import MeasurementError
 from repro.hardware.counters import CounterSample
-from repro.hardware.machine import Machine
+from repro.hardware.machine import Goal, Machine
 from repro.core.curves import IntervalSample, PerformanceCurve
 from repro.core.monitor import DEFAULT_FETCH_RATIO_THRESHOLD, PirateMonitor, MonitorVerdict
 from repro.core.pirate import Pirate
@@ -34,7 +34,7 @@ def test_monitor_brackets_intervals():
     p.warm_full()
     mon = PirateMonitor(p)
     mon.begin()
-    m.run_only(p.threads, max_cycles=200_000)
+    m.run_only(p.threads, Goal(p.threads, [t.instructions + 40_000 for t in p.threads]))
     v = mon.end()
     assert v.trustworthy
     assert v.fetch_ratio == pytest.approx(0.0, abs=1e-4)

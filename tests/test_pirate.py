@@ -5,7 +5,7 @@ import pytest
 
 from repro.config import nehalem_config
 from repro.errors import ConfigError
-from repro.hardware.machine import Machine
+from repro.hardware.machine import Goal, Machine
 from repro.core.pirate import Pirate, PirateThreadWorkload
 from repro.units import MB
 from repro.workloads.base import PIRATE_BASE
@@ -113,7 +113,7 @@ def test_fetch_ratio_zero_when_uncontested():
     p.set_working_set(4 * MB)
     p.warm_full()
     snap = p.sample()
-    m.run_only(p.threads, max_cycles=600_000)
+    m.run_only(p.threads, Goal(p.threads, [t.instructions + 120_000 for t in p.threads]))
     assert p.fetch_ratio(snap) == pytest.approx(0.0, abs=1e-4)
 
 
@@ -128,8 +128,7 @@ def test_fetch_ratio_rises_when_target_fights_back():
     p.set_working_set(7 * MB)
     p.warm_full()
     snap = p.sample()
-    goal = target.instructions + 500_000
-    m.run(until=lambda: target.instructions >= goal)
+    m.run(Goal(target, target.instructions + 500_000))
     assert p.fetch_ratio(snap) > 0.005
 
 
@@ -143,11 +142,9 @@ def test_pirate_reduces_target_cache():
         p = Pirate(m, cores=[1])
         p.set_working_set(int(stolen_mb * MB))
         p.warm_full()
-        goal0 = t.instructions + 400_000
-        m.run(until=lambda: t.instructions >= goal0)  # warm target
+        m.run(Goal(t, t.instructions + 400_000))  # warm target
         before = m.counters.sample(0)
-        goal = t.instructions + 400_000
-        m.run(until=lambda: t.instructions >= goal)
+        m.run(Goal(t, t.instructions + 400_000))
         return m.counters.sample(0).delta(before).fetch_ratio
 
     assert run(6.0) > run(0.0) + 0.02
