@@ -65,7 +65,7 @@ def measure_between_markers(
     # instruction limit clamps the last quantum so the attach point is
     # instruction-exact, like a hardware breakpoint at the marker address
     target.instruction_limit = start_marker
-    machine.run_only(target, Goal(target, start_marker, or_finished=True))
+    machine.run_only(target, Goal(target, start_marker))
     target.finished = False
     target.instruction_limit = stop_marker
 
@@ -76,7 +76,7 @@ def measure_between_markers(
     (sample,) = measure_interval(
         machine,
         PirateMonitor(pirate, threshold),
-        Goal(target, stop_marker, or_finished=True),
+        Goal(target, stop_marker),
         [target.core],
         target_cache_bytes,
     )

@@ -165,15 +165,11 @@ def measure_curve_dynamic(
 
     quality: dict[int, PointQuality] = {}
 
-    def upto(instructions: float) -> Goal:
-        # every run here also ends when the Target retires its last instruction
-        return Goal(target, instructions, or_finished=True)
-
     def _measure_interval(stolen: int) -> IntervalSample:
         (sample,) = measure_interval(
             machine,
             monitor,
-            upto(target.instructions + interval_instructions),
+            Goal(target, target.instructions + interval_instructions),
             [target.core],
             config.l3.size - stolen,
             tel,
@@ -191,10 +187,10 @@ def measure_curve_dynamic(
                 if target.finished:
                     return None
                 warm_to = target.instructions + spec.warmup_instructions
-                machine.run_only(target, upto(min(warm_to, total_instructions)))
+                machine.run_only(target, Goal(target, min(warm_to, total_instructions)))
                 settle = max(spec.settle_instructions, settle_fraction * interval_instructions)
                 tel.count("fetch_ratio_settle_ticks", settle)
-                machine.run(upto(target.instructions + settle))
+                machine.run(Goal(target, target.instructions + settle))
                 if target.finished:
                     return None
             # a final interval is judged on what the Target had left to retire
@@ -232,7 +228,7 @@ def measure_curve_dynamic(
         with tel.span("warmup", instructions=initial_warmup_instructions) as sp:
             t0 = machine.frontier
             warm_to = target.instructions + initial_warmup_instructions
-            machine.run_only(target, upto(min(warm_to, total_instructions * 0.5)))
+            machine.run_only(target, Goal(target, min(warm_to, total_instructions * 0.5)))
             sp.add_cycles(machine.frontier - t0)
 
         while not target.finished:
@@ -247,16 +243,15 @@ def measure_curve_dynamic(
             elif shrank:
                 # Target's cache grew: let it warm the new space alone
                 machine.run_only(
-                    target, upto(min(target.instructions + warm_instr, total_instructions))
+                    target, Goal(target, min(target.instructions + warm_instr, total_instructions))
                 )
             if target.finished:
                 break
 
             if settle_fraction > 0.0:
-                tel.count(
-                    "fetch_ratio_settle_ticks", settle_fraction * interval_instructions
-                )
-                machine.run(upto(target.instructions + settle_fraction * interval_instructions))
+                settle = settle_fraction * interval_instructions
+                tel.count("fetch_ratio_settle_ticks", settle)
+                machine.run(Goal(target, target.instructions + settle))
                 if target.finished:
                     break
 

@@ -44,9 +44,10 @@ DEFAULT_QUANTUM = 20_000.0
 @dataclass(frozen=True)
 class Goal:
     """Where :meth:`Machine.run` stops: every thread in ``threads`` has
-    retired its absolute count in ``instructions`` or, with ``or_finished``,
-    has finished.  ``Goal(target, n)``, ``Goal(target, n, or_finished=True)``
-    and ``Goal(threads, counts)`` are the stops the harnesses use.
+    retired its absolute count in ``instructions`` or has finished (a
+    finished thread retires nothing more, so it has met its part).
+    ``Goal(target, n)`` and ``Goal(threads, counts)`` are the stops the
+    harnesses use.
 
     A count that can never be reached (NaN or infinite) raises
     :class:`~repro.errors.SimulationError` here rather than hanging a run.
@@ -54,7 +55,6 @@ class Goal:
 
     threads: tuple[SimThread, ...]
     instructions: tuple[float, ...]
-    or_finished: bool = False
 
     def __post_init__(self) -> None:
         threads, counts = self.threads, self.instructions
@@ -71,7 +71,7 @@ class Goal:
         """Whether every thread has met its part of the goal."""
         # a plain loop: this runs between every two quanta
         for t, n in zip(self.threads, self.instructions):
-            if t.instructions < n and not (self.or_finished and t.finished):
+            if t.instructions < n and not t.finished:
                 return False
         return True
 

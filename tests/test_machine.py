@@ -86,11 +86,11 @@ def test_goal_stops_at_first_quantum_boundary_meeting_every_count():
     )
 
 
-def test_or_finished_stops_a_run_whose_thread_hits_its_limit_early():
+def test_goal_counts_a_finished_thread_as_met():
     m = Machine(tiny_config(), quantum_cycles=1000.0)
     t = m.add_thread(ToyWorkload("t", base=0), core=0, instruction_limit=3_000)
     other = m.add_thread(ToyWorkload("other", base=10_000), core=1)  # runs forever
-    m.run(Goal(t, 50_000, or_finished=True))
+    m.run(Goal(t, 50_000))
     assert t.finished
     assert t.instructions == pytest.approx(3_000)
     assert other.instructions < 3_000 + 5_000
@@ -128,7 +128,7 @@ def test_goal_refuses_a_count_it_can_never_reach(count):
     with pytest.raises(SimulationError, match="finite"):
         Goal(t, count)
     with pytest.raises(SimulationError, match="finite"):
-        Goal([t], [count], or_finished=True)
+        Goal([t], [count])
 
 
 def test_goal_needs_one_count_per_thread():
