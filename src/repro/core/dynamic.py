@@ -15,6 +15,7 @@ spot at 5.5% average overhead and 0.5% average CPI error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -60,6 +61,14 @@ class DynamicRunResult:
         return self.wall_cycles / self.baseline_cycles - 1.0
 
 
+def _check_total(total_instructions: float) -> None:
+    """Refuse a Target budget the run could never finish."""
+    if not (math.isfinite(total_instructions) and total_instructions > 0):
+        raise MeasurementError(
+            f"total_instructions must be a finite number > 0, got {total_instructions!r}"
+        )
+
+
 def run_target_alone(
     target_factory: Callable[[], WorkloadLike] | WorkloadLike,
     total_instructions: float,
@@ -71,6 +80,7 @@ def run_target_alone(
 
     The Table III overhead baseline.
     """
+    _check_total(total_instructions)
     config = config or nehalem_config()
     machine = Machine(config, seed=seed)
     target = machine.add_thread(
@@ -132,6 +142,7 @@ def measure_curve_dynamic(
     with per-point quality metadata.  Sizes never degrade here: the grid is
     the caller's contract.
     """
+    _check_total(total_instructions)
     config = config or nehalem_config()
     tel = ensure_telemetry(telemetry)
     if not sizes_mb:

@@ -157,6 +157,19 @@ def test_run_target_alone_baseline():
     assert cycles > 500_000  # CPI > 1 for this workload
 
 
+@pytest.mark.parametrize("total", [float("nan"), float("inf"), 0, -5.0])
+def test_unfinishable_total_is_refused_up_front(total):
+    # NaN never compares as reached and inf is never reached, so both
+    # harnesses would run forever; 0 and -5 would fail late, after a
+    # measurement attempt, with "no interval samples"
+    with pytest.raises(MeasurementError, match="total_instructions must be a finite"):
+        run_target_alone(factory, total)
+    with pytest.raises(MeasurementError, match="total_instructions must be a finite"):
+        measure_curve_dynamic(
+            factory, [8.0, 4.0], total_instructions=total, interval_instructions=50_000
+        )
+
+
 def test_dynamic_capacity_trend_matches_fixed():
     """Dynamic and fixed measurements must agree on the direction."""
     res = measure_curve_dynamic(
