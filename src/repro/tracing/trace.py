@@ -10,13 +10,13 @@ stopped tracing").
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from ..errors import TraceError
+from ..workloads.tracefile import open_trace, write_trace
 
 
 @dataclass
@@ -71,40 +71,50 @@ class AddressTrace:
         )
 
     def save(self, path: str | Path) -> None:
-        """Persist the trace as a compressed ``.npz`` archive.
+        """Persist the trace as a checksummed RPAT file.
 
         Captured traces are the expensive artifact of the §III-B workflow
         (the paper's are ~1 billion references); saving them lets reference
-        sweeps be re-run without re-tracing.
+        sweeps be re-run without re-tracing.  The file is the replayer's
+        format (:func:`~repro.workloads.tracefile.write_trace`); the
+        markers, ``accesses_per_line``, benchmark and ``meta`` ride in its
+        JSON metadata.
         """
-        meta = {
-            "benchmark": self.benchmark,
-            "start_marker": self.start_marker,
-            "stop_marker": self.stop_marker,
-            "accesses_per_line": self.accesses_per_line,
-            "meta": self.meta,
-        }
-        arrays = {"lines": self.lines, "meta_json": np.frombuffer(
-            json.dumps(meta).encode(), dtype=np.uint8)}
-        if self.writes is not None:
-            arrays["writes"] = self.writes
-        np.savez_compressed(Path(path), **arrays)
+        write_trace(
+            path,
+            self.lines,
+            writes=self.writes,
+            meta={
+                "benchmark": self.benchmark,
+                "start_marker": self.start_marker,
+                "stop_marker": self.stop_marker,
+                "accesses_per_line": self.accesses_per_line,
+                "meta": self.meta,
+            },
+        )
 
     @classmethod
     def load(cls, path: str | Path) -> "AddressTrace":
-        """Load a trace saved by :meth:`save`."""
-        with np.load(Path(path)) as data:
-            meta = json.loads(bytes(data["meta_json"]).decode())
-            writes = data["writes"] if "writes" in data.files else None
+        """Load a trace saved by :meth:`save`.
+
+        A damaged file, or an RPAT file :meth:`save` did not write, raises
+        one :class:`~repro.errors.TraceError`.
+        """
+        tf = open_trace(path)
+        try:
             return cls(
-                benchmark=meta["benchmark"],
-                lines=data["lines"],
-                writes=writes,
-                start_marker=meta["start_marker"],
-                stop_marker=meta["stop_marker"],
-                accesses_per_line=meta["accesses_per_line"],
-                meta=meta["meta"],
+                benchmark=tf.meta["benchmark"],
+                lines=np.array(tf.lines),
+                writes=tf.writes,
+                start_marker=tf.meta["start_marker"],
+                stop_marker=tf.meta["stop_marker"],
+                accesses_per_line=tf.meta["accesses_per_line"],
+                meta=tf.meta["meta"],
             )
+        except KeyError as e:
+            raise TraceError(
+                f"{path}: not an address trace (no {e.args[0]!r} in its metadata)"
+            ) from None
 
     def concat(self, other: "AddressTrace") -> "AddressTrace":
         """Concatenate two traces of the same benchmark."""

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core.curves import CurvePoint, PerformanceCurve
+from repro.errors import TraceError
 from repro.tracing import AddressTrace
 from repro.units import MB
+from repro.workloads.tracefile import write_trace
 
 
 def test_trace_roundtrip(tmp_path):
@@ -50,6 +52,36 @@ def test_loaded_trace_usable_by_simulator(tmp_path):
     a = reference_curve(trace, [2.0])
     b = reference_curve(AddressTrace.load(path), [2.0])
     assert a.fetch_ratio[0] == pytest.approx(b.fetch_ratio[0])
+
+
+def _saved(tmp_path):
+    path = tmp_path / "mcf.rpat"
+    AddressTrace("mcf", np.arange(1000) * 7, writes=np.arange(1000) % 3 == 0).save(path)
+    return path
+
+
+def test_truncated_trace_file_raises_one_trace_error(tmp_path):
+    path = _saved(tmp_path)
+    path.write_bytes(path.read_bytes()[:-100])
+    with pytest.raises(TraceError, match="truncated"):
+        AddressTrace.load(path)
+
+
+def test_tampered_trace_byte_raises_one_trace_error(tmp_path):
+    path = _saved(tmp_path)
+    data = bytearray(path.read_bytes())
+    data[-500] ^= 0x01  # one bit of one line address
+    path.write_bytes(bytes(data))
+    with pytest.raises(TraceError, match="checksum"):
+        AddressTrace.load(path)
+
+
+def test_foreign_trace_file_raises_one_trace_error(tmp_path):
+    # a valid RPAT file the replayer recorded, without AddressTrace's meta
+    path = tmp_path / "replay.rpat"
+    write_trace(path, np.arange(10), meta={"mem_fraction": 0.3})
+    with pytest.raises(TraceError, match="not an address trace"):
+        AddressTrace.load(path)
 
 
 def test_curve_to_csv():
