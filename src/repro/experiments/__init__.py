@@ -19,7 +19,12 @@ itself as text shaped like the paper's presentation.
 | ``table1``          | Table I: cache hierarchy                          |
 | ``table2_steal``    | Table II + §III-C steal-capacity statistics       |
 | ``table3_overhead`` | Table III: overhead & CPI error vs interval size  |
-| ``conformance``     | §V conformance oracle over the Fig. 6 pipeline    |
+| ``conformance``     | §V conformance verdict on the Fig. 6 suite        |
+
+Some sections are views over another's measurement: ``fig7`` and
+``conformance`` take a ``fig6`` result, ``fig9`` a ``fig8`` one.  Each
+measures its source itself when run alone; ``runall`` passes the result it
+already has, so one invocation runs each measurement once.
 """
 
 from .scale import FULL, QUICK, Scale

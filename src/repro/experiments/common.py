@@ -6,18 +6,8 @@ from ..config import MachineConfig, nehalem_config
 from ..core import measure_curve_dynamic
 from ..core.curves import PerformanceCurve
 from ..rng import stable_seed
-from ..workloads import TargetSpec, benchmark_target
+from ..workloads import benchmark_target
 from .scale import Scale
-
-
-def benchmark_factory(name: str, *, instance: int = 0, seed: int = 0) -> TargetSpec:
-    """Factory for suite benchmarks plus the cigar application.
-
-    Returns a picklable :class:`~repro.workloads.target.TargetSpec` (itself
-    a zero-arg factory) rather than a closure, so every experiment factory
-    can cross a process-pool boundary and key the sweep result cache.
-    """
-    return benchmark_target(name, instance=instance, seed=seed)
 
 
 def dynamic_curve(
@@ -30,7 +20,7 @@ def dynamic_curve(
 ) -> PerformanceCurve:
     """One dynamic-pirating execution of ``name`` over the scale's grid."""
     result = measure_curve_dynamic(
-        benchmark_factory(name, seed=stable_seed(seed, name)),
+        benchmark_target(name, seed=stable_seed(seed, name)),
         list(sizes_mb or scale.sizes_mb),
         total_instructions=scale.dynamic_total_instructions,
         interval_instructions=scale.interval_instructions,
@@ -41,7 +31,3 @@ def dynamic_curve(
     )
     return result.curve
 
-
-def fmt_pct(x: float) -> str:
-    """Render a ratio as a percent string."""
-    return f"{x * 100:.2f}%"

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from ..core import measure_curve_dynamic
 from ..rng import stable_seed
 from ..units import MB
-from .common import benchmark_factory
+from ..workloads import benchmark_target
 from .scale import QUICK, Scale
 
 
@@ -63,7 +63,7 @@ class Fig5Result:
 def run(scale: Scale = QUICK, seed: int = 0, benchmark: str = "omnetpp") -> Fig5Result:
     """Run one short dynamic measurement and expose its timeline."""
     res = measure_curve_dynamic(
-        benchmark_factory(benchmark, seed=stable_seed(seed, benchmark)),
+        benchmark_target(benchmark, seed=stable_seed(seed, benchmark)),
         list(scale.sizes_mb),
         total_instructions=scale.dynamic_total_instructions,
         interval_instructions=scale.interval_instructions,

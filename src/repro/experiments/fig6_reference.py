@@ -10,77 +10,75 @@ Pirate's fetch ratio exceeded the 3% threshold.
 Per §III-B1, the markers come from a flat profile (the Gprof step): tracing
 starts where the hot code begins rather than after a fixed fast-forward.
 
-The methodology itself lives in :mod:`repro.validation.differential` — the
-conformance oracle and this figure must stay the same pipeline, so this
-module only adapts the experiment's :class:`~repro.experiments.scale.Scale`
-into a validation tier and renders the figure.
+The methodology itself lives in :mod:`repro.validation.differential`; this
+module adapts the experiment's :class:`~repro.experiments.scale.Scale` into
+a validation tier, runs the suite once and renders the figure.  The
+result is the one §III-B measurement of a paper replay:
+:mod:`~repro.experiments.fig7_errors` and
+:mod:`~repro.experiments.conformance` are views over it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..analysis.errors import CurveError
-from ..core.curves import PerformanceCurve
-from ..reference.sweep import ReferenceCurve
-from ..validation.differential import differential_compare, tier_from_scale
+from ..validation.differential import DifferentialResult, differential_compare, tier_from_scale
 from .scale import QUICK, Scale
 
 
-@dataclass
-class BenchmarkComparison:
-    benchmark: str
-    pirate: PerformanceCurve
-    reference: ReferenceCurve
-    error: CurveError
-
-    def format(self) -> str:
-        out = [f"-- {self.benchmark}"]
-        out.append(f"{'MB':>5} {'pirate FR%':>11} {'reference FR%':>14} {'trusted':>8}")
-        for p in self.pirate.points:
-            ref = self.reference.fetch_ratio_at(p.cache_mb)
-            out.append(
-                f"{p.cache_mb:5.1f} {p.fetch_ratio * 100:11.3f} {ref * 100:14.3f} "
-                f"{'y' if p.valid else 'GRAY':>8}"
-            )
+def _format_comparison(diff: DifferentialResult) -> str:
+    out = [f"-- {diff.benchmark}"]
+    out.append(f"{'MB':>5} {'pirate FR%':>11} {'reference FR%':>14} {'trusted':>8}")
+    for p in diff.pirate.points:
+        ref = diff.reference.fetch_ratio_at(p.cache_mb)
         out.append(
-            f"   abs err {self.error.absolute * 100:.3f}%  "
-            f"rel err {self.error.relative * 100:.1f}%"
+            f"{p.cache_mb:5.1f} {p.fetch_ratio * 100:11.3f} {ref * 100:14.3f} "
+            f"{'y' if p.valid else 'GRAY':>8}"
         )
-        return "\n".join(out)
+    out.append(
+        f"   abs err {diff.error.absolute * 100:.3f}%  "
+        f"rel err {diff.error.relative * 100:.1f}%"
+    )
+    return "\n".join(out)
 
 
 @dataclass
 class Fig6Result:
-    comparisons: list[BenchmarkComparison] = field(default_factory=list)
+    #: one differential comparison per benchmark, in suite order
+    comparisons: list[DifferentialResult] = field(default_factory=list)
 
     def format(self) -> str:
         out = ["Figure 6 — pirate vs reference fetch-ratio curves (prefetch off)"]
-        for c in self.comparisons:
-            out.append(c.format())
+        out.extend(_format_comparison(c) for c in self.comparisons)
         return "\n".join(out)
 
-    def by_name(self, name: str) -> BenchmarkComparison:
+    def by_name(self, name: str) -> DifferentialResult:
         for c in self.comparisons:
             if c.benchmark == name:
                 return c
         raise KeyError(name)
 
 
-def compare_benchmark(
-    name: str, scale: Scale, seed: int = 0
-) -> BenchmarkComparison:
-    """Run the full §III-B methodology for one benchmark."""
-    diff = differential_compare(name, tier_from_scale(scale), seed=seed)
-    return BenchmarkComparison(
-        benchmark=name, pirate=diff.pirate, reference=diff.reference, error=diff.error
+def run(
+    scale: Scale = QUICK,
+    seed: int = 0,
+    *,
+    workers: int | None = None,
+    telemetry=None,
+) -> Fig6Result:
+    """Compare every reference benchmark (plus Cigar, §III-A) both ways.
+
+    ``workers >= 2`` fans each benchmark's per-size pirate runs over a
+    process pool (default: the scale's ``max_workers``); the result is
+    identical for any worker count.  ``telemetry`` receives each
+    comparison's ``validate_*`` spans.
+    """
+    if workers is None:
+        workers = scale.max_workers
+    tier = tier_from_scale(scale)
+    return Fig6Result(
+        comparisons=[
+            differential_compare(name, tier, seed=seed, workers=workers, telemetry=telemetry)
+            for name in scale.validation_benchmarks
+        ]
     )
-
-
-def run(scale: Scale = QUICK, seed: int = 0, include_cigar: bool = True) -> Fig6Result:
-    """Compare every reference benchmark (plus Cigar, §III-A) both ways."""
-    names = list(scale.reference_benchmarks)
-    if include_cigar and "cigar" not in names:
-        names.append("cigar")
-    comparisons = [compare_benchmark(n, scale, seed) for n in names]
-    return Fig6Result(comparisons=comparisons)

@@ -4,6 +4,8 @@ The paper's ablation of the prefetch effect: without prefetching, lbm's
 bandwidth drops by about a third, CPI rises at *every* cache size, fetch
 ratio equals miss ratio, and — crucially — the CPI curve is no longer flat,
 revealing that prefetching was compensating for lost cache capacity.
+The prefetch-on side is the same execution as Fig. 8's lbm curve, so
+``runall`` hands this experiment the gallery it already has.
 """
 
 from __future__ import annotations
@@ -55,9 +57,13 @@ class Fig9Result:
         return True
 
 
-def run(scale: Scale = QUICK, seed: int = 0, benchmark: str = BENCHMARK) -> Fig9Result:
-    """Measure lbm twice: prefetch enabled and disabled."""
-    on = dynamic_curve(benchmark, scale, seed=seed)
+def run(
+    scale: Scale = QUICK, seed: int = 0, benchmark: str = BENCHMARK, *, fig8=None
+) -> Fig9Result:
+    """Measure lbm without prefetching; prefetch on is ``fig8``'s run when it has one."""
+    on = fig8.curves.get(benchmark) if fig8 is not None else None
+    if on is None:
+        on = dynamic_curve(benchmark, scale, seed=seed)
     off = dynamic_curve(
         benchmark, scale, seed=seed, config=nehalem_config(prefetch_enabled=False)
     )

@@ -29,7 +29,8 @@ from . import (  # noqa: F401  (imported for registration order)
     table3_overhead,
 )
 
-#: experiment id -> module with a run(scale, seed) -> result (.format()) API
+#: experiment id -> module with a run(scale, seed) -> result (.format()) API,
+#: in run order: a section comes after every one whose result it takes
 EXPERIMENTS = {
     "table1": table1,
     "fig3": fig3_lru_stack,
@@ -47,30 +48,17 @@ EXPERIMENTS = {
 }
 
 
-def _parallel_kwargs(
-    module,
-    workers: int | None,
-    cache_dir: str | None,
-    telemetry=None,
-    engine: str | None = None,
-) -> dict:
-    """The subset of {workers, cache_dir, telemetry, engine} run() accepts.
+def _run_kwargs(module, available: dict[str, object]) -> dict:
+    """The entries of ``available`` that ``module.run()`` names, None dropped.
 
     Experiments opt into the parallel executor, the telemetry layer and the
     engine tiers by signature; the rest run unchanged, so fan-out and
-    instrumentation flags never alter what gets measured.
+    instrumentation flags never alter what gets measured.  Earlier results
+    are offered under their experiment ids (``fig7.run(..., fig6=...)``),
+    so a view over another section's measurement never measures it again.
     """
     params = inspect.signature(module.run).parameters
-    kwargs = {}
-    if workers is not None and "workers" in params:
-        kwargs["workers"] = workers
-    if cache_dir is not None and "cache_dir" in params:
-        kwargs["cache_dir"] = cache_dir
-    if telemetry is not None and "telemetry" in params:
-        kwargs["telemetry"] = telemetry
-    if engine is not None and "engine" in params:
-        kwargs["engine"] = engine
-    return kwargs
+    return {k: v for k, v in available.items() if v is not None and k in params}
 
 
 def run_all(
@@ -89,9 +77,13 @@ def run_all(
 ) -> dict[str, object]:
     """Run the selected experiments; returns {id: result}.
 
-    ``fig7`` reuses ``fig6``'s comparisons when both are selected.
-    ``workers`` fans the parallelizable experiments' independent sweeps
-    over a process pool (None keeps each scale's ``max_workers`` default);
+    An experiment whose ``run()`` has a parameter named after an earlier
+    experiment id gets that result (``fig7`` and ``conformance`` take
+    ``fig6``, ``fig9`` takes ``fig8``), so each measurement runs once per
+    invocation; a section whose source was not run, or was skipped on
+    resume, measures it itself.  ``workers`` fans the parallelizable
+    experiments' independent sweeps over a process pool (None keeps each
+    scale's ``max_workers`` default);
     ``cache_dir`` lets their fixed-size sweeps resume from cached points.
     A live :class:`~repro.observability.Telemetry` as ``telemetry`` is
     handed to every experiment whose ``run()`` accepts it, and ``engine``
@@ -128,6 +120,7 @@ def run_all(
             )
         echo(f"journal run id: {run_id}  (resume with --resume {run_id})")
 
+    options = dict(workers=workers, cache_dir=cache_dir, telemetry=telemetry, engine=engine)
     results: dict[str, object] = {}
     try:
         for exp_id in EXPERIMENTS:
@@ -142,15 +135,8 @@ def run_all(
             t0 = time.perf_counter()
             if journal is not None:
                 journal.mark(exp_id, "running")
-            if exp_id == "fig7" and "fig6" in results:
-                result = fig7_errors.from_fig6(results["fig6"])
-            else:
-                module = EXPERIMENTS[exp_id]
-                result = module.run(
-                    scale,
-                    seed,
-                    **_parallel_kwargs(module, workers, cache_dir, telemetry, engine),
-                )
+            module = EXPERIMENTS[exp_id]
+            result = module.run(scale, seed, **_run_kwargs(module, {**options, **results}))
             results[exp_id] = result
             if journal is not None:
                 journal.mark(exp_id, "done")

@@ -22,7 +22,7 @@ from ..config import nehalem_config
 from ..core import choose_pirate_threads, measure_fixed_size
 from ..rng import stable_seed
 from ..units import MB
-from .common import benchmark_factory
+from ..workloads import benchmark_target
 from .scale import QUICK, Scale
 
 #: Table II's benchmark set (the hardest to steal from).
@@ -45,7 +45,7 @@ def max_stealable_mb(
     co-run measurement.
     """
     config = nehalem_config()
-    factory = benchmark_factory(name, seed=stable_seed(seed, name))
+    factory = benchmark_target(name, seed=stable_seed(seed, name))
     steps = int((config.l3.size / MB - grid_mb) / grid_mb)  # up to 7.5MB
 
     def valid(step: int) -> bool:
@@ -140,7 +140,7 @@ def run(scale: Scale = QUICK, seed: int = 0) -> Table2Result:
         s1 = max_stealable_mb(name, 1, scale, seed=seed)
         s2 = max_stealable_mb(name, 2, scale, seed=seed)
         probe = choose_pirate_threads(
-            benchmark_factory(name, seed=stable_seed(seed, name)),
+            benchmark_target(name, seed=stable_seed(seed, name)),
             max_threads=2,
             probe_instructions=scale.fixed_interval_instructions,
             seed=stable_seed(seed, name, "probe"),

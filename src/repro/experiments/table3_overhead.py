@@ -19,7 +19,7 @@ from ..core import measure_curve_dynamic, measure_curve_fixed
 from ..core.curves import PerformanceCurve
 from ..core.dynamic import run_target_alone
 from ..rng import stable_seed
-from .common import benchmark_factory
+from ..workloads import benchmark_target
 from .scale import QUICK, Scale
 
 
@@ -96,7 +96,7 @@ def run(scale: Scale = QUICK, seed: int = 0) -> Table3Result:
     # grid keeps the largest interval's measurement cycle affordable
     sizes = list(scale.sizes_mb[::2]) if len(scale.sizes_mb) > 8 else list(scale.sizes_mb)
     for name in scale.overhead_benchmarks:
-        factory = benchmark_factory(name, seed=stable_seed(seed, name))
+        factory = benchmark_target(name, seed=stable_seed(seed, name))
         fixed = measure_curve_fixed(
             factory,
             sizes,

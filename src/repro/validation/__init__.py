@@ -38,6 +38,7 @@ from .conformance import (
     PointVerdict,
     SuiteReport,
     conformance_report,
+    judge_suite,
     validate_suite,
 )
 from .differential import DifferentialResult, differential_compare, tier_from_scale
@@ -68,6 +69,7 @@ __all__ = [
     "ConformanceReport",
     "SuiteReport",
     "conformance_report",
+    "judge_suite",
     "validate_suite",
     "monotone_violations",
     "lru_stack_mismatches",

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import ClassVar, Iterable
 
 from ..config import MachineConfig
 from ..observability import ensure_telemetry
@@ -177,6 +178,10 @@ class SuiteReport:
     seed: int
     bound: float
     reports: list[ConformanceReport] = field(default_factory=list)
+    #: the report's header and the wording of its summary line
+    title: ClassVar[str] = "Conformance — pirated cache vs reference simulator"
+    label: ClassVar[str] = "suite"
+    worst_label: ClassVar[str] = "worst divergence"
 
     @property
     def passed(self) -> bool:
@@ -213,21 +218,51 @@ class SuiteReport:
 
     def summary_line(self) -> str:
         return (
-            f"suite: {'PASS' if self.passed else 'FAIL'} — "
+            f"{self.label}: {'PASS' if self.passed else 'FAIL'} — "
             f"{len(self.reports) - len(self.failing)}/{len(self.reports)} benchmarks "
-            f"conform, worst divergence {self.worst_divergence * 100:.3f}%"
+            f"conform, {self.worst_label} {self.worst_divergence * 100:.3f}%"
             + (f", failing: {', '.join(self.failing)}" if self.failing else "")
         )
 
     def format(self) -> str:
-        out = [
-            f"Conformance — pirated cache vs reference simulator "
-            f"(tier={self.tier}, bound={self.bound * 100:.1f}%)"
-        ]
+        out = [f"{self.title} (tier={self.tier}, bound={self.bound * 100:.1f}%)"]
         for r in self.reports:
             out.append(r.format())
         out.append(self.summary_line())
         return "\n".join(out)
+
+
+def judge_suite(
+    diffs: Iterable[DifferentialResult],
+    tier: ValidationTier,
+    *,
+    seed: int = 0,
+    telemetry=None,
+    echo=None,
+) -> SuiteReport:
+    """Judge comparisons against ``tier``'s bound: the one place a suite's
+    verdicts, ``validation_*`` counters and ``conformance_failure`` events
+    are made.  ``diffs`` is consumed lazily, so ``echo`` (when given) gets
+    each benchmark's report as its comparison lands.
+    """
+    tel = ensure_telemetry(telemetry)
+    suite = SuiteReport(tier=tier.name, seed=seed, bound=tier.bound)
+    for diff in diffs:
+        report = conformance_report(diff, tier.bound)
+        suite.reports.append(report)
+        tel.count("validation_benchmarks_total")
+        if not report.passed:
+            tel.count("validation_failures_total")
+            tel.event(
+                "conformance_failure",
+                benchmark=report.benchmark,
+                worst_divergence=report.worst_divergence,
+            )
+        for _ in report.violations:
+            tel.count("validation_violations_total")
+        if echo is not None:
+            echo(report.format())
+    return suite
 
 
 def validate_suite(
@@ -245,28 +280,12 @@ def validate_suite(
     ``workers`` fans each benchmark's per-size pirate runs over a process
     pool; the report is identical for any worker count (a metamorphic
     invariant under test in ``tests/test_validation_props.py``).  ``echo``
-    (when given) receives each benchmark's formatted report as it lands,
-    so long suites stream progress instead of going silent.
+    streams each benchmark's report as :func:`judge_suite` makes it.
     """
     tel = ensure_telemetry(telemetry)
-    suite = SuiteReport(tier=tier.name, seed=seed, bound=tier.bound)
+    diffs = (
+        differential_compare(name, tier, config=config, seed=seed, workers=workers, telemetry=tel)
+        for name in names
+    )
     with tel.span("validate_suite", tier=tier.name, benchmarks=len(names)):
-        for name in names:
-            diff = differential_compare(
-                name, tier, config=config, seed=seed, workers=workers, telemetry=tel
-            )
-            report = conformance_report(diff, tier.bound)
-            suite.reports.append(report)
-            tel.count("validation_benchmarks_total")
-            if not report.passed:
-                tel.count("validation_failures_total")
-                tel.event(
-                    "conformance_failure",
-                    benchmark=name,
-                    worst_divergence=report.worst_divergence,
-                )
-            for _ in report.violations:
-                tel.count("validation_violations_total")
-            if echo is not None:
-                echo(report.format())
-    return suite
+        return judge_suite(diffs, tier, seed=seed, telemetry=tel, echo=echo)

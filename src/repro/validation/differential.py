@@ -31,15 +31,14 @@ from ..config import MachineConfig, nehalem_config
 from ..core.attach import AttachWindow, measure_between_markers
 from ..core.curves import IntervalSample, PerformanceCurve
 from ..core.parallel import parallel_map
-from ..experiments.common import benchmark_factory
 from ..experiments.scale import Scale
 from ..observability import ensure_telemetry
 from ..reference import apply_offset, reference_curve
 from ..reference.sweep import ReferenceCurve
 from ..rng import stable_seed
-from ..tracing import capture_trace, profile_workload
+from ..tracing import AddressTrace, capture_trace, profile_workload
 from ..units import MB
-from ..workloads import TargetSpec
+from ..workloads import TargetSpec, benchmark_target
 from .tiers import ValidationTier
 
 
@@ -111,6 +110,41 @@ def _measure_size(task: _SizeTask) -> IntervalSample:
     )
 
 
+def traced_window(
+    name: str, factory: TargetSpec, tier: ValidationTier, config: MachineConfig, seed: int, tel
+) -> tuple[float, float, AddressTrace, ReferenceCurve]:
+    """Steps 1-3 uncalibrated: ``(start, stop, trace, reference curve)``.
+
+    The surrogate grader shares this head, so both oracles judge one window.
+    """
+    # Gprof step: place markers on the hot region
+    with tel.span("validate_profile", instructions=tier.profile_instructions):
+        profile = profile_workload(
+            factory,
+            tier.profile_instructions,
+            config=config,
+            seed=stable_seed(seed, name, "prof"),
+        )
+    hot = profile.hottest()
+    wl = factory()
+    footprint = min(wl.footprint_lines(), config.l3.num_lines)
+    lines = tier.window_lines(footprint)
+    start = hot.start_marker + tier.warm_start_instructions
+    stop = start + lines * wl.accesses_per_line / wl.mem_fraction
+
+    # Pin step: capture the trace of exactly that window
+    with tel.span("validate_trace", lines=lines):
+        trace = capture_trace(factory(), start, stop, benchmark=name)
+    with tel.span("validate_reference", sizes=len(tier.sizes_mb)):
+        ref = reference_curve(
+            trace,
+            list(tier.sizes_mb),
+            base_config=config,
+            warmup_fraction=tier.reference_warmup_fraction,
+        )
+    return start, stop, trace, ref
+
+
 def differential_compare(
     name: str,
     tier: ValidationTier,
@@ -136,37 +170,11 @@ def differential_compare(
     config = config or nehalem_config(prefetch_enabled=False)
     tel = ensure_telemetry(telemetry)
     if factory is None:
-        factory = benchmark_factory(name, seed=stable_seed(seed, name))
+        factory = benchmark_target(name, seed=stable_seed(seed, name))
 
     with tel.span("validate_benchmark", benchmark=name, tier=tier.name):
-        # Gprof step: place markers on the hot region
-        with tel.span("validate_profile", instructions=tier.profile_instructions):
-            profile = profile_workload(
-                factory,
-                tier.profile_instructions,
-                config=config,
-                seed=stable_seed(seed, name, "prof"),
-            )
-        hot = profile.hottest()
-        wl = factory()
-        footprint = min(wl.footprint_lines(), config.l3.num_lines)
-        lines = tier.window_lines(footprint)
-        window_instr = lines * wl.accesses_per_line / wl.mem_fraction
-        start = hot.start_marker + tier.warm_start_instructions
-        stop = start + window_instr
-
-        # Pin step: capture the trace of exactly that window
-        with tel.span("validate_trace", lines=lines):
-            trace = capture_trace(factory(), start, stop, benchmark=name)
-
-        # reference curve + baseline-offset calibration (stolen = 0 run)
-        with tel.span("validate_reference", sizes=len(tier.sizes_mb)):
-            ref = reference_curve(
-                trace,
-                list(tier.sizes_mb),
-                base_config=config,
-                warmup_fraction=tier.reference_warmup_fraction,
-            )
+        start, stop, _, ref = traced_window(name, factory, tier, config, seed, tel)
+        # baseline-offset calibration (stolen = 0 run)
         with tel.span("validate_baseline"):
             baseline = measure_between_markers(
                 factory, 0, start, stop, config=config,

@@ -7,15 +7,15 @@ differential pipeline head — same profiling step, same markers, same
 captured trace, same calibrated reference curve — then substitutes the
 surrogate model for the Pirate side:
 
-1. profile the workload, trace the hot window
-   (identical seeds and window policy to
-   :func:`~repro.validation.differential.differential_compare`),
-2. replay the trace through the reference simulator at every tier size,
-3. build a :class:`~repro.surrogate.SurrogateModel` from the *same* trace
+1. profile the workload, trace the hot window and replay the trace
+   through the reference simulator at every tier size
+   (:func:`~repro.validation.differential.traced_window`, the head
+   :func:`~repro.validation.differential.differential_compare` runs),
+2. build a :class:`~repro.surrogate.SurrogateModel` from the *same* trace
    (``skip_fraction`` mirrors the reference warm-up fraction), predict
    every size, and anchor the predicted curve at the full-cache point the
    same way §III-B1 anchors measured curves to a solo baseline,
-4. grade each size PASS / GRAY / FAIL against the tier's fetch-ratio
+3. grade each size PASS / GRAY / FAIL against the tier's fetch-ratio
    bound.  GRAY marks sizes the model itself flags as low-confidence (its
    error estimate exceeds the surrogate bound) — the documented grey
    regions, excluded from pass/fail exactly like the paper's untrusted
@@ -28,20 +28,19 @@ run :func:`grade_suite` over the full workload grid.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
+from typing import ClassVar
 
 from ..analysis.reuse import reuse_profile
 from ..config import MachineConfig, nehalem_config
 from ..core.parallel import parallel_map
-from ..experiments.common import benchmark_factory
 from ..observability import ensure_telemetry
-from ..reference import reference_curve
 from ..rng import stable_seed
 from ..surrogate import SurrogateModel, SurrogatePolicy
-from ..tracing import capture_trace, profile_workload
 from ..units import LINE_SIZE, MB
+from ..workloads import benchmark_target
+from .conformance import SuiteReport
+from .differential import traced_window
 from .tiers import ValidationTier
 
 
@@ -136,65 +135,16 @@ class SurrogateGrade:
 
 
 @dataclass
-class SurrogateSuiteReport:
+class SurrogateSuiteReport(SuiteReport):
     """The surrogate oracle's verdict over a set of workloads."""
 
-    tier: str
-    seed: int
-    bound: float
     reports: list[SurrogateGrade] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return bool(self.reports) and all(r.passed for r in self.reports)
-
-    @property
-    def worst_divergence(self) -> float:
-        return max((r.worst_divergence for r in self.reports), default=0.0)
-
-    @property
-    def failing(self) -> list[str]:
-        return [r.benchmark for r in self.reports if not r.passed]
-
-    def by_name(self, name: str) -> SurrogateGrade:
-        for r in self.reports:
-            if r.benchmark == name:
-                return r
-        raise KeyError(name)
+    title: ClassVar[str] = "Surrogate grading — analytic prediction vs reference simulator"
+    label: ClassVar[str] = "surrogate suite"
+    worst_label: ClassVar[str] = "worst trusted divergence"
 
     def to_dict(self) -> dict:
-        return {
-            "tier": self.tier,
-            "seed": self.seed,
-            "bound": self.bound,
-            "engine": "surrogate",
-            "passed": self.passed,
-            "worst_divergence": self.worst_divergence,
-            "failing": self.failing,
-            "benchmarks": [r.to_dict() for r in self.reports],
-        }
-
-    def write_json(self, path: str | Path) -> None:
-        """Write the report as a JSON artifact (atomic enough for CI)."""
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
-
-    def summary_line(self) -> str:
-        return (
-            f"surrogate suite: {'PASS' if self.passed else 'FAIL'} — "
-            f"{len(self.reports) - len(self.failing)}/{len(self.reports)} benchmarks "
-            f"conform, worst trusted divergence {self.worst_divergence * 100:.3f}%"
-            + (f", failing: {', '.join(self.failing)}" if self.failing else "")
-        )
-
-    def format(self) -> str:
-        out = [
-            f"Surrogate grading — analytic prediction vs reference simulator "
-            f"(tier={self.tier}, bound={self.bound * 100:.1f}%)"
-        ]
-        for r in self.reports:
-            out.append(r.format())
-        out.append(self.summary_line())
-        return "\n".join(out)
+        return {**super().to_dict(), "engine": "surrogate"}
 
 
 def grade_surrogate(
@@ -214,30 +164,10 @@ def grade_surrogate(
     config = config or nehalem_config(prefetch_enabled=False)
     policy = policy or SurrogatePolicy()
     tel = ensure_telemetry(telemetry)
-    factory = benchmark_factory(name, seed=stable_seed(seed, name))
+    factory = benchmark_target(name, seed=stable_seed(seed, name))
 
     with tel.span("grade_surrogate", benchmark=name, tier=tier.name):
-        # identical head to differential_compare: same seeds, same window
-        profile = profile_workload(
-            factory,
-            tier.profile_instructions,
-            config=config,
-            seed=stable_seed(seed, name, "prof"),
-        )
-        hot = profile.hottest()
-        wl = factory()
-        footprint = min(wl.footprint_lines(), config.l3.num_lines)
-        lines = tier.window_lines(footprint)
-        window_instr = lines * wl.accesses_per_line / wl.mem_fraction
-        start = hot.start_marker + tier.warm_start_instructions
-        trace = capture_trace(factory(), start, start + window_instr, benchmark=name)
-
-        ref = reference_curve(
-            trace,
-            list(tier.sizes_mb),
-            base_config=config,
-            warmup_fraction=tier.reference_warmup_fraction,
-        )
+        _, _, trace, ref = traced_window(name, factory, tier, config, seed, tel)
 
         # surrogate side: same trace, warm-up skip mirroring the reference
         sprof = reuse_profile(trace, skip_fraction=tier.reference_warmup_fraction)

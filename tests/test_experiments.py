@@ -5,6 +5,8 @@ ones fully and exercise the result/aggregation logic of the rest with
 synthetic inputs and a tiny scale.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.experiments import QUICK, FULL, Scale
@@ -49,6 +51,9 @@ def test_scales_are_consistent():
         assert ivals == sorted(ivals)
     assert len(FULL.sizes_mb) == 16  # 0.5..8.0 in 0.5 steps
     assert len(FULL.reference_benchmarks) == 12  # as presented in Fig. 6
+    assert FULL.validation_benchmarks == (*FULL.reference_benchmarks, "cigar")
+    with_cigar = dataclasses.replace(TINY, reference_benchmarks=("cigar", "mcf"))
+    assert with_cigar.validation_benchmarks == ("cigar", "mcf")
 
 
 def test_full_reference_benchmarks_are_traceable():
@@ -136,11 +141,12 @@ def test_fig2_result_crossover():
 def test_fig7_from_synthetic_fig6():
     from repro.analysis.errors import CurveError
     import numpy as np
-    from repro.experiments.fig6_reference import BenchmarkComparison, Fig6Result
+    from repro.experiments.fig6_reference import Fig6Result
+    from repro.validation import DifferentialResult
 
     def mk(name, absolute, relative):
         err = CurveError(name, absolute, relative, np.array([absolute]), np.array([8.0]))
-        return BenchmarkComparison(name, None, None, err)
+        return DifferentialResult(name, None, None, None, err)
 
     fig6 = Fig6Result([mk("a", 0.001, 0.05), mk("povray", 0.0001, 2.35)])
     res = fig7_errors.from_fig6(fig6)
@@ -230,3 +236,52 @@ def test_runall_main_is_the_experiments_command(tmp_path, capsys):
     # the same parser's one-line errors, exit 2
     assert runall.main(["--only", "fig99"]) == 2
     assert capsys.readouterr().out.startswith("error: --only: unknown experiment id")
+
+
+def _quiet_run_all(scale, only, **kwargs):
+    return run_all(scale, only=only, echo=lambda *a: None, **kwargs)
+
+
+def test_runall_measures_the_fig6_suite_once(monkeypatch):
+    from repro.observability import Telemetry
+    from repro.validation import differential
+
+    captured = []
+    capture = differential.capture_trace
+
+    def counting_capture(workload, start, stop, *, benchmark):
+        captured.append(benchmark)
+        return capture(workload, start, stop, benchmark=benchmark)
+
+    monkeypatch.setattr(differential, "capture_trace", counting_capture)
+    tel = Telemetry()
+    results = _quiet_run_all(TINY, ["fig6", "fig7", "conformance"], telemetry=tel)
+    suite = ["povray", "cigar"]  # the reference benchmarks plus Cigar
+    # fig7 and conformance are views: one §III-B comparison per benchmark
+    assert captured == suite
+    measurement = tel.summary(deterministic=True)["measurement"]
+    assert measurement["spans"]["validate_benchmark"]["count"] == len(suite)
+    assert measurement["counters"]["validation_benchmarks_total"] == len(suite)
+    assert results["fig7"].benchmarks == suite
+    # the verdict judged from fig6 is the one conformance measures alone
+    alone = _quiet_run_all(TINY, ["conformance"])["conformance"]
+    assert captured == suite * 2
+    assert results["conformance"].to_dict() == alone.to_dict()
+    assert results["conformance"].format() == alone.format()
+
+
+def test_runall_fig9_reuses_fig8s_lbm_curve(monkeypatch):
+    from repro.experiments import common
+
+    runs = []
+    measure = common.measure_curve_dynamic
+
+    def recording_measure(factory, sizes_mb, **kwargs):
+        runs.append((kwargs["benchmark"], kwargs["config"].prefetch_enabled))
+        return measure(factory, sizes_mb, **kwargs)
+
+    monkeypatch.setattr(common, "measure_curve_dynamic", recording_measure)
+    scale = dataclasses.replace(TINY, curve_benchmarks=("lbm",))
+    results = _quiet_run_all(scale, ["fig8", "fig9"])
+    assert sorted(runs) == [("lbm", False), ("lbm", True)]
+    assert results["fig9"].with_prefetch is results["fig8"].curves["lbm"]

@@ -268,8 +268,3 @@ def test_conformance_experiment_covers_scale_benchmarks_plus_cigar():
     assert [r.benchmark for r in suite.reports] == ["povray", "cigar"]
     assert suite.passed
     assert "Conformance" in suite.format()
-
-
-def test_conformance_experiment_can_skip_cigar():
-    suite = conformance_exp.run(TINY_SCALE, seed=0, include_cigar=False)
-    assert [r.benchmark for r in suite.reports] == ["povray"]
