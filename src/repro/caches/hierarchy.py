@@ -50,6 +50,7 @@ only ``measure`` runs the hierarchy at all.
 from __future__ import annotations
 
 import warnings
+from dataclasses import replace
 from itertools import repeat
 
 import numpy as np
@@ -392,6 +393,38 @@ class CacheHierarchy:
         for pf in self._prefetchers:
             if pf is not None:
                 pf.reset()
+
+    def snapshot(self) -> tuple:
+        """A copy of the whole memory system's state: every cache (with its
+        counters and replacement metadata), owners, private-fill flags,
+        prefetch streams and the per-core totals."""
+        if self._walk is not None:
+            caches = self._walk.snapshot()
+        else:
+            caches = (
+                [c.snapshot() for c in (*self.l1, *self.l2, self.l3)],
+                dict(self._owner),
+                list(self._priv_filled),
+                [pf.snapshot() if pf is not None else None for pf in self._prefetchers],
+            )
+        return caches, [replace(t) for t in self.totals], dict(self.kernel_chunks)
+
+    def restore(self, state: tuple) -> None:
+        """Return to a :meth:`snapshot` of a hierarchy of the same config."""
+        caches, totals, chunks = state
+        if self._walk is not None:
+            self._walk.restore(caches)
+        else:
+            levels, owner, priv_filled, prefetchers = caches
+            for cache, saved in zip((*self.l1, *self.l2, self.l3), levels, strict=True):
+                cache.restore(saved)
+            self._owner = dict(owner)
+            self._priv_filled = list(priv_filled)
+            for pf, saved in zip(self._prefetchers, prefetchers, strict=True):
+                if pf is not None:
+                    pf.restore(saved)
+        self.totals = [replace(t) for t in totals]
+        self.kernel_chunks = dict(chunks)
 
     def l3_resident(self, line: int) -> bool:
         """True when ``line`` is currently in the shared L3."""

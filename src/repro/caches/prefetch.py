@@ -105,6 +105,20 @@ class StreamPrefetcher:
         self._by_next.clear()
         self._order.clear()
 
+    def snapshot(self) -> tuple:
+        """The stream table as plain data (the :meth:`load_table` rows in
+        FIFO order, oldest first) plus the lifetime counters."""
+        rows = [
+            (st.next_line, st.count, st.frontier, self._by_next.get(st.next_line) is st)
+            for st in self._order
+        ]
+        return rows, self.issued, self.streams_started
+
+    def restore(self, state: tuple) -> None:
+        """Return to a :meth:`snapshot`."""
+        rows, self.issued, self.streams_started = state
+        self.load_table(rows, len(rows), 0)
+
     def load_table(self, rows: list[list[int]], used: int, head: int) -> None:
         """Rebuild the streams from the array form the C walk keeps.
 

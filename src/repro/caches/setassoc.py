@@ -220,6 +220,41 @@ class SetAssocCache:
             invalidations=self.inval_count,
         )
 
+    # -- snapshots ----------------------------------------------------------------
+
+    _COUNTERS = (
+        "acc_count", "hit_count", "miss_count", "evict_count",
+        "wb_count", "fill_count", "inval_count",
+    )
+
+    def snapshot(self) -> tuple:
+        """A copy of everything accesses change: tags, dirty masks, valid
+        counts, the victim tag, the counters and the policy's metadata."""
+        return (
+            [t[:] for t in self._tags],
+            self._dirty[:],
+            self._nvalid[:],
+            self.victim_tag,
+            [getattr(self, c) for c in self._COUNTERS],
+            self._meta_snapshot(),
+        )
+
+    def restore(self, state: tuple) -> None:
+        """Return to a :meth:`snapshot` (which stays usable)."""
+        tags, dirty, nvalid, self.victim_tag, counters, meta = state
+        self._tags = [t[:] for t in tags]
+        self._dirty = dirty[:]
+        self._nvalid = nvalid[:]
+        for name, value in zip(self._COUNTERS, counters):
+            setattr(self, name, value)
+        self._meta_restore(meta)
+
+    def _meta_snapshot(self):
+        """Copy of the replacement metadata; subclasses override."""
+
+    def _meta_restore(self, meta) -> None:
+        """Install a :meth:`_meta_snapshot` copy; subclasses override."""
+
     # -- introspection --------------------------------------------------------
 
     def set_state(self, set_idx: int) -> tuple[list[int | None], int, int]:
@@ -291,6 +326,12 @@ class LRUCache(SetAssocCache):
         self.miss_count += 1
         return self._fill_slow(set_idx, tag, is_write, tags)
 
+    def _meta_snapshot(self) -> list[list[int]]:
+        return [r[:] for r in self._recency]
+
+    def _meta_restore(self, meta: list[list[int]]) -> None:
+        self._recency = [r[:] for r in meta]
+
     def recency_order(self, set_idx: int) -> list[int | None]:
         """Tags from LRU to MRU for one set (Fig. 3 stack view)."""
         tags = self._tags[set_idx]
@@ -353,6 +394,12 @@ class NRUCache(SetAssocCache):
             return HIT
         self.miss_count += 1
         return self._fill_slow(set_idx, tag, is_write, tags)
+
+    def _meta_snapshot(self) -> list[int]:
+        return self._acc[:]
+
+    def _meta_restore(self, meta: list[int]) -> None:
+        self._acc = meta[:]
 
     def accessed_bits(self, set_idx: int) -> int:
         """Raw accessed-bit mask of a set (diagnostics/tests)."""
@@ -419,6 +466,12 @@ class PLRUCache(SetAssocCache):
     def _victim(self, set_idx: int) -> int:
         return self._victim_tab[self._tree[set_idx]]
 
+    def _meta_snapshot(self) -> list[int]:
+        return self._tree[:]
+
+    def _meta_restore(self, meta: list[int]) -> None:
+        self._tree = meta[:]
+
     def tree_bits(self, set_idx: int) -> int:
         """Tree state of a set (diagnostics/tests)."""
         return self._tree[set_idx]
@@ -436,6 +489,12 @@ class RandomCache(SetAssocCache):
 
     def _victim(self, set_idx: int) -> int:
         return int(self._rng.integers(0, self.ways))
+
+    def _meta_snapshot(self) -> dict:
+        return self._rng.bit_generator.state
+
+    def _meta_restore(self, meta: dict) -> None:
+        self._rng.bit_generator.state = meta
 
 
 def make_cache(

@@ -1133,6 +1133,19 @@ def _run_pool(
             tel.gauge("exec_worker_utilization", min(seconds / pool_wall, 1.0), pid=pid)
 
 
+#: The ``fn`` of the :func:`parallel_map` call this pool worker serves.
+_WORKER_FN: Callable | None = None
+
+
+def _set_worker_fn(fn: Callable) -> None:
+    global _WORKER_FN
+    _WORKER_FN = fn
+
+
+def _call_worker_fn(item):
+    return _WORKER_FN(item)
+
+
 def parallel_map(fn: Callable, items: Sequence, *, workers: int = 0, mp_context=None) -> list:
     """Order-preserving map over independent items, optionally in processes.
 
@@ -1140,7 +1153,10 @@ def parallel_map(fn: Callable, items: Sequence, *, workers: int = 0, mp_context=
     indivisible task per item (e.g. one dynamic-pirating execution per
     benchmark in Fig. 8).  ``fn`` and every item must pickle when
     ``workers >= 2``; results come back in input order regardless of
-    completion order, so worker count never changes the output.
+    completion order, so worker count never changes the output.  ``fn``
+    reaches each pool worker once, not with every item (a forked worker
+    inherits it, a spawned one unpickles it once), so a partial over a
+    large input such as an attach point costs one copy per worker.
     """
     if workers < 0:
         raise MeasurementError(f"workers must be >= 0, got {workers}")
@@ -1148,6 +1164,11 @@ def parallel_map(fn: Callable, items: Sequence, *, workers: int = 0, mp_context=
     if workers < 2 or len(items) < 2:
         return [fn(item) for item in items]
     ctx = mp_context if mp_context is not None else default_mp_context()
-    with ProcessPoolExecutor(max_workers=min(workers, len(items)), mp_context=ctx) as pool:
-        futures = [pool.submit(fn, item) for item in items]
+    with ProcessPoolExecutor(
+        max_workers=min(workers, len(items)),
+        mp_context=ctx,
+        initializer=_set_worker_fn,
+        initargs=(fn,),
+    ) as pool:
+        futures = [pool.submit(_call_worker_fn, item) for item in items]
         return [f.result() for f in futures]

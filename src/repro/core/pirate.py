@@ -100,6 +100,13 @@ class PirateThreadWorkload:
     def reset(self) -> None:
         self._pos = 0
 
+    def snapshot(self) -> tuple[int, int]:
+        """Stripe length and sweep position."""
+        return self._count, self._pos
+
+    def restore(self, state: tuple[int, int]) -> None:
+        self._count, self._pos = state
+
 
 class Pirate:
     """A set of Pirate threads managed as one cache-stealing unit."""
@@ -152,6 +159,15 @@ class Pirate:
         extra = total_lines % n
         for i, wl in enumerate(self.workloads):
             wl.set_count(base + (1 if i < extra else 0))
+
+    def snapshot(self) -> tuple[int, list[int]]:
+        """Working-set size and claimed stripe lines.  The threads' sweep
+        positions and counters belong to the machine's snapshot."""
+        return self._working_set_bytes, list(self._claimed)
+
+    def restore(self, state: tuple[int, list[int]]) -> None:
+        self._working_set_bytes, claimed = state
+        self._claimed = list(claimed)
 
     # -- counter access -----------------------------------------------------------
 

@@ -67,8 +67,19 @@ def from_fig6(fig6: Fig6Result) -> Fig7Result:
     return result
 
 
-def run(scale: Scale = QUICK, seed: int = 0, fig6: Fig6Result | None = None) -> Fig7Result:
-    """Compute the error chart (reusing a Fig. 6 result when provided)."""
+def run(
+    scale: Scale = QUICK,
+    seed: int = 0,
+    *,
+    workers: int | None = None,
+    telemetry=None,
+    fig6: Fig6Result | None = None,
+) -> Fig7Result:
+    """Compute the error chart (reusing a Fig. 6 result when provided).
+
+    Without ``fig6`` the suite is measured here, with ``workers`` and
+    ``telemetry`` passed on to :func:`~repro.experiments.fig6_reference.run`.
+    """
     if fig6 is None:
-        fig6 = run_fig6(scale, seed)
+        fig6 = run_fig6(scale, seed, workers=workers, telemetry=telemetry)
     return from_fig6(fig6)

@@ -89,6 +89,24 @@ class BandwidthDomain:
         """Published demand over capacity (may exceed 1 when oversubscribed)."""
         return self.demand_rate / self.capacity
 
+    _STATE = ("_epoch_index", "stretch", "latency_scale", "demand_rate", "total_bytes")
+
+    def snapshot(self) -> tuple:
+        """The epoch's demand accumulators and the published factors.
+
+        The accumulators keep their insertion order: the rollover sums
+        them in that order, and float addition is order-sensitive.
+        """
+        acc = {tid: list(v) for tid, v in self._acc.items()}
+        return acc, [getattr(self, a) for a in self._STATE]
+
+    def restore(self, state: tuple) -> None:
+        """Return to a :meth:`snapshot`."""
+        acc, values = state
+        self._acc = {tid: list(v) for tid, v in acc.items()}
+        for attr, value in zip(self._STATE, values):
+            setattr(self, attr, value)
+
     def reset(self) -> None:
         """Forget all demand history (fresh machine)."""
         self._acc.clear()

@@ -12,7 +12,7 @@ real tool reads the CPU.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 from ..units import gbps_from_bytes_per_cycle
 
@@ -100,3 +100,7 @@ class PerfCounters:
     def sample_all(self) -> list[CounterSample]:
         """Snapshot every core."""
         return [self.sample(i) for i in range(len(self._banks))]
+
+    def restore(self, samples: list[CounterSample]) -> None:
+        """Set every core's bank to a :meth:`sample_all` reading."""
+        self._banks = [replace(s) for s in samples]

@@ -143,6 +143,41 @@ class Machine:
         """Wake a thread at the current global time."""
         thread.resume(self.now)
 
+    # -- snapshots ----------------------------------------------------------------
+
+    def snapshot(self) -> tuple:
+        """The whole machine's state as plain data: the memory hierarchy,
+        both bandwidth domains, every counter bank and every thread with
+        its workload's stream position.
+
+        It pickles, so a machine built the same way in another process can
+        :meth:`restore` it.  Every thread's workload must provide
+        ``snapshot``/``restore`` (all of :mod:`repro.workloads` and the
+        Pirate's threads do).
+        """
+        return (
+            self.hierarchy.snapshot(),
+            self.l3_domain.snapshot(),
+            self.dram_domain.snapshot(),
+            self.counters.sample_all(),
+            [t.snapshot() for t in self.threads],
+        )
+
+    def restore(self, state: tuple) -> None:
+        """Return to a :meth:`snapshot` of a machine of the same config with
+        the same threads and workloads; the snapshot stays reusable."""
+        hierarchy, l3, dram, counters, threads = state
+        if len(threads) != len(self.threads):
+            raise SimulationError(
+                f"snapshot has {len(threads)} threads, the machine {len(self.threads)}"
+            )
+        self.hierarchy.restore(hierarchy)
+        self.l3_domain.restore(l3)
+        self.dram_domain.restore(dram)
+        self.counters.restore(counters)
+        for thread, saved in zip(self.threads, threads):
+            thread.restore(saved)
+
     # -- execution ---------------------------------------------------------------
 
     def run(self, goal: Goal | None = None) -> float:

@@ -20,7 +20,9 @@ class WorkloadLike(Protocol):
     """What the machine needs from a workload.
 
     Implementations live in :mod:`repro.workloads`; the Pirate in
-    :mod:`repro.core.pirate` implements the same protocol.
+    :mod:`repro.core.pirate` implements the same protocol.  Those also
+    provide ``snapshot()``/``restore(state)`` of their stream position,
+    which only :meth:`~repro.hardware.machine.Machine.snapshot` needs.
     """
 
     #: human-readable identifier (benchmark name)
@@ -106,6 +108,24 @@ class SimThread:
             and self.instructions >= self.instruction_limit - 0.5
         ):
             self.finished = True
+
+    _STATE = (
+        "clock", "instructions", "instruction_limit", "finished",
+        "suspended", "cpi_estimate", "_line_carry",
+    )
+
+    def snapshot(self) -> tuple:
+        """Clock, retired instructions, limit, run state, CPI estimate, line
+        carry and the workload's stream position."""
+        return [getattr(self, a) for a in self._STATE], self.workload.snapshot()
+
+    def restore(self, state: tuple) -> None:
+        """Return to a :meth:`snapshot` (the workload must be built the same
+        way as the snapshotted thread's)."""
+        values, workload = state
+        for attr, value in zip(self._STATE, values):
+            setattr(self, attr, value)
+        self.workload.restore(workload)
 
     def suspend(self) -> None:
         self.suspended = True

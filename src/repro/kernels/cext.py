@@ -820,6 +820,26 @@ class HierWalk:
         self.pf_tab.fill(0)
         self.pf_meta[:, :2] = 0  # issued/started are lifetime counters
 
+    def _state_arrays(self) -> list[np.ndarray]:
+        """Every array the walk changes (``_out`` is per-call scratch)."""
+        levels = [a for *_, arrays in self._levels for a in arrays]
+        return levels + [
+            self._cnt, self._clock, self.owner, self.priv_filled, self.pf_tab, self.pf_meta
+        ]
+
+    def snapshot(self) -> list[np.ndarray]:
+        """Copies of the whole hierarchy's state arrays."""
+        return [a.copy() for a in self._state_arrays()]
+
+    def restore(self, state: list[np.ndarray]) -> None:
+        """Copy a :meth:`snapshot` back into the live arrays.
+
+        In place: the C struct and the :class:`WalkCache` views point at
+        these arrays, so they must never be replaced.
+        """
+        for live, saved in zip(self._state_arrays(), state, strict=True):
+            np.copyto(live, saved)
+
     def owner_map(self) -> dict[int, int]:
         """Resident L3 line -> owning core (the scalar engine's ``_owner``)."""
         l3 = self.l3

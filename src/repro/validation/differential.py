@@ -11,24 +11,38 @@ workload:
    caches (:func:`repro.reference.reference_curve`, way reduction at
    constant sets — the Pirate-equivalent geometry) and pin the curve to a
    counter-measured solo baseline (:func:`repro.reference.apply_offset`),
-4. **pirated side** — attach the Pirate at the same markers once per swept
-   size and measure the Target's counters over the identical window
-   (:func:`repro.core.attach.measure_between_markers`).
+4. **pirated side** — run the Target Pirate-free to the start marker once
+   (:class:`repro.core.attach.AttachPoint`), then attach the Pirate there
+   once per swept size and measure the Target's counters over the
+   identical window; every window restores the machine the prefix left.
 
-Per-size pirate runs are independent co-runs on separate machines, so they
-fan out over :func:`repro.core.parallel.parallel_map`; results are
-bit-identical for any worker count.  :mod:`repro.experiments.fig6_reference`
-delegates here (via :func:`tier_from_scale`), so the experiment and the
-conformance oracle can never drift apart.
+Per-size windows are independent co-runs, so they fan out over
+:func:`repro.core.parallel.parallel_map`; each pool worker receives the
+prefix's snapshot once and restores it rather than re-running the prefix.
+Results are bit-identical for any worker count.  A machine with a
+``random`` replacement level measures each window with its own prefix
+under that window's seed instead
+(:func:`repro.core.attach.prefix_depends_on_seed`), in the process that
+measures the window.
+:mod:`repro.experiments.fig6_reference` delegates here (via
+:func:`tier_from_scale`), so the experiment and the conformance oracle can
+never drift apart.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 from ..analysis.errors import CurveError, curve_errors
 from ..config import MachineConfig, nehalem_config
-from ..core.attach import AttachWindow, measure_between_markers
+from ..core.attach import (
+    AttachPoint,
+    AttachWindow,
+    measure_between_markers,
+    prefix_depends_on_seed,
+)
 from ..core.curves import IntervalSample, PerformanceCurve
 from ..core.parallel import parallel_map
 from ..experiments.scale import Scale
@@ -82,26 +96,22 @@ class DifferentialResult:
 
 @dataclass(frozen=True)
 class _SizeTask:
-    """One per-size pirate measurement; module-level data, so it pickles."""
+    """One per-size pirate window; it pickles small.
 
-    factory: TargetSpec
+    ``own_prefix`` is None for a window measured from the benchmark's
+    shared :class:`AttachPoint`, or a ``measure_between_markers`` partial
+    that runs the window's own prefix (``random`` replacement).
+    """
+
     stolen_bytes: int
-    start_marker: float
     stop_marker: float
-    config: MachineConfig
-    seed: int
+    own_prefix: Callable[..., AttachWindow] | None
 
 
-def _measure_size(task: _SizeTask) -> IntervalSample:
+def _measure_size(point: AttachPoint | None, task: _SizeTask) -> IntervalSample:
     """Pure per-size task (runs in-process or in a pool worker)."""
-    win = measure_between_markers(
-        task.factory,
-        task.stolen_bytes,
-        task.start_marker,
-        task.stop_marker,
-        config=task.config,
-        seed=task.seed,
-    )
+    measure = task.own_prefix or point.measure
+    win = measure(task.stolen_bytes, stop_marker=task.stop_marker)
     return IntervalSample(
         target_cache_bytes=win.target_cache_bytes,
         target=win.target,
@@ -174,28 +184,41 @@ def differential_compare(
 
     with tel.span("validate_benchmark", benchmark=name, tier=tier.name):
         start, stop, _, ref = traced_window(name, factory, tier, config, seed, tel)
+
+        # the seed reaches only ``random`` replacement; every other machine
+        # measures all windows from one prefix, the baseline's
+        shared = None
+        if not prefix_depends_on_seed(config):
+            with tel.span("validate_prefix", instructions=start):
+                shared = AttachPoint(
+                    factory, start, config=config, seed=stable_seed(seed, name, "base")
+                )
+
+        def own_prefix(*key) -> Callable[..., AttachWindow] | None:
+            if shared is not None:
+                return None
+            return partial(
+                measure_between_markers, factory, start_marker=start,
+                config=config, seed=stable_seed(seed, name, *key),
+            )
+
         # baseline-offset calibration (stolen = 0 run)
         with tel.span("validate_baseline"):
-            baseline = measure_between_markers(
-                factory, 0, start, stop, config=config,
-                seed=stable_seed(seed, name, "base"),
-            )
+            baseline = (own_prefix("base") or shared.measure)(0, stop_marker=stop)
         ref = apply_offset(ref, baseline.target.fetch_ratio)
 
-        # pirate measurements attached at the same markers, one run per size
+        # pirate windows attached at the same markers, one per size; the
+        # shared point reaches each pool worker once (parallel_map's ``fn``)
         tasks = [
             _SizeTask(
-                factory=factory,
                 stolen_bytes=config.l3.size - int(size_mb * MB),
-                start_marker=start,
                 stop_marker=stop,
-                config=config,
-                seed=stable_seed(seed, name, "pirate", size_mb),
+                own_prefix=own_prefix("pirate", size_mb),
             )
             for size_mb in tier.sizes_mb
         ]
         with tel.span("validate_pirate", sizes=len(tasks), workers=workers):
-            samples = parallel_map(_measure_size, tasks, workers=workers)
+            samples = parallel_map(partial(_measure_size, shared), tasks, workers=workers)
         pirate = PerformanceCurve.from_samples(name, samples, config.core.clock_hz)
         for s in samples:
             tel.count("validation_points_total")

@@ -40,7 +40,42 @@ def instance_base(instance_id: int) -> int:
     return (instance_id + 1) * _INSTANCE_STRIDE
 
 
-class Workload:
+class Resumable:
+    """A seeded stream whose position can be saved and resumed.
+
+    The position is the generator's state, the scalar attributes named in
+    ``_cursor`` and the positions of the sub-streams :meth:`_parts` lists.
+    Arrays a stream only reads (chase orders, Zipf permutations) are fixed
+    by its construction, so a stream built the same way and given a
+    :meth:`snapshot` continues exactly where the snapshotted one stood.
+    """
+
+    #: scalar attributes the stream advances, besides its generator
+    _cursor: tuple[str, ...] = ()
+
+    def _parts(self) -> list["Resumable"]:
+        """Sub-streams with positions of their own."""
+        return []
+
+    def snapshot(self) -> tuple:
+        """The stream's position as plain data."""
+        return (
+            self._rng.bit_generator.state,
+            [getattr(self, a) for a in self._cursor],
+            [p.snapshot() for p in self._parts()],
+        )
+
+    def restore(self, state: tuple) -> None:
+        """Move the stream to a position taken by :meth:`snapshot`."""
+        rng, cursor, parts = state
+        self._rng.bit_generator.state = rng
+        for attr, value in zip(self._cursor, cursor):
+            setattr(self, attr, value)
+        for part, sub in zip(self._parts(), parts):
+            part.restore(sub)
+
+
+class Workload(Resumable):
     """Base class for all workloads (implements ``WorkloadLike``)."""
 
     def __init__(

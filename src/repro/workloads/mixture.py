@@ -90,6 +90,9 @@ class MixtureWorkload(Workload):
                 start += cnt
         return out
 
+    def _parts(self) -> list[Pattern]:
+        return [c.pattern for c in self.components]
+
     def footprint_lines(self) -> int:
         return sum(c.pattern.footprint_lines() for c in self.components)
 

@@ -17,9 +17,10 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..rng import make_rng
+from .base import Resumable
 
 
-class Pattern:
+class Pattern(Resumable):
     """Base class: a stream of line addresses inside one region."""
 
     def __init__(self, base_line: int, region_lines: int, seed: int | None = None):
@@ -55,6 +56,8 @@ class SequentialPattern(Pattern):
     ``t``, each segment costs ``t`` demand misses out of ``segment_lines``
     fetches (this is how the lbm stand-in gets its 8x gap, §IV).
     """
+
+    _cursor = ("_pos", "_seg_left")
 
     def __init__(
         self,
@@ -124,6 +127,8 @@ class StridedPattern(Pattern):
     """Cyclic access with a fixed stride in lines (> 1 defeats the stream
     prefetcher while preserving regularity)."""
 
+    _cursor = ("_pos",)
+
     def __init__(
         self,
         base_line: int,
@@ -186,8 +191,11 @@ class PointerChasePattern(Pattern):
     integer seed share one read-only array from a small module-level cache,
     and :meth:`reset` keeps it.  A seed passed as a ``Generator`` has
     consumable state instead, so the order is drawn from it at construction
-    and redrawn at every reset, uncached.
+    and redrawn at every reset, uncached; the order is then part of the
+    stream's position (:meth:`snapshot`).
     """
+
+    _cursor = ("_pos",)
 
     def __init__(
         self,
@@ -198,6 +206,8 @@ class PointerChasePattern(Pattern):
         super().__init__(base_line, region_lines, seed)
         self._order = self._draw_order()
         self._pos = 0
+        if isinstance(seed, np.random.Generator):
+            self._cursor = ("_pos", "_order")
 
     def _draw_order(self) -> np.ndarray:
         if isinstance(self._seed, np.random.Generator):

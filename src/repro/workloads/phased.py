@@ -28,6 +28,8 @@ class PhasedWorkload(Workload):
     parameters uniform lets the machine treat the thread as one workload.
     """
 
+    _cursor = ("_phase_idx", "_lines_left")
+
     def __init__(
         self,
         name: str,
@@ -89,6 +91,9 @@ class PhasedWorkload(Workload):
         if len(pieces) == 1:
             return pieces[0]
         return np.concatenate(pieces)
+
+    def _parts(self) -> list[Workload]:
+        return [wl for wl, _ in self.phases]
 
     def footprint_lines(self) -> int:
         return sum(wl.footprint_lines() for wl, _ in self.phases)

@@ -243,6 +243,8 @@ class TraceReplayWorkload(Workload):
     positionally (not re-drawn), so the stream is fully deterministic.
     """
 
+    _cursor = ("_pos",)
+
     def __init__(
         self,
         name: str,

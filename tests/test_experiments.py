@@ -270,6 +270,28 @@ def test_runall_measures_the_fig6_suite_once(monkeypatch):
     assert results["conformance"].format() == alone.format()
 
 
+def test_runall_fig7_alone_measures_with_the_given_workers_and_telemetry(monkeypatch):
+    from repro.experiments import fig6_reference
+    from repro.observability import Telemetry
+
+    fan_out = []
+    compare = fig6_reference.differential_compare
+
+    def recording_compare(name, tier, **kwargs):
+        fan_out.append(kwargs["workers"])
+        return compare(name, tier, **kwargs)
+
+    monkeypatch.setattr(fig6_reference, "differential_compare", recording_compare)
+    tel = Telemetry()
+    results = _quiet_run_all(TINY, ["fig7"], workers=1, telemetry=tel)
+    suite = ["povray", "cigar"]
+    assert results["fig7"].benchmarks == suite
+    assert fan_out == [1, 1]  # not the scale's default fan-out
+    spans = tel.summary(deterministic=True)["measurement"]["spans"]
+    assert {"validate_benchmark", "validate_prefix", "validate_pirate"} <= set(spans)
+    assert spans["validate_prefix"]["count"] == len(suite)
+
+
 def test_runall_fig9_reuses_fig8s_lbm_curve(monkeypatch):
     from repro.experiments import common
 

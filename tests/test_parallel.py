@@ -13,6 +13,7 @@ without assuming multiple cores (CI containers may have one).
 
 import json
 import pickle
+from multiprocessing import get_all_start_methods, get_context
 
 import pytest
 from hypothesis import given, settings
@@ -372,6 +373,25 @@ def test_parallel_map_preserves_input_order():
     items = list(range(7))
     assert parallel_map(_double, items, workers=0) == [2 * x for x in items]
     assert parallel_map(_double, items, workers=2) == [2 * x for x in items]
+
+
+class _Unshippable:
+    """A mapped function that refuses to pickle, as a live machine would."""
+
+    def __call__(self, x):
+        return 2 * x
+
+    def __reduce__(self):
+        raise pickle.PicklingError("fn must not travel with every item")
+
+
+@pytest.mark.skipif("fork" not in get_all_start_methods(), reason="needs fork")
+def test_parallel_map_hands_fn_to_a_forked_worker_without_pickling():
+    # fn reaches each worker once, at start-up, not with every item; a
+    # forked worker inherits it, so even a fn that cannot pickle works
+    items = list(range(5))
+    pooled = parallel_map(_Unshippable(), items, workers=2, mp_context=get_context("fork"))
+    assert pooled == [2 * x for x in items]
 
 
 def test_parallel_map_rejects_negative_workers():

@@ -239,8 +239,10 @@ def test_validate_suite_emits_telemetry_and_streams(povray_diff):
     assert {
         "validate_suite", "validate_benchmark", "validate_profile",
         "validate_trace", "validate_reference", "validate_baseline",
-        "validate_pirate",
+        "validate_pirate", "validate_prefix",
     } <= set(measurement["spans"])
+    # one Pirate-free prefix per benchmark serves the baseline and every size
+    assert measurement["spans"]["validate_prefix"]["count"] == 1
 
 
 # -------------------------------------------------------------- experiment

@@ -9,14 +9,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import tiny_config
+from repro.core.attach import AttachWindow, measure_between_markers
+from repro.core.curves import IntervalSample, PerformanceCurve
+from repro.rng import stable_seed
+from repro.units import MB
 from repro.validation import (
+    ValidationTier,
+    differential_compare,
     lru_stack_mismatches,
     monotone_violations,
     pirate_idle_fetch_ratio,
     reports_equivalent,
     validate_suite,
 )
-from repro.workloads import benchmark_target
+from repro.workloads import ZOO_NAMES, benchmark_target, zoo_target
 from tests.golden_scenarios import GOLDEN_TIER, conformance_scenario
 
 #: line-address streams confined to a small region so sets actually collide
@@ -94,3 +101,79 @@ def test_reports_equivalent_detects_differences():
     assert reports_equivalent(a, a)
     assert not reports_equivalent(a, b)  # different seed, different markers
     assert not reports_equivalent(a, a.reports[0])  # type-mismatch guard
+
+
+# ------------------------------------------------------ one attach prefix
+
+
+@st.composite
+def attach_cases(draw):
+    """A small machine, a zoo workload and one or two steal sizes (up to
+    half the L3, where a one-thread Pirate holds its lines)."""
+    ways = draw(st.sampled_from([4, 8, 16]))
+    sets = draw(st.sampled_from([256, 512]))
+    policy = draw(st.sampled_from(["lru", "nru", "plru", "random"]))
+    config = tiny_config(l3_size=sets * ways * 64, l3_ways=ways, policy=policy)
+    stolen_ways = draw(st.lists(st.integers(1, ways // 2), min_size=1, max_size=2, unique=True))
+    sizes_mb = tuple((ways - k) * sets * 64 / MB for k in stolen_ways)
+    name = draw(st.sampled_from(ZOO_NAMES))
+    factory = zoo_target(
+        name,
+        working_set_mb=draw(st.sampled_from([0.02, 0.05, 0.1])),
+        seed=draw(st.integers(0, 2**16)),
+    )
+    return config, sizes_mb, name, factory, draw(st.integers(0, 2**16))
+
+
+def _tier(sizes_mb) -> ValidationTier:
+    return ValidationTier(
+        name="prop",
+        sizes_mb=sizes_mb,
+        trace_lines=2_000,
+        footprint_sweeps=2,
+        window_cap=2,
+        warm_start_instructions=10_000.0,
+        profile_instructions=30_000.0,
+    )
+
+
+@given(case=attach_cases())
+@settings(max_examples=12)
+def test_differential_windows_equal_fresh_attach_runs(case):
+    """One shared prefix (or one per window under ``random``) measures
+    exactly what a fresh ``measure_between_markers`` run per window does."""
+    config, sizes_mb, name, factory, seed = case
+    diff = differential_compare(name, _tier(sizes_mb), config=config, seed=seed, factory=factory)
+    start, stop = diff.start_marker, diff.stop_marker
+
+    def fresh(stolen: int, *key) -> AttachWindow:
+        return measure_between_markers(
+            factory, stolen, start, stop, config=config, seed=stable_seed(seed, name, *key)
+        )
+
+    assert diff.baseline == fresh(0, "base")
+    samples = []
+    for size_mb in sizes_mb:
+        win = fresh(config.l3.size - int(size_mb * MB), "pirate", size_mb)
+        samples.append(
+            IntervalSample(win.target_cache_bytes, win.target, win.pirate_fetch_ratio, win.valid)
+        )
+    assert diff.pirate == PerformanceCurve.from_samples(name, samples, config.core.clock_hz)
+
+
+def test_random_windows_run_their_own_prefix_where_they_are_measured():
+    """Under ``random`` each window's seed shapes its prefix: no shared
+    prefix runs, and pool workers measure exactly what the serial path does."""
+    from repro.observability import Telemetry
+
+    config = tiny_config(l3_size=512 * 8 * 64, l3_ways=8, policy="random")
+    factory = zoo_target("zipf", working_set_mb=0.05, seed=3)
+    tier = _tier((7 * 512 * 64 / MB, 5 * 512 * 64 / MB))
+    tel = Telemetry()
+    serial = differential_compare(
+        "zipf", tier, config=config, seed=1, factory=factory, telemetry=tel
+    )
+    pooled = differential_compare("zipf", tier, config=config, seed=1, factory=factory, workers=2)
+    assert (pooled.baseline, pooled.pirate) == (serial.baseline, serial.pirate)
+    spans = tel.summary(deterministic=True)["measurement"]["spans"]
+    assert "validate_baseline" in spans and "validate_prefix" not in spans
