@@ -89,5 +89,11 @@ def assemble_curve(
         if quality:
             curve = PartialCurve.from_samples(benchmark, samples, clock_hz)
             curve.quality = quality
+            for r in results:
+                if r.attempts > 1:
+                    key = r.target_cache_bytes
+                    curve.supervisor_retries[key] = (
+                        curve.supervisor_retries.get(key, 0) + r.attempts - 1
+                    )
             return curve
         return PerformanceCurve.from_samples(benchmark, samples, clock_hz)

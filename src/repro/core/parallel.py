@@ -68,7 +68,7 @@ import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from multiprocessing import get_all_start_methods, get_context
 from numbers import Integral, Real
 from pathlib import Path
@@ -205,19 +205,36 @@ def _is_integer(value) -> bool:
 
 
 def _finite(value) -> bool:
-    """A finite real number; a bool is not one (``True`` is no interval)."""
-    return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+    """A finite real number; a bool is not one (``True`` is no interval).
+    Every integer is finite, also one too large for a float."""
+    if not isinstance(value, Real) or isinstance(value, bool):
+        return False
+    return isinstance(value, Integral) or math.isfinite(value)
 
+
+#: upper bounds on the work one sweep point asks for: 2,000x the longest
+#: interval (5M instructions, the full scale's "1B" Table III row; warm-ups
+#: share the bound) and 1,000x the most intervals (10) any scale or CLI
+#: default measures, so a request (a wire job above all) cannot queue a
+#: sweep that never ends
+MAX_INTERVAL_INSTRUCTIONS = 1e10
+MAX_INTERVALS = 10_000
 
 #: the schedule rules of a SweepSpec: (field, test, rule as worded, stored type)
 _SPEC_RULES = (
     ("benchmark", lambda v: isinstance(v, str), "a string", str),
     ("num_pirate_threads", lambda v: _is_integer(v) and v >= 1, "an integer >= 1", int),
-    ("interval_instructions", lambda v: _finite(v) and v > 0, "a finite number > 0", float),
-    ("n_intervals", lambda v: _is_integer(v) and v >= 1, "an integer >= 1", int),
-    ("warmup_instructions", lambda v: v is None or (_finite(v) and v >= 0),
-     "None or a finite number >= 0", lambda v: None if v is None else float(v)),
-    ("seed", _is_integer, "an integer", int),
+    ("interval_instructions",
+     lambda v: _finite(v) and 0 < v <= MAX_INTERVAL_INSTRUCTIONS,
+     f"a finite number > 0 and <= {MAX_INTERVAL_INSTRUCTIONS:g}", float),
+    ("n_intervals", lambda v: _is_integer(v) and 1 <= v <= MAX_INTERVALS,
+     f"an integer from 1 to {MAX_INTERVALS}", int),
+    ("warmup_instructions",
+     lambda v: v is None or (_finite(v) and 0 <= v <= MAX_INTERVAL_INSTRUCTIONS),
+     f"None or a finite number >= 0 and <= {MAX_INTERVAL_INSTRUCTIONS:g}",
+     lambda v: None if v is None else float(v)),
+    ("seed", lambda v: _is_integer(v) and -(2**63) <= v < 2**64,
+     "an integer that fits in 64 bits (-2**63 to 2**64 - 1)", int),
 )
 
 
@@ -254,6 +271,9 @@ class PointResult:
     #: the worker-side telemetry stream (None when telemetry is off or the
     #: point came from the cache); not persisted in the result cache
     telemetry: TelemetryFragment | None = None
+    #: supervisor attempts this sweep made at the point, the last one
+    #: measuring it (1 from the cache or the journal); never persisted
+    attempts: int = field(default=1, compare=False)
 
 
 @dataclass
@@ -743,6 +763,7 @@ class _Sweep:
         return escalated
 
     def record(self, result: PointResult) -> None:
+        result.attempts = self.attempts.get(result.index, 1)
         self.results.append(result)
         self.stats.measured += 1
         if result.telemetry is not None:

@@ -226,6 +226,10 @@ class PartialCurve(PerformanceCurve):
     """
 
     quality: dict[int, PointQuality] = field(default_factory=dict)
+    #: supervisor attempts beyond the first that a sweep made at a point
+    #: (keyed like ``quality``; each attempt's retry-engine attempts are
+    #: in ``quality``); the table's ``att`` column adds them
+    supervisor_retries: dict[int, int] = field(default_factory=dict)
 
     @property
     def complete(self) -> bool:
@@ -261,7 +265,8 @@ class PartialCurve(PerformanceCurve):
         return rows
 
     def format_table(self) -> str:
-        """Human-readable table with the quality/attempts column."""
+        """Human-readable table with the quality/attempts column (``att``
+        counts retry-engine and supervisor attempts)."""
         lines = [
             f"# {self.benchmark}",
             f"{'MB':>6} {'CPI':>7} {'BW GB/s':>8} {'fetch%':>8} {'miss%':>8} "
@@ -269,7 +274,7 @@ class PartialCurve(PerformanceCurve):
         ]
         for p in self.points:
             q = self.quality.get(p.cache_bytes)
-            attempts = q.attempts if q else 1
+            attempts = (q.attempts if q else 1) + self.supervisor_retries.get(p.cache_bytes, 0)
             label = q.label if q else "ok"
             lines.append(
                 f"{p.cache_mb:6.1f} {p.cpi:7.3f} {p.bandwidth_gbps:8.3f} "

@@ -14,7 +14,10 @@ predicate that says whether the walk covers a machine.
 :class:`~repro.kernels.cext.HierWalk` owns every cache's tags, dirty
 bits, valid counts, replacement state and counters as numpy arrays the C
 code runs on in place; Python reads them through read-only
-:class:`~repro.kernels.cext.WalkCache` views.
+:class:`~repro.kernels.cext.WalkCache` views.  On a walked machine
+:meth:`~repro.hardware.machine.Machine.run` also runs its quanta in C
+(:class:`~repro.kernels.cext.QuantumLoop`), bit-identical to the Python
+step loop (``tests/test_quantum_loop.py``).
 
 :class:`repro.caches.hierarchy.CacheHierarchy` asks the predicate once,
 before it builds any cache: covered machines get a ``HierWalk`` and its

@@ -1,24 +1,30 @@
-"""The C hierarchy walk: kernel mode ``auto``'s engine for every chunk.
+"""The C hierarchy walk and quantum loop: kernel mode ``auto``'s engine.
 
 The interpreter loops in :mod:`repro.caches` execute one Python bytecode
 sequence per access: probe a set's ways, bump counters, pick a victim,
 touch the replacement metadata.  The same small state machines run in a
-few nanoseconds per access in C.  The embedded C source has one entry
-point, ``hier_walk``: one core's chunk through L1, L2 and the shared L3
-in order, prefetcher and inclusive back-invalidation included, wrapped
-by :class:`HierWalk`, which owns every cache's arrays and shows each one
-to Python as a read-only :class:`WalkCache`.
+few nanoseconds per access in C.  The embedded C source has two entry
+points.  ``hier_walk`` runs one core's chunk through L1, L2 and the
+shared L3 in order, prefetcher and inclusive back-invalidation included,
+wrapped by :class:`HierWalk`, which owns every cache's arrays and shows
+each one to Python as a read-only :class:`WalkCache`.  ``mach_run`` is
+:meth:`~repro.hardware.machine.Machine.run`'s quantum loop on top of it
+(scheduling, quantum planning, the Pirate's stripe, the timing model,
+the bandwidth domains, the counter banks), wrapped by
+:class:`QuantumLoop`; only the machine calls it.
 
 :func:`load` compiles the source with the system C compiler at first use
-(cached by content hash under ``_cext_build/`` next to this file, or
-``REPRO_CEXT_DIR``) and binds it with :mod:`ctypes`; no third-party
+(cached under ``_cext_build/`` next to this file, or ``REPRO_CEXT_DIR``,
+by a hash of the source and the compiler command) and binds it with
+:mod:`ctypes`; no third-party
 dependency and nothing at install time.  :func:`walk_gap` is the one
 predicate that decides, from a :class:`~repro.config.MachineConfig`
 alone, whether the walk covers a machine: it needs the lowering to load
 (a C compiler, ``REPRO_CEXT`` not ``0``), LRU/NRU/PLRU at every level
 with at most 63 ways, and at most 127 cores.  Where it does not, the
 hierarchy runs the scalar interpreter, the oracle the walk is pinned to
-bit for bit (``tests/test_hierwalk.py``).
+bit for bit (``tests/test_hierwalk.py``); the quantum loop is pinned to
+the Python step loop the same way (``tests/test_quantum_loop.py``).
 """
 
 from __future__ import annotations
@@ -341,9 +347,32 @@ static int64_t pf_observe(const Walk *W, int64_t core, int64_t line, int64_t *lo
     return n;
 }
 
-void hier_walk(const Walk *W, int64_t core, const int64_t *lines,
-               const uint8_t *writes, int64_t n, int64_t bypass_private)
+/* error codes of walk and mach_run (nothing of the chunk was walked) */
+#define ERR_NEGATIVE (-1)
+#define ERR_WRITES (-2)
+#define ERR_PLAN (-3)
+
+/* one line of _access_chunk_l3_only; counts into l3h, l3m, wb */
+static inline void l3only_line(const Walk *W, Cache *l3, int64_t core,
+                               int64_t line, int is_write, int64_t *l3h,
+                               int64_t *l3m, int64_t *wb)
 {
+    int64_t way, vtag = 0;
+    int64_t s3 = line & l3->set_mask;
+    int code = access_code(l3, s3, line >> l3->tag_shift, is_write, &way, &vtag);
+    if (code == HIT) { (*l3h)++; return; }
+    (*l3m)++;
+    *wb += l3_filled(W, l3, core, s3, way, code, vtag);
+}
+
+/* one core's chunk; its stats go to o[OUT_*].  A negative line (-1 marks
+ * an empty way) fails the chunk before any state changes. */
+static int64_t walk(const Walk *W, int64_t core, const int64_t *lines,
+                    const uint8_t *writes, int64_t n, int64_t bypass_private,
+                    int64_t *o)
+{
+    for (int64_t i = 0; i < n; i++)
+        if (lines[i] < 0) return ERR_NEGATIVE;
     Cache l1, l2, l3;
     bind(&l3, &W->l3, 0);
     int64_t l1h = 0, l2h = 0, l3h = 0, l3m = 0, fetch = 0, pff = 0, wb = 0;
@@ -351,15 +380,9 @@ void hier_walk(const Walk *W, int64_t core, const int64_t *lines,
     int code;
     if (bypass_private) {
         /* _access_chunk_l3_only */
-        for (int64_t i = 0; i < n; i++) {
-            int64_t line = lines[i];
-            int64_t s3 = line & l3.set_mask;
-            code = access_code(&l3, s3, line >> l3.tag_shift,
-                               writes ? writes[i] : 0, &way, &vtag);
-            if (code == HIT) { l3h++; continue; }
-            l3m++;
-            wb += l3_filled(W, &l3, core, s3, way, code, vtag);
-        }
+        for (int64_t i = 0; i < n; i++)
+            l3only_line(W, &l3, core, lines[i], writes ? writes[i] : 0,
+                        &l3h, &l3m, &wb);
         fetch = l3m;
     } else {
         bind(&l1, &W->l1, core);
@@ -407,7 +430,6 @@ void hier_walk(const Walk *W, int64_t core, const int64_t *lines,
             }
         }
     }
-    int64_t *o = W->out;
     o[OUT_L1H] = l1h;
     o[OUT_L2H] = l2h;
     o[OUT_L3H] = l3h;
@@ -415,8 +437,343 @@ void hier_walk(const Walk *W, int64_t core, const int64_t *lines,
     o[OUT_FETCH] = fetch;
     o[OUT_PF] = pff;
     o[OUT_WB] = wb;
+    return 0;
+}
+
+int64_t hier_walk(const Walk *W, int64_t core, const int64_t *lines,
+                  const uint8_t *writes, int64_t n, int64_t bypass_private)
+{
+    return walk(W, core, lines, writes, n, bypass_private, W->out);
+}
+
+/* ---- mach_run: Machine.run's quantum loop ----
+ *
+ * A transcription of Machine.step/_run_quantum, SimThread.plan_quantum and
+ * retire, PirateThreadWorkload.chunk, CoreTimingModel.quantum_cycles and
+ * BandwidthDomain.record/maybe_rollover, keeping Python's operation order
+ * for every double (build with -ffp-contract=off).  Python packs the state
+ * into the arrays below, calls mach_run until it returns DONE (or an error)
+ * and writes the state back.  A quantum of a thread whose lines Python must
+ * make returns NEED_LINES with pend_* set; the next call brings the lines,
+ * finishes that quantum and carries on. */
+
+#define DONE 0
+#define NEED_LINES 1
+#define YIELD 2
+/* quanta per call at most, so Python can take a signal (Ctrl-C) */
+#define YIELD_QUANTA 65536
+
+/* per thread: doubles, then int64s */
+enum { TD_CLOCK, TD_INSTR, TD_LIMIT, TD_CPI, TD_CARRY, TD_MF, TD_APL,
+       TD_CPIB, TD_MLP, TD_N };
+enum { TI_CORE, TI_TID, TI_HASLIM, TI_FIN, TI_SUSP, TI_BYPASS, TI_PIRATE,
+       TI_PLINE, TI_PSTRIDE, TI_PCOUNT, TI_PPOS, TI_FLAGS, TI_N };
+/* TI_FLAGS: what changed, so Python writes back only that */
+enum { F_PLANNED = 1, F_RETIRED = 2, F_FINISHED = 4, F_SWEPT = 8 };
+/* per core counter bank (CounterSample): float fields, int fields + flag */
+enum { BF_CYC, BF_INSTR, BF_MEM, BF_L1H, BF_DRAMB, BF_L3B, BF_N };
+enum { BI_L2H, BI_L3H, BI_L3M, BI_FETCH, BI_PF, BI_WB, BI_SET, BI_N };
+/* per core hierarchy totals (CoreMemStats) + flag */
+enum { TT_MEM, TT_L1H, TT_L2H, TT_L3H, TT_L3M, TT_FETCH, TT_PF, TT_WB,
+       TT_SET, TT_N };
+/* per bandwidth domain (L3, DRAM): doubles, then int64s */
+enum { DD_CAP, DD_EPOCH, DD_ALPHA, DD_STRETCH, DD_LSCALE, DD_DEMAND,
+       DD_TOTAL, DD_N };
+enum { DI_EPOCH, DI_NACC, DI_SET, DI_N };
+
+typedef struct {
+    const Walk *W;
+    int64_t nthreads;
+    double *td;
+    int64_t *ti;
+    double *bf;
+    int64_t *bi, *tt;
+    int64_t *chunks;        /* chunks walked: full, l3only */
+    double *dd;
+    int64_t *di;
+    /* demand accumulators, [domain, acc_cap], in insertion order */
+    int64_t acc_cap;
+    int64_t *acc_tid, *acc_bytes;
+    double *acc_cyc;
+    double quantum, l2_lat, l3_lat, dram_lat, l3_port;
+    /* Goal: thread indices and instruction counts (has_goal 0: none) */
+    int64_t has_goal, goal_n;
+    const int64_t *goal_idx;
+    const double *goal_cnt;
+    /* the quantum waiting for its lines (pend_t -1: none) */
+    int64_t pend_t, pend_n;
+    double pend_instr;
+} Mach;
+
+/* BandwidthDomain.record */
+static int64_t record(Mach *M, int64_t d, int64_t tid, int64_t nbytes,
+                      double cycles)
+{
+    if (nbytes <= 0 || cycles <= 0.0) return 0;
+    int64_t *di = M->di + d * DI_N;
+    int64_t *tids = M->acc_tid + d * M->acc_cap;
+    int64_t *bytes = M->acc_bytes + d * M->acc_cap;
+    double *cyc = M->acc_cyc + d * M->acc_cap;
+    M->dd[d * DD_N + DD_TOTAL] += (double)nbytes;
+    di[DI_SET] = 1;
+    for (int64_t j = 0; j < di[DI_NACC]; j++) {
+        if (tids[j] == tid) {
+            bytes[j] += nbytes;
+            cyc[j] += cycles;
+            return 0;
+        }
+    }
+    if (di[DI_NACC] >= M->acc_cap) return ERR_PLAN;
+    tids[di[DI_NACC]] = tid;
+    bytes[di[DI_NACC]] = nbytes;
+    cyc[di[DI_NACC]] = cycles;
+    di[DI_NACC]++;
+    return 0;
+}
+
+/* BandwidthDomain.maybe_rollover: the demand sum runs in insertion order */
+static void rollover(Mach *M, int64_t d, double now)
+{
+    double *dd = M->dd + d * DD_N;
+    int64_t *di = M->di + d * DI_N;
+    int64_t epoch = (int64_t)(now / dd[DD_EPOCH]);
+    if (epoch <= di[DI_EPOCH]) return;
+    di[DI_EPOCH] = epoch;
+    int64_t *bytes = M->acc_bytes + d * M->acc_cap;
+    double *cyc = M->acc_cyc + d * M->acc_cap;
+    double demand = 0.0;
+    for (int64_t j = 0; j < di[DI_NACC]; j++)
+        demand += (double)bytes[j] / cyc[j];
+    di[DI_NACC] = 0;
+    dd[DD_DEMAND] = demand;
+    double util = demand / dd[DD_CAP];
+    dd[DD_STRETCH] = util > 1.0 ? util : 1.0;
+    dd[DD_LSCALE] = 1.0 + dd[DD_ALPHA] * (util < 1.0 ? util : 1.0);
+    di[DI_SET] = 1;
+}
+
+/* CoreTimingModel.quantum_cycles (Python max(a, b) is b only if b > a) */
+static int64_t quantum_cycles(Mach *M, double instr, const int64_t *s,
+                              const double *td, int64_t tid, double *out)
+{
+    const double *l3d = M->dd, *drd = M->dd + DD_N;
+    double mlp = td[TD_MLP];
+    double base = instr * td[TD_CPIB];
+    double l2_stall = (double)s[OUT_L2H] * M->l2_lat / mlp;
+    int64_t l3_acc = s[OUT_L3H] + s[OUT_L3M];
+    int64_t l3_bytes = (l3_acc + s[OUT_PF]) * 64;
+    double l3_lat = (double)l3_acc * M->l3_lat * l3d[DD_LSCALE] / mlp;
+    double port = (double)l3_bytes / M->l3_port;
+    double shared = (double)l3_bytes * l3d[DD_STRETCH] / l3d[DD_CAP];
+    double l3_bw = shared > port ? shared : port;
+    double l3_time = l3_bw > l3_lat ? l3_bw : l3_lat;
+    int64_t dram_bytes = (s[OUT_FETCH] + s[OUT_WB]) * 64;
+    double dram_lat = (double)s[OUT_L3M] * M->dram_lat * drd[DD_LSCALE] / mlp;
+    double dram_bw = (double)dram_bytes * drd[DD_STRETCH] / drd[DD_CAP];
+    double dram_time = dram_bw > dram_lat ? dram_bw : dram_lat;
+    double cycles = base + l2_stall + l3_time + dram_time;
+    if (cycles <= 0.0) cycles = 1.0;
+    double unstretched = base + l2_stall + (port > l3_lat ? port : l3_lat)
+                         + dram_lat;
+    if (unstretched <= 0.0) unstretched = 1.0;
+    if (l3_bytes && record(M, 0, tid, l3_bytes, unstretched)) return ERR_PLAN;
+    if (dram_bytes && record(M, 1, tid, dram_bytes, unstretched)) return ERR_PLAN;
+    *out = cycles;
+    return 0;
+}
+
+/* PirateThreadWorkload.chunk walked as it is made: the stripe
+ * PLINE + k * PSTRIDE from k = PPOS, wrapping at PCOUNT; a zero-line
+ * stripe spins on PLINE */
+static void pirate_walk(const Walk *W, int64_t core, int64_t *ti, int64_t n,
+                        int64_t *s)
+{
+    Cache l3;
+    bind(&l3, &W->l3, 0);
+    int64_t l3h = 0, l3m = 0, wb = 0;
+    int64_t line = ti[TI_PLINE], stride = ti[TI_PSTRIDE], count = ti[TI_PCOUNT];
+    if (count <= 0) {
+        for (int64_t i = 0; i < n; i++)
+            l3only_line(W, &l3, core, line, 0, &l3h, &l3m, &wb);
+    } else {
+        int64_t k = ti[TI_PPOS] % count;
+        for (int64_t i = 0; i < n; i++) {
+            l3only_line(W, &l3, core, line + k * stride, 0, &l3h, &l3m, &wb);
+            if (++k == count) k = 0;
+        }
+        ti[TI_PPOS] = (ti[TI_PPOS] + n) % count;
+        ti[TI_FLAGS] |= F_SWEPT;
+    }
+    s[OUT_L3H] = l3h;
+    s[OUT_L3M] = l3m;
+    s[OUT_FETCH] = l3m;
+    s[OUT_WB] = wb;
+}
+
+/* the rest of Machine._run_quantum once the quantum's lines are known:
+ * walk them (a Pirate's are made here), time the quantum, retire it and
+ * update the counter bank; `lines` is NULL for a Pirate or n == 0 */
+static int64_t finish_quantum(Mach *M, int64_t t, double instr, int64_t n,
+                              const int64_t *lines, const uint8_t *writes,
+                              int64_t nlines, int64_t nwrites)
+{
+    double *td = M->td + t * TD_N;
+    int64_t *ti = M->ti + t * TI_N;
+    int64_t core = ti[TI_CORE];
+    int64_t s[NOUT] = {0};
+    double extra = 0.0, mem = 0.0, cycles;
+    if (n > 0) {
+        /* CacheHierarchy.access_chunk */
+        const Walk *W = M->W;
+        int64_t bypass = ti[TI_BYPASS];
+        if (ti[TI_PIRATE]) {
+            pirate_walk(W, core, ti, n, s);
+            nlines = n;
+        } else {
+            if (!bypass && nlines) W->priv_filled[core] = 1;
+            if (writes && nwrites != nlines) return ERR_WRITES;
+            int64_t rc = walk(W, core, lines, writes, nlines, bypass, s);
+            if (rc) return rc;
+        }
+        M->chunks[bypass ? 1 : 0]++;
+        int64_t *tt = M->tt + core * TT_N;
+        tt[TT_MEM] += nlines;
+        tt[TT_L1H] += s[OUT_L1H];
+        tt[TT_L2H] += s[OUT_L2H];
+        tt[TT_L3H] += s[OUT_L3H];
+        tt[TT_L3M] += s[OUT_L3M];
+        tt[TT_FETCH] += s[OUT_FETCH];
+        tt[TT_PF] += s[OUT_PF];
+        tt[TT_WB] += s[OUT_WB];
+        tt[TT_SET] = 1;
+        extra = (double)n * (td[TD_APL] - 1.0);
+        mem = (double)n * td[TD_APL];
+    }
+    if (quantum_cycles(M, instr, s, td, ti[TI_TID], &cycles)) return ERR_PLAN;
+    /* SimThread.retire */
+    td[TD_INSTR] += instr;
+    td[TD_CLOCK] += cycles;
+    td[TD_CPI] = cycles / instr;
+    ti[TI_FLAGS] |= F_RETIRED;
+    if (ti[TI_HASLIM] && td[TD_INSTR] >= td[TD_LIMIT] - 0.5) {
+        ti[TI_FIN] = 1;
+        ti[TI_FLAGS] |= F_FINISHED;
+    }
+    double *bf = M->bf + core * BF_N;
+    int64_t *bi = M->bi + core * BI_N;
+    bf[BF_CYC] += cycles;
+    bf[BF_INSTR] += instr;
+    bf[BF_MEM] += mem;
+    bf[BF_L1H] += (double)s[OUT_L1H] + extra;
+    bi[BI_L2H] += s[OUT_L2H];
+    bi[BI_L3H] += s[OUT_L3H];
+    bi[BI_L3M] += s[OUT_L3M];
+    bi[BI_FETCH] += s[OUT_FETCH];
+    bi[BI_PF] += s[OUT_PF];
+    bi[BI_WB] += s[OUT_WB];
+    bf[BF_DRAMB] += (double)(s[OUT_FETCH] + s[OUT_WB]) * 64.0;
+    bf[BF_L3B] += (double)(s[OUT_L3H] + s[OUT_L3M] + s[OUT_PF]) * 64.0;
+    bi[BI_SET] = 1;
+    return 0;
+}
+
+/* SimThread.plan_quantum, then the quantum (or NEED_LINES) */
+static int64_t run_quantum(Mach *M, int64_t t)
+{
+    double *td = M->td + t * TD_N;
+    int64_t *ti = M->ti + t * TI_N;
+    double instr = M->quantum / td[TD_CPI];
+    if (ti[TI_HASLIM]) {
+        double left = td[TD_LIMIT] - td[TD_INSTR];
+        if (left < instr) instr = left;
+    }
+    if (instr <= 0.0) {
+        ti[TI_FIN] = 1;
+        ti[TI_FLAGS] |= F_FINISHED;
+        return DONE;
+    }
+    double lines = instr * td[TD_MF] / td[TD_APL] + td[TD_CARRY];
+    /* Python's int() of it; NaN or out of int64 range cannot be walked */
+    if (!(lines > -9.0e18 && lines < 9.0e18)) return ERR_PLAN;
+    int64_t n = (int64_t)lines;
+    td[TD_CARRY] = lines - (double)n;
+    ti[TI_FLAGS] |= F_PLANNED;
+    if (n < 0) n = 0;
+    if (n > 0 && !ti[TI_PIRATE]) {
+        M->pend_t = t;
+        M->pend_n = n;
+        M->pend_instr = instr;
+        return NEED_LINES;
+    }
+    return finish_quantum(M, t, instr, n, 0, 0, 0, -1);
+}
+
+/* Machine.step's epilogue: both domains see the scheduling frontier (the
+ * earliest runnable clock, else the latest clock) */
+static void end_step(Mach *M)
+{
+    double f = 0.0;
+    int any = 0;
+    for (int64_t i = 0; i < M->nthreads; i++) {
+        const int64_t *ti = M->ti + i * TI_N;
+        double c = M->td[i * TD_N + TD_CLOCK];
+        if (!ti[TI_FIN] && !ti[TI_SUSP] && (!any || c < f)) { f = c; any = 1; }
+    }
+    if (!any) {
+        for (int64_t i = 0; i < M->nthreads; i++) {
+            double c = M->td[i * TD_N + TD_CLOCK];
+            if (i == 0 || c > f) f = c;
+        }
+    }
+    rollover(M, 0, f);
+    rollover(M, 1, f);
+}
+
+/* Goal.reached */
+static int goal_reached(const Mach *M)
+{
+    for (int64_t k = 0; k < M->goal_n; k++) {
+        int64_t i = M->goal_idx[k];
+        if (M->td[i * TD_N + TD_INSTR] < M->goal_cnt[k] && !M->ti[i * TI_N + TI_FIN])
+            return 0;
+    }
+    return 1;
+}
+
+int64_t mach_run(Mach *M, const int64_t *lines, const uint8_t *writes,
+                 int64_t nlines, int64_t nwrites)
+{
+    int64_t rc;
+    if (M->pend_t >= 0) {
+        int64_t t = M->pend_t;
+        M->pend_t = -1;
+        rc = finish_quantum(M, t, M->pend_instr, M->pend_n, lines, writes,
+                            nlines, nwrites);
+        if (rc) return rc;
+        end_step(M);
+    }
+    for (int64_t q = 0;; q++) {
+        if (M->has_goal && goal_reached(M)) return DONE;
+        if (q == YIELD_QUANTA) return YIELD;
+        /* min(runnable, key=clock): the first of equal clocks wins */
+        int64_t t = -1;
+        double best = 0.0;
+        for (int64_t i = 0; i < M->nthreads; i++) {
+            const int64_t *ti = M->ti + i * TI_N;
+            double c = M->td[i * TD_N + TD_CLOCK];
+            if (!ti[TI_FIN] && !ti[TI_SUSP] && (t < 0 || c < best)) { t = i; best = c; }
+        }
+        if (t < 0) return DONE;
+        rc = run_quantum(M, t);
+        if (rc) return rc;
+        end_step(M);
+    }
 }
 """
+
+#: compiler flags after ``cc``; ``-ffp-contract=off`` keeps every target
+#: from fusing the timing model's multiply-adds, which Python rounds twice
+_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
 _lib = None
 _tried = False
@@ -446,7 +803,11 @@ def _compile() -> ctypes.CDLL:
     cc = shutil.which(os.environ.get("CC") or "cc") or shutil.which("gcc")
     if cc is None:
         raise RuntimeError("no C compiler on PATH")
-    digest = hashlib.sha256(_SOURCE.encode()).hexdigest()[:16]
+    # the object is named by the source and the whole compiler command, so
+    # a changed flag or compiler never reuses a stale build
+    command = [cc, *_CFLAGS]
+    key = "\0".join([_SOURCE, *command])
+    digest = hashlib.sha256(key.encode()).hexdigest()[:16]
     bdir = _build_dir()
     bdir.mkdir(parents=True, exist_ok=True)
     so = bdir / f"cext-{digest}.so"
@@ -457,7 +818,7 @@ def _compile() -> ctypes.CDLL:
         try:
             csrc.write_text(_SOURCE)
             subprocess.run(
-                [cc, "-O2", "-fPIC", "-shared", "-o", str(tmp), str(csrc)],
+                [*command, "-o", str(tmp), str(csrc)],
                 check=True,
                 capture_output=True,
                 timeout=120,
@@ -474,7 +835,7 @@ def _compile() -> ctypes.CDLL:
             tmp.unlink(missing_ok=True)
     lib = ctypes.CDLL(str(so))
     walk = lib.hier_walk
-    walk.restype = None
+    walk.restype = ctypes.c_longlong  # 0, or ERR_NEGATIVE
     walk.argtypes = [
         ctypes.c_void_p,  # Walk *
         ctypes.c_longlong,  # core
@@ -482,6 +843,15 @@ def _compile() -> ctypes.CDLL:
         ctypes.c_void_p,  # writes (NULL = all reads)
         ctypes.c_longlong,  # n
         ctypes.c_longlong,  # bypass_private
+    ]
+    run = lib.mach_run
+    run.restype = ctypes.c_longlong  # DONE, NEED_LINES or an ERR_* code
+    run.argtypes = [
+        ctypes.c_void_p,  # Mach *
+        ctypes.c_void_p,  # lines of the pending quantum (NULL = none)
+        ctypes.c_void_p,  # writes (NULL = all reads)
+        ctypes.c_longlong,  # number of lines
+        ctypes.c_longlong,  # number of write flags (-1 = no writes)
     ]
     return lib
 
@@ -523,6 +893,30 @@ def unavailable_reason() -> str | None:
 
 def _ptr(arr):
     return None if arr is None else arr.ctypes.data
+
+
+def chunk_arrays(lines, writes) -> tuple[np.ndarray, np.ndarray | None]:
+    """A chunk as C reads it: int64 lines and uint8 write flags (or None)."""
+    lines = np.ascontiguousarray(lines, dtype=np.int64)
+    if writes is None:
+        return lines, None
+    return lines, np.ascontiguousarray(writes, dtype=bool).view(np.uint8)
+
+
+#: C error codes: a negative line (-1 marks an empty way), a write mask
+#: whose length is not the chunk's, a quantum the loop cannot plan
+ERR_NEGATIVE, ERR_WRITES, ERR_PLAN = -1, -2, -3
+
+
+def write_flags_error(n_lines: int, n_writes: int) -> SimulationError:
+    return SimulationError(f"{n_lines} lines but {n_writes} write flags in one chunk")
+
+
+def walk_error(code: int) -> SimulationError:
+    """The :class:`SimulationError` for a C error code."""
+    if code == ERR_NEGATIVE:
+        return SimulationError("line addresses must be non-negative")
+    return SimulationError(f"the C quantum loop cannot plan the quantum (code {code})")
 
 
 class _Level(ctypes.Structure):
@@ -764,20 +1158,11 @@ class HierWalk:
 
     def run(self, core: int, lines, writes, bypass_private: bool) -> CoreMemStats:
         """Play one chunk for ``core``; returns its (unscaled) stats."""
-        lines = np.ascontiguousarray(lines, dtype=np.int64)
-        w8 = (
-            None
-            if writes is None
-            else np.ascontiguousarray(writes, dtype=bool).view(np.uint8)
-        )
-        # C reads writes[i] for every line, and -1 marks an empty way
+        lines, w8 = chunk_arrays(lines, writes)
+        # C reads writes[i] for every line
         if w8 is not None and len(w8) != len(lines):
-            raise SimulationError(
-                f"{len(lines)} lines but {len(w8)} write flags in one chunk"
-            )
-        if len(lines) and lines.min() < 0:
-            raise SimulationError("line addresses must be non-negative")
-        self._fn(
+            raise write_flags_error(len(lines), len(w8))
+        code = self._fn(
             self._ref,
             core,
             lines.ctypes.data,
@@ -785,6 +1170,8 @@ class HierWalk:
             len(lines),
             1 if bypass_private else 0,
         )
+        if code:
+            raise walk_error(code)
         l1h, l2h, l3h, l3m, fetch, pff, wb_lines = self._out.tolist()
         return CoreMemStats(
             mem_accesses=len(lines),
@@ -854,6 +1241,147 @@ class HierWalk:
         pf.load_table(self.pf_tab[core].tolist(), used, head)
         pf.issued = issued
         pf.streams_started = started
+
+
+#: column layouts of ``mach_run``'s arrays (the C ``TD_*``, ``TI_*``,
+#: ``BF_*``, ``BI_*``, ``TT_*`` and ``DD_*`` enums), by the attribute each
+#: column packs.  Per thread, doubles then int64s:
+THREAD_FLOAT = (
+    "clock", "instructions", "instruction_limit", "cpi_estimate", "_line_carry",
+    "mem_fraction", "accesses_per_line", "cpi_base", "mlp",
+)
+THREAD_INT = (
+    "core", "thread_id", "has_limit", "finished", "suspended", "bypass_private",
+    "stripe", "stripe_line", "stripe_stride", "stripe_count", "stripe_pos", "flags",
+)
+#: per core, a :class:`~repro.hardware.counters.CounterSample` bank (float
+#: fields, then int fields and a "changed" flag) and the hierarchy's
+#: :class:`~repro.caches.base.CoreMemStats` totals (and a flag)
+BANK_FLOAT = ("cycles", "instructions", "mem_accesses", "l1_hits", "dram_bytes", "l3_bytes")
+BANK_INT = (
+    "l2_hits", "l3_hits", "l3_misses", "l3_fetches", "prefetch_fills", "dram_writeback_lines",
+)
+TOTALS = (
+    "mem_accesses", "l1_hits", "l2_hits", "l3_hits", "l3_misses", "l3_fetches",
+    "prefetch_fills", "dram_writeback_lines",
+)
+#: per bandwidth domain (L3, DRAM): doubles, then epoch index, accumulator
+#: count and a "changed" flag
+DOMAIN_FLOAT = (
+    "capacity", "epoch_cycles", "latency_alpha", "stretch", "latency_scale",
+    "demand_rate", "total_bytes",
+)
+#: ``flags`` bits: what a run changed in a thread
+F_PLANNED, F_RETIRED, F_FINISHED, F_SWEPT = 1, 2, 4, 8
+#: ``mach_run`` results besides the error codes: finished, the pending
+#: quantum needs its lines, or a pause (every 65,536 quanta) that lets
+#: Python take a signal
+DONE, NEED_LINES, YIELD = 0, 1, 2
+
+
+class _Mach(ctypes.Structure):
+    """C ``Mach``: the quantum loop's state, by pointer."""
+
+    _fields_ = [
+        ("walk", ctypes.c_void_p),
+        ("nthreads", ctypes.c_int64),
+        *((name, ctypes.c_void_p) for name in ("td", "ti", "bf", "bi", "tt", "chunks", "dd", "di")),
+        ("acc_cap", ctypes.c_int64),
+        *((name, ctypes.c_void_p) for name in ("acc_tid", "acc_bytes", "acc_cyc")),
+        *((name, ctypes.c_double) for name in (
+            "quantum", "l2_lat", "l3_lat", "dram_lat", "l3_port"
+        )),
+        ("has_goal", ctypes.c_int64),
+        ("goal_n", ctypes.c_int64),
+        ("goal_idx", ctypes.c_void_p),
+        ("goal_cnt", ctypes.c_void_p),
+        ("pend_t", ctypes.c_int64),
+        ("pend_n", ctypes.c_int64),
+        ("pend_instr", ctypes.c_double),
+    ]
+
+
+class QuantumLoop:
+    """ctypes binding of ``mach_run``: a machine's quantum loop over a
+    :class:`HierWalk`.
+
+    It owns the arrays the loop runs on, laid out as :data:`THREAD_FLOAT`,
+    :data:`THREAD_INT`, :data:`BANK_FLOAT`, :data:`BANK_INT`,
+    :data:`TOTALS` and :data:`DOMAIN_FLOAT` name them, plus each domain's
+    demand accumulators (thread id, bytes, cycles; insertion order) and
+    the chunk counts per path (full, l3only).  The machine packs its state
+    in, calls :meth:`call` until it returns :data:`DONE` or an error code,
+    and writes the state back.  :data:`NEED_LINES` asks for the lines of
+    the quantum :attr:`pending` names; the next :meth:`call` brings them.
+    :data:`YIELD` only pauses the loop: call again.
+    """
+
+    def __init__(self, walk: HierWalk, n_threads: int, n_cores: int, acc_cap: int):
+        self._fn = load().mach_run
+        self._walk_owner = walk  # the C struct points into its arrays
+        self.n_threads = n_threads
+        self.acc_cap = acc_cap
+        self.td = np.zeros((n_threads, len(THREAD_FLOAT)))
+        self.ti = np.zeros((n_threads, len(THREAD_INT)), dtype=np.int64)
+        self.bf = np.zeros((n_cores, len(BANK_FLOAT)))
+        self.bi = np.zeros((n_cores, len(BANK_INT) + 1), dtype=np.int64)
+        self.tt = np.zeros((n_cores, len(TOTALS) + 1), dtype=np.int64)
+        self.chunks = np.zeros(2, dtype=np.int64)
+        self.dd = np.zeros((2, len(DOMAIN_FLOAT)))
+        self.di = np.zeros((2, 3), dtype=np.int64)
+        self.acc_tid = np.zeros((2, acc_cap), dtype=np.int64)
+        self.acc_bytes = np.zeros((2, acc_cap), dtype=np.int64)
+        self.acc_cyc = np.zeros((2, acc_cap))
+        self._goal = (np.zeros(n_threads, dtype=np.int64), np.zeros(n_threads))
+        m = _Mach()
+        m.walk = ctypes.addressof(walk._walk)
+        m.nthreads = n_threads
+        for name in ("td", "ti", "bf", "bi", "tt", "chunks", "dd", "di",
+                     "acc_tid", "acc_bytes", "acc_cyc"):
+            setattr(m, name, getattr(self, name).ctypes.data)
+        m.acc_cap = acc_cap
+        m.goal_idx, m.goal_cnt = (a.ctypes.data for a in self._goal)
+        m.pend_t = -1
+        self._mach = m
+        self._ref = ctypes.byref(m)
+
+    def start(self, quantum: float, core, goal_idx, goal_counts) -> None:
+        """Set the quantum, the core timing parameters and the goal (None
+        for none) of the next run; forget any pending quantum."""
+        m = self._mach
+        m.quantum = quantum
+        m.l2_lat = core.l2_hit_latency
+        m.l3_lat = core.l3_hit_latency
+        m.dram_lat = core.dram_latency
+        m.l3_port = core.l3_port_bytes_per_cycle
+        m.pend_t = -1
+        m.has_goal = goal_idx is not None
+        if goal_idx is not None:
+            n = len(goal_idx)
+            if n > len(self._goal[0]):
+                self._goal = (np.zeros(n, dtype=np.int64), np.zeros(n))
+                m.goal_idx, m.goal_cnt = (a.ctypes.data for a in self._goal)
+            self._goal[0][:n] = goal_idx
+            self._goal[1][:n] = goal_counts
+            m.goal_n = n
+        self.chunks[:] = 0
+
+    @property
+    def pending(self) -> tuple[int, int]:
+        """Thread index and line count of the quantum waiting for lines."""
+        return self._mach.pend_t, self._mach.pend_n
+
+    def call(self, lines: np.ndarray | None = None, w8: np.ndarray | None = None) -> int:
+        """Run quanta until the goal, no runnable thread, or a thread whose
+        lines Python makes; ``lines``/``w8`` (:func:`chunk_arrays`) are the
+        pending quantum's."""
+        return self._fn(
+            self._ref,
+            _ptr(lines),
+            _ptr(w8),
+            0 if lines is None else len(lines),
+            -1 if w8 is None else len(w8),
+        )
 
 
 def walk_gap(config) -> str | None:

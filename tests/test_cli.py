@@ -290,6 +290,36 @@ def test_supervised_sweep_reports_retries_and_counts_every_point(monkeypatch):
     assert stats == "sweep: measured=1 cache=0 journal=0 retries=2 quarantined=1"
 
 
+def test_supervised_sweep_counts_supervisor_attempts_in_att(monkeypatch):
+    """The 8.0 MB point errors once and is measured on its second
+    supervisor attempt: its row reads att 2, the 4.0 MB point is quarantined."""
+    monkeypatch.setenv(CHAOS_ENV, '{"errors": {"0": [1], "1": [1, 2]}}')
+    out = Sink()
+    assert main(SWEEP_FAST + ["--supervise"], out=out) == 0
+    rows = [l.split() for l in out.text.splitlines() if l.split()[:1] == ["8.0"]]
+    assert [row[-2:] for row in rows] == [["2", "ok"]]
+
+
+def test_sweep_payloads_of_first_attempt_points_ignore_supervision(monkeypatch):
+    """A point measured on its first attempt stores the same payload
+    whether or not another point of its sweep was retried."""
+    from repro.config import nehalem_config
+    from repro.core.parallel import SupervisorPolicy, SweepSpec, result_to_payload, run_sweep
+    from repro.workloads import TargetSpec
+
+    spec = SweepSpec(
+        target=TargetSpec(kind="benchmark", name="povray"), benchmark="povray",
+        config=nehalem_config(), interval_instructions=20_000.0, n_intervals=1,
+    )
+    clean, _ = run_sweep(spec, [8.0, 4.0], workers=0)
+    monkeypatch.setenv(CHAOS_ENV, '{"errors": {"0": [1]}}')
+    retried, stats = run_sweep(spec, [8.0, 4.0], workers=0, policy=SupervisorPolicy())
+    assert stats.retries == 1
+    by_index = {r.index: r for r in retried}
+    assert by_index[0].attempts == 2 and by_index[1].attempts == 1
+    assert result_to_payload(by_index[1]) == result_to_payload(clean[1])
+
+
 def test_sweep_with_every_point_quarantined_prints_one_error_line(monkeypatch):
     monkeypatch.setenv(
         CHAOS_ENV, ChaosPlan.random(3, seed=1, kill_rate=1.0, repeats=9).to_json()

@@ -199,6 +199,23 @@ def test_walk_rejects_malformed_chunks():
         h.access_chunk(0, np.array([-1, 3], dtype=np.int64), None)
 
 
+def test_rejected_chunk_leaves_the_walk_untouched():
+    """The negative-line scan runs in C before the walk changes anything:
+    a chunk with one bad line (late, after many good ones) leaves every
+    state array byte for byte as it was."""
+    h = CacheHierarchy(tiny_config(kernel="auto", prefetch_enabled=True))
+    h.access_chunk(0, np.arange(300, dtype=np.int64) * 5, None)
+    h.access_chunk(1, np.arange(100, dtype=np.int64), None, bypass_private=True)
+    walk = h._walk
+    before = [a.tobytes() for a in walk._state_arrays()]
+    for bypass in (False, True):
+        bad = np.arange(400, dtype=np.int64) * 3
+        bad[-1] = -1
+        with pytest.raises(SimulationError, match="non-negative"):
+            walk.run(0, bad, np.ones(400, dtype=bool), bypass)
+    assert [a.tobytes() for a in walk._state_arrays()] == before
+
+
 def test_walk_degrades_with_a_reason(monkeypatch):
     """Uncovered machines get the scalar caches, a reason and one warning."""
     monkeypatch.setattr(hierarchy, "_warned_reasons", set())

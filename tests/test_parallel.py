@@ -13,6 +13,7 @@ without assuming multiple cores (CI containers may have one).
 
 import json
 import pickle
+import re
 from multiprocessing import get_all_start_methods, get_context
 
 import pytest
@@ -25,6 +26,8 @@ from repro.core import measure_curve_fixed
 from repro.core.curves import IntervalSample
 from repro.core.parallel import (
     CACHE_FORMAT_VERSION,
+    MAX_INTERVAL_INSTRUCTIONS,
+    MAX_INTERVALS,
     PointResult,
     SweepCache,
     SweepSpec,
@@ -82,6 +85,33 @@ def test_sweep_spec_refuses_a_broken_schedule(field, value):
     with pytest.raises(ConfigError, match=rf"^{field} must be ") as e:
         small_spec(**{field: value})
     assert "\n" not in str(e.value)
+
+
+@pytest.mark.parametrize(
+    "field, value, rule",
+    [
+        ("n_intervals", MAX_INTERVALS + 1, "an integer from 1 to 10000"),
+        ("n_intervals", 10**400, "an integer from 1 to 10000"),
+        ("interval_instructions", MAX_INTERVAL_INSTRUCTIONS * 2, "<= 1e+10"),
+        ("interval_instructions", 10**400, "<= 1e+10"),
+        ("warmup_instructions", 10**400, "<= 1e+10"),
+        ("seed", 2**64, "fits in 64 bits"),
+        ("seed", -(2**63) - 1, "fits in 64 bits"),
+        ("seed", 10**40, "fits in 64 bits"),
+    ],
+)
+def test_sweep_spec_bounds_the_work_it_asks_for(field, value, rule):
+    with pytest.raises(ConfigError, match=rf"^{field} must be .*{re.escape(rule)}") as e:
+        small_spec(**{field: value})
+    assert "\n" not in str(e.value)
+
+
+def test_sweep_spec_accepts_its_bounds():
+    spec = small_spec(
+        n_intervals=MAX_INTERVALS, interval_instructions=MAX_INTERVAL_INSTRUCTIONS, seed=2**64 - 1
+    )
+    assert spec.n_intervals == MAX_INTERVALS
+    assert small_spec(seed=-(2**63)).seed == -(2**63)
 
 
 def test_sweep_spec_normalises_numbers():

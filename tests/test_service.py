@@ -151,6 +151,19 @@ def test_job_from_wire_rejects_junk(wire):
     assert "\n" not in str(e.value)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("n_intervals", 10**400), ("interval_instructions", 1e300), ("seed", 10**40)],
+)
+def test_job_from_wire_refuses_unbounded_work(field, value):
+    """A job that would never finish is a 400 at submit, not a queued sweep."""
+    wire = {"workload": {"kind": "micro.random"}, "sizes_mb": [2.0], field: value}
+    with pytest.raises(ServiceError, match=rf"^job: {field} must be ") as e:
+        job_from_wire(wire)
+    assert e.value.status == 400
+    assert "\n" not in str(e.value)
+
+
 def test_normalize_envelope_zeroes_volatile_fields():
     data = {"elapsed_s": 1.23, "nested": [{"wall_s": 9, "rows": 2}], "uptime_s": 4}
     assert normalize_envelope(data) == {
